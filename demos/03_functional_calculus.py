@@ -1,10 +1,12 @@
 """Functions of the first-order composition, two independent ways.
 
 The eigendecomposition path is the desk-scale reference; the contour
-path quadratures the resolvent over the boundary of a double sector and
-never sees the eigenvectors.  Spectral projections, the sign involution
-and the decay semigroup all come from the same machinery, and a
-companion function reproduces the identity as a mean over scales.
+path quadratures the resolvent over the boundary of a double sector,
+with one unitary complex Schur form of the operator and a triangular
+shifted solve per node, and never sees the eigenvectors.  Spectral
+projections, the sign involution and the decay semigroup all come from
+the same machinery, and a companion function reproduces the identity as
+a mean over scales.
 """
 
 import numpy as np

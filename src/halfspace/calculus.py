@@ -4,7 +4,11 @@ Bounded holomorphic functions of the first-order compositions are
 computed two independent ways: a dense eigendecomposition (the reference
 at desk scale, where the discretized operator is a plain matrix) and a
 quadrature of the resolvent over the boundary of a double sector.  The
-two paths are kept separate so that each can check the other.
+contour path factorizes the dense operator once into a complex Schur
+form M = Z R Z^* with Z unitary and R upper triangular, cached on the
+handle, and solves every shifted resolvent at the quadrature nodes by
+triangular back substitution; it never sees eigenvectors.  The two paths
+are kept separate so that each can check the other.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -19,9 +23,16 @@ import typing
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from .grid import Field
-from .operators import LinearOperatorHandle, OperatorError, range_splitter
+from .operators import (
+    DENSE_LIMIT,
+    LinearOperatorHandle,
+    OperatorError,
+    check_dense_size,
+    range_splitter,
+)
 
 __all__ = [
     "HolomorphicFunctionSpec",
@@ -410,6 +421,34 @@ class ContourSpec:
         return np.concatenate(lams), np.concatenate(weights)
 
 
+# Elements of the (dof x nodes) work array of the batched back substitution.
+_NODE_WORK_BUDGET = 2**21
+
+
+def schur_data(T: LinearOperatorHandle) -> tuple:
+    """Complex Schur form (R, Z) of the operator, M = Z R Z^*, cached on the handle.
+
+    R is upper triangular with the eigenvalues on its diagonal; Z is
+    unitary, so no eigenvector basis or its inverse is ever formed.
+    """
+    if T._schur is None:
+        T._schur = scipy.linalg.schur(T.dense_matrix(), output="complex")
+    return T._schur
+
+
+def _shifted_triangular_solves(R: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Columns y_k = (I - mu_k R)^{-1} g for upper-triangular R, as (dof, nodes).
+
+    Back substitution over the rows, each row updating all nodes at once.
+    """
+    dim = R.shape[0]
+    Y = np.empty((dim, len(mu)), dtype=complex)
+    for i in range(dim - 1, -1, -1):
+        upper = R[i, i + 1 :] @ Y[i + 1 :]
+        Y[i] = (g[i] + mu * upper) / (1.0 - mu * R[i, i])
+    return Y
+
+
 def _contour_apply(
     T: LinearOperatorHandle,
     b: HolomorphicFunctionSpec,
@@ -419,9 +458,12 @@ def _contour_apply(
     """Quadrature of b(lambda) (I - T/lambda)^{-1} h dlambda / lambda.
 
     Applied on the range component only; the null component receives the
-    value at the origin exactly.  Resolvent solves are batched dense
-    solves at desk scale.
+    value at the origin exactly.  With the cached Schur form M = Z R Z^*,
+    each node's resolvent is Z (I - R/lambda)^{-1} Z^* h, a triangular
+    shifted solve; the nodes are solved together in chunks.  Refuses
+    beyond the dense limit before any large allocation.
     """
+    check_dense_size(T.grid)
     splitter = range_splitter(T)
     h_range, h_null = splitter.split(T, h)
     if contour is None:
@@ -430,19 +472,14 @@ def _contour_apply(
         contour = ContourSpec.for_function(b, omega, spectral_radius=radius)
     lam, w = contour.nodes()
     vals = b(lam) * w
-    M = T.dense_matrix()
-    dim = M.shape[0]
-    rhs = h_range.flat()
-    acc = np.zeros(dim, dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    chunk = max(1, int(2**21 // (dim * dim)))
+    R, Z = schur_data(T)
+    g = Z.conj().T @ h_range.flat()
+    acc = np.zeros_like(g)
+    chunk = max(1, _NODE_WORK_BUDGET // len(g))
     for start in range(0, len(lam), chunk):
-        ls = lam[start : start + chunk]
-        mats = eye[None, :, :] - M[None, :, :] / ls[:, None, None]
-        rhs_stack = np.broadcast_to(rhs[:, None], (dim, len(ls))).T[..., None]
-        sols = np.linalg.solve(mats, rhs_stack.copy())[..., 0]
-        acc += vals[start : start + chunk] @ sols
-    out = Field.from_flat(T.grid, acc)
+        nodes = slice(start, start + chunk)
+        acc += _shifted_triangular_solves(R, g, 1.0 / lam[nodes]) @ vals[nodes]
+    out = Field.from_flat(T.grid, Z @ acc)
     if b.value_at_zero != 0:
         out = out + b.value_at_zero * h_null
     return out
@@ -475,11 +512,11 @@ def apply_calculus(
     path "eigen" diagonalizes the dense operator and applies b on the
     eigenvalues, with the value at the origin on the null cluster.  path
     "contour" quadratures the resolvent over the sector boundary and
-    requires Psi-class decay.  "auto" prefers eigen whenever dense
-    assembly is feasible.
+    requires Psi-class decay.  "auto" takes eigen up to the dense limit;
+    beyond it both paths refuse with OperatorError before allocating.
     """
     if path == "auto":
-        path = "eigen" if T.grid.dof <= 8192 else "contour"
+        path = "eigen" if T.grid.dof <= DENSE_LIMIT else "contour"
     if path == "eigen":
         return _eigen_apply(T, b, h)
     if path == "contour":

@@ -34,6 +34,7 @@ __all__ = [
     "bd_operator",
     "resolvent_solve",
     "assemble_dense",
+    "check_dense_size",
     "offdiag_probe",
     "DENSE_LIMIT",
 ]
@@ -161,6 +162,7 @@ class LinearOperatorHandle:
         self.payload = payload
         self._dense = None
         self._eigen = None
+        self._schur = None
         self._split_cache = None
 
     def __repr__(self):
@@ -266,18 +268,31 @@ def resolvent_operator(T: LinearOperatorHandle, t: float) -> LinearOperatorHandl
     )
 
 
+def check_dense_size(grid: GridSpec) -> None:
+    """Raise OperatorError, before allocating, when grid.dof exceeds the dense limit.
+
+    The message states the dof and the memory of one dense complex matrix.
+    """
+    dim = grid.dof
+    if dim > DENSE_LIMIT:
+        gib = dim * dim * np.dtype(complex).itemsize / 2**30
+        raise OperatorError(
+            f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
+            f"matrix would take {gib:.2f} GiB; the eigen and contour calculus "
+            "paths both factorize it, and only resolvent_solve runs beyond "
+            "the limit, by GMRES"
+        )
+
+
 def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """Matrix of T in the flattened physical basis.
 
-    Errors when the degree-of-freedom count exceeds the dense limit; the
-    contour quadrature path works matrix-free in that regime.
+    Raises OperatorError beyond the dense limit, before allocating; both
+    calculus paths (eigen and contour) factorize this matrix, so neither
+    runs in that regime.
     """
+    check_dense_size(T.grid)
     dim = T.grid.dof
-    if dim > DENSE_LIMIT:
-        raise OperatorError(
-            f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}; "
-            "use the contour path with iterative resolvents instead"
-        )
     if T.kind == "dense":
         return T.payload
     basis = np.eye(dim, dtype=complex).reshape(

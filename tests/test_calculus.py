@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
 import halfspace.calculus as fc
@@ -16,6 +19,7 @@ from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     OperatorError,
     d_operator,
+    db_operator,
     dense_operator,
     p_operator,
     range_splitter,
@@ -173,6 +177,90 @@ def test_semigroup_contour_path(perturbed_system_32, rng):
     a = semigroup(T, 0.5, h, path="eigen")
     b = semigroup(T, 0.5, h, path="contour")
     assert l2_norm(a - b) <= 1e-8 * l2_norm(h)
+
+
+@pytest.mark.parametrize("tag", ["BD", "D"])
+def test_contour_agrees_with_eigen_on_other_splits(perturbed_system_32, g32, rng, tag):
+    T = perturbed_system_32.bd if tag == "BD" else d_operator(g32)
+    h = random_field(g32, rng)
+    b = fc.resolvent_power(4)
+    u_eig = apply_calculus(b, T, h, path="eigen")
+    u_con = apply_calculus(b, T, h, path="contour")
+    assert l2_norm(u_eig - u_con) <= 1e-6 * max(l2_norm(u_eig), 1e-12)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends its arguments to a list."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_contour_factorizes_once_and_never_diagonalizes(perturbed_system_32, rng, monkeypatch):
+    sys_ = perturbed_system_32
+    T = db_operator(sys_.B)
+    T.accretivity_angle = sys_.report.omega
+    h = random_field(sys_.grid, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the contour path must not diagonalize")
+
+    monkeypatch.setattr(fc, "eigen_data", forbidden)
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    schur_calls = _count_calls(monkeypatch, scipy.linalg, "schur")
+    solves = _count_calls(monkeypatch, fc, "_shifted_triangular_solves")
+    apply_calculus(fc.resolvent_power(4), T, h, path="contour")
+    apply_calculus(fc.z_exp_abs(), T, h, path="contour")
+    semigroup(T, 0.5, h, path="contour")
+    assert len(schur_calls) == 1
+    assert T._eigen is None
+    assert solves and all(
+        R.shape[0] * len(mu) <= fc._NODE_WORK_BUDGET for R, g, mu in solves
+    )
+
+
+def test_contour_chunking_matches_single_chunk(perturbed_system_32, rng, monkeypatch):
+    T = perturbed_system_32.db
+    h = random_field(perturbed_system_32.grid, rng)
+    b = fc.resolvent_power(4)
+    whole = apply_calculus(b, T, h, path="contour")
+    monkeypatch.setattr(fc, "_NODE_WORK_BUDGET", 100 * T.grid.dof)
+    solves = _count_calls(monkeypatch, fc, "_shifted_triangular_solves")
+    chunked = apply_calculus(b, T, h, path="contour")
+    assert len(solves) > 1
+    assert all(len(mu) <= 100 for R, g, mu in solves)
+    assert l2_norm(whole - chunked) <= 1e-12 * l2_norm(whole)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda T, h: apply_calculus(fc.resolvent_power(4), T, h, path="auto"),
+        lambda T, h: apply_calculus(fc.resolvent_power(4), T, h, path="contour"),
+        lambda T, h: semigroup(T, 0.5, h, path="contour"),
+    ],
+    ids=["auto", "contour", "semigroup-contour"],
+)
+def test_calculus_refuses_beyond_dense_limit(run):
+    grid = GridSpec(dim=2, points=64, system_size=1)  # dof 12288 > limit
+    T = d_operator(grid)
+    h = random_field(grid, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperatorError, match=r"size 12288 exceeds .* 2\.25 GiB"):
+            run(T, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the range basis alone would take 1.5 GiB and the dense matrix 2.25 GiB
+    assert peak < 16 * 2**20
+    assert T._dense is None and T._split_cache is None
 
 
 # ---------------------------------------------------------------------------
