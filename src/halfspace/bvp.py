@@ -26,14 +26,16 @@ from .coefficients import (
     accretivity_estimate,
     hat_transform,
 )
-from .grid import Field, GridSpec, TLadder, l2_norm, sobolev_norm
+from .grid import PHYSICAL, Field, GridSpec, TLadder, ifft_values, l2_norm, sobolev_norm
 from .operators import (
     LinearOperatorHandle,
     bd_operator,
+    d_operator,
     db_operator,
     inverse_d_operator,
     p_operator,
 )
+from .tent import TentField, tent_norm
 
 __all__ = [
     "FirstOrderSystem",
@@ -271,8 +273,11 @@ class BVPSolution:
         """v with D v = -h in the positive subspace of the reversed composition."""
         if "_v0" not in self.diagnostics:
             sys_ = self.system
+            grid = sys_.grid
             Qp = sys_.hardy("BD").plus
-            M = _d_dense(sys_.grid) @ Qp
+            cols = Qp.T.reshape((-1,) + grid.shape + (grid.channels,))
+            DQ, _ = d_operator(grid).apply_array(cols, PHYSICAL)
+            M = ifft_values(DQ, grid).reshape(Qp.shape[1], -1).T
             c, *_ = np.linalg.lstsq(M, -self.h.flat(), rcond=None)
             v0 = Field.from_flat(sys_.grid, Qp @ c)
             resid = np.linalg.norm(M @ c + self.h.flat()) / max(
@@ -331,18 +336,6 @@ class BVPSolution:
         ddt = (fp - fm) / (2 * dt)
         Tf = self.system.db.apply(self.evaluate(t)).to_physical().values
         return float(np.linalg.norm(ddt + Tf) / max(np.linalg.norm(Tf), 1e-300))
-
-
-_D_DENSE_CACHE: dict = {}
-
-
-def _d_dense(grid: GridSpec) -> np.ndarray:
-    key = (grid.dim, grid.points, grid.system_size)
-    if key not in _D_DENSE_CACHE:
-        from .operators import assemble_dense, d_operator
-
-        _D_DENSE_CACHE[key] = assemble_dense(d_operator(grid))
-    return _D_DENSE_CACHE[key]
 
 
 def _solve_trace(system: FirstOrderSystem, datum_field: np.ndarray, slot: str, kind: str):
@@ -446,8 +439,6 @@ def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        from .tent import TentField, tent_norm
-
         fields = [sol.evaluate(t) * t for t in ladder.t]
         sol.diagnostics["tent_norm_t_grad"] = tent_norm(
             TentField.from_fields(ladder, fields), 2.0

@@ -32,6 +32,7 @@ from .operators import (
     OperatorError,
     check_dense_size,
     range_splitter,
+    resolvent_solve,
 )
 
 __all__ = [
@@ -467,9 +468,9 @@ def _contour_apply(
     splitter = range_splitter(T)
     h_range, h_null = splitter.split(T, h)
     if contour is None:
-        omega = getattr(T, "accretivity_angle", 0.0)
         radius = float(np.abs(eigen_radius_estimate(T)))
-        contour = ContourSpec.for_function(b, omega, spectral_radius=radius)
+        contour = ContourSpec.for_function(b, T.accretivity_angle,
+                                           spectral_radius=radius)
     lam, w = contour.nodes()
     vals = b(lam) * w
     R, Z = schur_data(T)
@@ -490,7 +491,7 @@ def eigen_radius_estimate(T: LinearOperatorHandle) -> float:
     the multiplier sup norm."""
     grid = T.grid
     kmax = grid.frequency_norms().max()
-    B = getattr(T, "multiplier_matrix", None)
+    B = T.multiplier_matrix
     sup = B.sup_norm() if B is not None else 1.0
     return float(kmax * sup)
 
@@ -542,8 +543,6 @@ def semigroup(
     if path == "eigen":
         return _eigen_apply(T, exp_abs(t), h)
     if path == "contour":
-        from .operators import resolvent_solve
-
         remainder = HolomorphicFunctionSpec(
             name="exp(-t[z])-(1+itz)^-1",
             evaluate=lambda z, _t=t: np.exp(-_t * bracket(z)) - 1.0 / (1 + 1j * _t * z),

@@ -31,9 +31,7 @@ from .calculus import (
 )
 from .coefficients import (
     CoefficientMatrix,
-    accretivity_estimate,
     block_diagonal_coefficients,
-    hat_transform,
     identity_coefficients,
     perturbation_of_identity,
 )
@@ -41,7 +39,6 @@ from .grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
 from .io import load_coefficients
 from .operators import (
     d_operator,
-    db_operator,
     offdiag_distance_sweep,
     p_operator,
 )
@@ -193,9 +190,9 @@ def run_accretivity(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
     A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    rep = accretivity_estimate(B)
-    blockid = _block_identity_residual(A, B)
+    system = bvp_mod.FirstOrderSystem(A)
+    rep = system.report
+    blockid = _block_identity_residual(A, system.B)
     recs = [
         record("kappa_positive", rep.kappa, 0.0, rep.kappa > 0,
                "accretivity_estimate", "lower accretivity bound on the symbol range"),
@@ -236,14 +233,12 @@ def _block_identity_residual(A: CoefficientMatrix, B) -> float:
 def run_quadratic(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    rep = accretivity_estimate(B)
+    system = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng))
+    rep = system.report
     ladder = cfg.make_ladder()
     psi = z_over_one_plus_z2()
     identity_like = cfg.coefficients.get("source", "identity") == "identity"
-    T = db_operator(B)
-    T.accretivity_angle = rep.omega
+    T = system.db
     ratios = []
     for _ in range(cfg.probes):
         h = range_probe(grid, rng)
@@ -271,9 +266,7 @@ def run_quadratic(cfg: ExperimentConfig) -> list:
 def run_calderon(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    rep = accretivity_estimate(B)
+    system = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng))
     psi = bracket_exp_abs()
     phi = calderon_pair(psi)
     recs = []
@@ -283,8 +276,7 @@ def run_calderon(cfg: ExperimentConfig) -> list:
     recs.append(upper("scalar_reproducing", worst_scalar, 1e-8, "calderon_pair",
                       "scale-mean of the pair is one on both half-axes",
                       cfg.tolerance_scale))
-    T = db_operator(B)
-    T.accretivity_angle = rep.omega
+    T = system.db
     ladder = TLadder.logspaced(
         cfg.ladder.get("t_min", 2.0**-12), cfg.ladder.get("t_max", 2.0**8), 8
     )
@@ -307,11 +299,7 @@ def run_calderon(cfg: ExperimentConfig) -> list:
 def run_nt_max(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    rep = accretivity_estimate(B)
-    T = db_operator(B)
-    T.accretivity_angle = rep.omega
+    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).db
     ladder = cfg.make_ladder()
     wp = cfg.make_whitney()
     ratios = []
@@ -332,13 +320,7 @@ def run_nt_max(cfg: ExperimentConfig) -> list:
 def run_nt_sharp(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    rep = accretivity_estimate(B)
-    from .operators import bd_operator
-
-    T = bd_operator(B)
-    T.accretivity_angle = rep.omega
+    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).bd
     ladder = cfg.make_ladder()
     wp = cfg.make_whitney()
     h = random_field(grid, rng)
@@ -362,10 +344,7 @@ def run_nt_sharp(cfg: ExperimentConfig) -> list:
 def run_offdiag(cfg: ExperimentConfig) -> list:
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    B = hat_transform(A)
-    accretivity_estimate(B)
-    T = db_operator(B)
+    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).db
     t = 0.7
     est = offdiag_distance_sweep(
         T, t, np.geomspace(0.4 * t, 4 * t, 6), trials=max(4, cfg.probes // 2), rng=rng
@@ -521,11 +500,8 @@ def run_oracle(cfg: ExperimentConfig) -> list:
     if kind == "one-d":
         if grid.dim != 1:
             raise ValueError("the one-d oracle needs dim=1")
-        A = perturbation_of_identity(grid, rng, 0.15)
-        B = hat_transform(A)
-        accretivity_estimate(B)
-        T = db_operator(B)
-        ed = fc.eigen_data(T)
+        system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
+        ed = fc.eigen_data(system.db)
         null_dim = int(ed.null_mask().sum())
         expected = 2 * grid.system_size
         return [

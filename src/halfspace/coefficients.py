@@ -14,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from .grid import Field, GridSpec, PHYSICAL
+from .grid import Field, GridSpec, PHYSICAL, ifft_values
 
 __all__ = [
     "CoefficientMatrix",
@@ -193,35 +193,52 @@ def _range_basis_coefficients(grid: GridSpec):
     return np.asarray(positions), np.asarray(vectors)
 
 
-def compressed_quadratic_form(B: TransformedB) -> np.ndarray:
-    """Dense matrix of the multiplier compressed to the range of the projection.
+def _range_basis_fields(grid: GridSpec) -> np.ndarray:
+    """Orthonormal basis Q of the range of the projection, flattened physical.
 
-    Entry (i, j) is the pairing of basis vector i with B applied to basis
-    vector j, both taken in the range of the symbol projection.
+    Columns follow the order of _range_basis_coefficients; the result has
+    shape dof x r.
     """
-    grid = B.grid
     positions, vectors = _range_basis_coefficients(grid)
     r = len(positions)
     gridsize = grid.points**grid.dim
-    # basis columns as spectral arrays, batched
     basis = np.zeros((r, gridsize, grid.channels), dtype=complex)
     basis[np.arange(r), positions, :] = vectors
     basis = basis.reshape((r,) + grid.shape + (grid.channels,))
-    phys = np.fft.ifftn(basis, axes=tuple(range(1, 1 + grid.dim)), norm="forward")
-    Bphys = np.einsum("...ij,k...j->k...i", B.values, phys)
-    Bspec = np.fft.fftn(Bphys, axes=tuple(range(1, 1 + grid.dim)), norm="forward")
-    Bspec = Bspec.reshape(r, gridsize, grid.channels)
-    flatbasis = basis.reshape(r, gridsize, grid.channels)
-    return np.einsum("ikc,jkc->ij", np.conj(flatbasis), Bspec)
+    phys = ifft_values(basis, grid)
+    # the spectral basis is orthonormal in plain coefficient dots; the
+    # series-normalized inverse transform scales flat norms by G^(n/2)
+    return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)
 
 
-def _sector_contains(C: np.ndarray, phi: float) -> bool:
-    """Whether the numerical range of C lies in the closed sector of half-angle phi."""
+def _compression(B: TransformedB, Q: np.ndarray) -> np.ndarray:
+    """Q^* (B Q) for a dof x r basis Q in the flattened physical layout."""
+    grid = B.grid
+    cols = Q.reshape(grid.shape + (grid.channels, Q.shape[1]))
+    BQ = np.einsum("...ij,...jr->...ir", B.values, cols).reshape(Q.shape)
+    return Q.conj().T @ BQ
+
+
+def compressed_quadratic_form(B: TransformedB) -> np.ndarray:
+    """Dense matrix C = Q^* (B Q) of the multiplier compressed to the range.
+
+    Q is the orthonormal dof x r basis of the range of the symbol
+    projection built by _range_basis_fields; entry (i, j) pairs basis
+    vector i with B applied to basis vector j.
+    """
+    return _compression(B, _range_basis_fields(B.grid))
+
+
+def _sector_contains(C: np.ndarray, phi: float, tol: float) -> bool:
+    """Whether the numerical range of C lies in the closed sector of half-angle phi.
+
+    tol bounds how far below zero the rotated Hermitian parts may reach.
+    """
     for sign in (+1.0, -1.0):
         rot = np.exp(1j * sign * (np.pi / 2 - phi)) * C
         herm = 0.5 * (rot + rot.conj().T)
         lam_min = np.linalg.eigvalsh(herm)[0]
-        if lam_min < -1e-12 * max(np.linalg.norm(C, 2), 1.0):
+        if lam_min < -tol:
             return False
     return True
 
@@ -243,13 +260,14 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
     )
     if kappa <= 0:
         raise NotAccretiveError("B not accretive on range of D")
+    tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
     lo, hi = 0.0, np.pi / 2 - 1e-9
-    if _sector_contains(C, lo):
+    if _sector_contains(C, lo, tol):
         omega = 0.0
     else:
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            if _sector_contains(C, mid):
+            if _sector_contains(C, mid, tol):
                 hi = mid
             else:
                 lo = mid

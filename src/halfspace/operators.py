@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .coefficients import TransformedB
+from .coefficients import TransformedB, _compression, _range_basis_fields
 from .grid import Field, GridSpec, PHYSICAL, SPECTRAL, fft_values, ifft_values
 
 __all__ = [
@@ -153,17 +153,27 @@ class LinearOperatorHandle:
       pointwise   - matrix multiplication per grid point, physical
       compose     - right-to-left composition of handles
       dense       - explicit matrix on flattened physical values
+      resolvent   - (I + i t T)^{-1} by a cached LU factorization
+
+    attributes besides tag, grid, kind and payload:
+      multiplier_matrix  - the TransformedB of B, DB and BD, else None
+      accretivity_angle  - sector angle used by the contour path, 0.0 by default
+      _dense, _eigen, _schur, _split_cache, _lu  - lazily built caches
     """
 
-    def __init__(self, tag: str, grid: GridSpec, kind: str, payload):
+    def __init__(self, tag: str, grid: GridSpec, kind: str, payload,
+                 multiplier_matrix: TransformedB | None = None):
         self.tag = tag
         self.grid = grid
         self.kind = kind
         self.payload = payload
+        self.multiplier_matrix = multiplier_matrix
+        self.accretivity_angle = 0.0
         self._dense = None
         self._eigen = None
         self._schur = None
         self._split_cache = None
+        self._lu = None
 
     def __repr__(self):
         return f"LinearOperatorHandle({self.tag!r}, kind={self.kind!r})"
@@ -201,7 +211,7 @@ class LinearOperatorHandle:
         raise OperatorError(f"unknown kind {self.kind}")
 
     def _resolvent_factor(self):
-        if not hasattr(self, "_lu"):
+        if self._lu is None:
             T, t = self.payload
             M = np.eye(self.grid.dof, dtype=complex) + 1j * t * T.dense_matrix()
             self._lu = scipy.linalg.lu_factor(M)
@@ -231,25 +241,17 @@ def inverse_d_operator(grid: GridSpec) -> LinearOperatorHandle:
 
 
 def b_operator(B: TransformedB) -> LinearOperatorHandle:
-    op = LinearOperatorHandle("B", B.grid, "pointwise", B.values)
-    op.multiplier_matrix = B
-    return op
+    return LinearOperatorHandle("B", B.grid, "pointwise", B.values, B)
 
 
 def db_operator(B: TransformedB) -> LinearOperatorHandle:
-    op = LinearOperatorHandle(
-        "DB", B.grid, "compose", [d_operator(B.grid), b_operator(B)]
-    )
-    op.multiplier_matrix = B
-    return op
+    parts = [d_operator(B.grid), b_operator(B)]
+    return LinearOperatorHandle("DB", B.grid, "compose", parts, B)
 
 
 def bd_operator(B: TransformedB) -> LinearOperatorHandle:
-    op = LinearOperatorHandle(
-        "BD", B.grid, "compose", [b_operator(B), d_operator(B.grid)]
-    )
-    op.multiplier_matrix = B
-    return op
+    parts = [b_operator(B), d_operator(B.grid)]
+    return LinearOperatorHandle("BD", B.grid, "compose", parts, B)
 
 
 def dense_operator(tag: str, grid: GridSpec, matrix: np.ndarray) -> LinearOperatorHandle:
@@ -381,26 +383,6 @@ def resolvent_solve(
 # ---------------------------------------------------------------------------
 
 
-def _range_basis_fields(grid: GridSpec) -> np.ndarray:
-    """Orthonormal basis of the range of the projection, flattened physical.
-
-    Columns are index-aligned with the compressed quadratic form of the
-    coefficients module.
-    """
-    from .coefficients import _range_basis_coefficients
-
-    positions, vectors = _range_basis_coefficients(grid)
-    r = len(positions)
-    gridsize = grid.points**grid.dim
-    basis = np.zeros((r, gridsize, grid.channels), dtype=complex)
-    basis[np.arange(r), positions, :] = vectors
-    basis = basis.reshape((r,) + grid.shape + (grid.channels,))
-    phys = ifft_values(basis, grid)
-    # the spectral basis is orthonormal in plain coefficient dots; the
-    # series-normalized inverse transform scales flat norms by G^(n/2)
-    return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)
-
-
 class RangeSplitter:
     """Kernel/range decompositions for both compositions with one multiplier.
 
@@ -409,12 +391,10 @@ class RangeSplitter:
     """
 
     def __init__(self, B: TransformedB):
-        from .coefficients import compressed_quadratic_form
-
         self.grid = B.grid
         self.B = B
         self.Q = _range_basis_fields(B.grid)  # dof x r, orthonormal
-        self.C = compressed_quadratic_form(B)
+        self.C = _compression(B, self.Q)
         self.lu = scipy.linalg.lu_factor(self.C)
 
     def compression_condition(self) -> float:
@@ -455,23 +435,29 @@ class RangeSplitter:
             return self.split_db(f)
         if T.tag == "BD":
             return self.split_bd(f)
-        if T.tag == "D":
-            p = p_operator(self.grid)
-            f_range = p.apply(f)
-            return f_range, f - f_range
         raise OperatorError(f"no range split for tag {T.tag}")
 
 
-def range_splitter(T: LinearOperatorHandle) -> RangeSplitter:
+class _ProjectionSplitter:
+    """Kernel/range decomposition of the symbol itself: the range part is P f."""
+
+    def __init__(self, grid: GridSpec):
+        self.P = p_operator(grid)
+
+    def split(self, T: LinearOperatorHandle, f: Field):
+        f_range = self.P.apply(f)
+        return f_range, f - f_range
+
+
+def range_splitter(T: LinearOperatorHandle):
+    """Splitter cached on the handle: the compression of B for B, DB and BD, P for D."""
     if T._split_cache is None:
-        B = getattr(T, "multiplier_matrix", None)
-        if B is None:
-            eye = np.broadcast_to(
-                np.eye(T.grid.channels, dtype=complex),
-                T.grid.shape + (T.grid.channels, T.grid.channels),
-            ).copy()
-            B = TransformedB(T.grid, eye)
-        T._split_cache = RangeSplitter(B)
+        if T.multiplier_matrix is not None:
+            T._split_cache = RangeSplitter(T.multiplier_matrix)
+        elif T.tag == "D":
+            T._split_cache = _ProjectionSplitter(T.grid)
+        else:
+            raise OperatorError(f"no range split for tag {T.tag}")
     return T._split_cache
 
 

@@ -18,8 +18,8 @@ import warnings
 
 import numpy as np
 
-from .calculus import HolomorphicFunctionSpec, eigen_apply_many, semigroup
-from .grid import Field, GridSpec, TLadder, lp_norm_grid
+from .calculus import HolomorphicFunctionSpec, eigen_apply_many, exp_abs
+from .grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid
 from .operators import LinearOperatorHandle
 
 __all__ = [
@@ -87,15 +87,9 @@ class TentField:
 
 def semigroup_tent_field(T: LinearOperatorHandle, h: Field, ladder: TLadder) -> TentField:
     """Samples of the decay semigroup of T applied to h along the ladder."""
-    specs = [_exp_spec(t) for t in ladder.t]
+    specs = [exp_abs(t) for t in ladder.t]
     fields = eigen_apply_many(T, specs, h)
     return TentField.from_fields(ladder, fields)
-
-
-def _exp_spec(t: float) -> HolomorphicFunctionSpec:
-    from .calculus import exp_abs
-
-    return exp_abs(t)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -200,18 +194,12 @@ def carleson_norm(F: TentField, alpha: float = 0.0) -> float:
     return float(np.sqrt(best))
 
 
-def nt_maximal(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
-    """Non-tangential maximal function with root-mean-square box averages.
-
-    At each grid point: the sup over ladder scales t of the RMS of F over
-    the box (t / c0, c0 t) x ball(x, c1 t), the t-average taken with the
-    linear measure dt restricted to ladder points in the window.
-    """
+def _box_maximal(F: TentField, wp: WhitneyParams, alpha: float) -> np.ndarray:
+    """nt_maximal with the box mean square at scale t weighted by t^(-2 alpha)."""
     grid = F.grid
     sq = F.channel_square()
     t = F.ladder.t
     w_lin = F.ladder.weights * t  # dt weights from dt/t weights
-    ball_avgs = {}
     best = np.zeros(grid.shape)
     for j, tj in enumerate(t):
         radius = wp.c1 * tj
@@ -222,13 +210,20 @@ def nt_maximal(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
         total = 0.0
         acc = np.zeros(grid.shape)
         for s_idx in np.nonzero(window)[0]:
-            key = (s_idx, j)
-            if key not in ball_avgs:
-                ball_avgs[key] = _ball_average(sq[s_idx], grid, radius)
-            acc += w_lin[s_idx] * ball_avgs[key]
+            acc += w_lin[s_idx] * _ball_average(sq[s_idx], grid, radius)
             total += w_lin[s_idx]
-        best = np.maximum(best, acc / total)
+        best = np.maximum(best, tj ** (-2.0 * alpha) * acc / total)
     return np.sqrt(np.maximum(best, 0.0))
+
+
+def nt_maximal(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
+    """Non-tangential maximal function with root-mean-square box averages.
+
+    At each grid point: the sup over ladder scales t of the RMS of F over
+    the box (t / c0, c0 t) x ball(x, c1 t), the t-average taken with the
+    linear measure dt restricted to ladder points in the window.
+    """
+    return _box_maximal(F, wp, 0.0)
 
 
 def nt_sharp(
@@ -243,28 +238,9 @@ def nt_sharp(
     Measures boundary oscillation: the box RMS of exp(-t|T|) h - h, with
     an optional t^-alpha weight per box scale.
     """
-    fields = [semigroup(T, t, h) - h for t in ladder.t]
-    F = TentField.from_fields(ladder, fields)
-    if alpha == 0.0:
-        return nt_maximal(F, wp)
-    grid = F.grid
-    sq = F.channel_square()
-    t = ladder.t
-    w_lin = ladder.weights * t
-    best = np.zeros(grid.shape)
-    for j, tj in enumerate(t):
-        radius = wp.c1 * tj
-        window = (t > tj / wp.c0) & (t < tj * wp.c0)
-        if not window.any():
-            window = np.zeros_like(window)
-            window[j] = True
-        acc = np.zeros(grid.shape)
-        total = 0.0
-        for s_idx in np.nonzero(window)[0]:
-            acc += w_lin[s_idx] * _ball_average(sq[s_idx], grid, radius)
-            total += w_lin[s_idx]
-        best = np.maximum(best, tj ** (-2.0 * alpha) * acc / total)
-    return np.sqrt(np.maximum(best, 0.0))
+    F = semigroup_tent_field(T, h, ladder)
+    F.values -= h.to_physical().values
+    return _box_maximal(F, wp, alpha)
 
 
 def quadratic_norm(
@@ -282,8 +258,6 @@ def quadratic_norm(
     """
     if not psi.is_psi_class:
         raise ValueError("quadratic norm requires Psi-class decay")
-    from .grid import l2_norm
-
     specs = [psi.scaled(t) for t in ladder.t]
     fields = eigen_apply_many(T, specs, h)
     norms2 = np.array([l2_norm(f) ** 2 for f in fields])

@@ -149,3 +149,33 @@ def test_hat_of_adjoint_parity_relation(g32, rng):
     parity = np.diag([1.0] * m + [-1.0] * (g32.channels - m))
     expected = parity @ B.adjoint_values() @ parity
     assert np.abs(B_adj.values - expected).max() < 1e-12
+
+
+def test_compression_is_range_basis_pairing(g8x2, rng):
+    from halfspace.coefficients import _range_basis_fields, compressed_quadratic_form
+    from halfspace.operators import assemble_dense, b_operator
+
+    B = hat_transform(perturbation_of_identity(g8x2, rng, 0.2))
+    Q = _range_basis_fields(g8x2)
+    assert Q.shape == (g8x2.dof, 2 * (g8x2.points**2 - 1))
+    assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() < 1e-13
+    assert np.abs(assemble_dense(p_operator(g8x2)) @ Q - Q).max() < 1e-13
+    C = compressed_quadratic_form(B)
+    dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
+    assert np.abs(C - dense).max() < 1e-13
+
+
+def test_certificate_takes_one_spectral_norm(g32, rng, monkeypatch):
+    B = hat_transform(perturbation_of_identity(g32, rng, 0.3))
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(x, ord=None, axis=None, **kwargs):
+        if ord == 2 and axis is None:
+            calls.append(np.shape(x))
+        return norm(x, ord=ord, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    rep = accretivity_estimate(B)
+    assert rep.omega > 0  # the angle bisection ran
+    assert len(calls) == 1

@@ -18,9 +18,11 @@ from halfspace.operators import (
     offdiag_probe,
     p_operator,
     range_splitter,
+    resolvent_operator,
     resolvent_solve,
     torus_mask_distance,
 )
+from halfspace import operators
 
 
 def single_mode_field(grid, k, channel_vector):
@@ -276,6 +278,47 @@ def test_projection_restricted_is_invertible(g32, rng):
     cond = splitter.compression_condition()
     assert np.isfinite(cond)
     assert cond < 100
+
+
+DECLARED_STATE = {
+    "tag", "grid", "kind", "payload", "multiplier_matrix", "accretivity_angle",
+    "_dense", "_eigen", "_schur", "_split_cache", "_lu",
+}
+
+
+def test_handle_state_is_declared(g32, rng):
+    B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
+    D, db, bd = d_operator(g32), db_operator(B), bd_operator(B)
+    assert D.multiplier_matrix is None and D.accretivity_angle == 0.0
+    assert db.multiplier_matrix is B and bd.multiplier_matrix is B
+    assert b_operator(B).multiplier_matrix is B
+    f = random_field(g32, rng)
+    range_splitter(db).split(db, f)
+    range_splitter(D).split(D, f)
+    R = resolvent_operator(db, 0.5)
+    R.apply(f)
+    for T in (D, db, bd, R, p_operator(g32), dense_operator("M", g32, db.dense_matrix())):
+        assert set(vars(T)) == DECLARED_STATE
+    assert R._lu is not None
+
+
+def test_d_splits_by_projection_alone(g32, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("D needs no compression")
+
+    monkeypatch.setattr(operators, "_range_basis_fields", forbidden)
+    monkeypatch.setattr(operators, "_compression", forbidden)
+    T = d_operator(g32)
+    f = random_field(g32, rng)
+    fr, fn = range_splitter(T).split(T, f)
+    Pf = p_operator(g32).apply(f)
+    assert l2_norm(fr - Pf) == 0.0 and l2_norm(fn - (f - Pf)) == 0.0
+    assert range_splitter(T) is T._split_cache
+
+
+def test_range_split_refuses_other_symbols(g32):
+    with pytest.raises(OperatorError, match="no range split"):
+        range_splitter(p_operator(g32))
 
 
 # ---------------------------------------------------------------------------
