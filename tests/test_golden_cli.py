@@ -1,10 +1,9 @@
 """Golden CLI records: every experiment/variant pair at 1D G=32, seed 0.
 
-The records in tests/golden/cli_1d_g32.json were produced by
-run_experiment before the coefficient-field refactor; any later change
-must reproduce them.  Names, operations, anchors and pass flags must be
-equal; values and bounds must agree to 1e-9 relative, with an absolute
-floor of 1e-12.
+Each configuration runs through run_experiment and must reproduce the
+records stored in tests/golden/cli_1d_g32.json: names, operations,
+anchors and pass flags equal; values and bounds within 1e-9 relative,
+with an absolute floor of 1e-12.
 
 Regenerate (only when a change of records is intended) with
     PYTHONPATH=src python tests/test_golden_cli.py
