@@ -450,7 +450,7 @@ class _ProjectionSplitter:
 
 
 def range_splitter(T: LinearOperatorHandle):
-    """Splitter cached on the handle: the compression of B for B, DB and BD, P for D."""
+    """Splitter cached on the handle: the compression of B for DB and BD, P for D."""
     if T._split_cache is None:
         if T.multiplier_matrix is not None:
             T._split_cache = RangeSplitter(T.multiplier_matrix)
