@@ -336,11 +336,9 @@ def eigen_apply_many(
     ed = eigen_data(T)
     coords = ed.Vinv @ h.flat()
     nm = ed.null_mask()
-    out = []
-    for b in specs:
-        vals = np.where(nm, b.value_at_zero, b(ed.lam))
-        out.append(Field.from_flat(T.grid, ed.V @ (vals * coords)))
-    return out
+    vals = np.stack([np.where(nm, b.value_at_zero, b(ed.lam)) for b in specs], axis=1)
+    out = ed.V @ (vals * coords[:, None])
+    return [Field.from_flat(T.grid, col) for col in out.T]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ within a torus distance, and averages over them are plain means over
 the contained points, so that the square-function energy identity at
 exponent two holds with the exact cone cross-section constant.
 
+Ball means are batched Fourier multipliers: the indicators of every
+radius a functional needs are transformed as one stack, and the means of
+all its layers take one forward and one inverse FFT.  The box windows in
+t are summed before the ball mean, which is linear in the field, so the
+box functionals need one ball mean per ladder scale, not one per scale
+and window point.
+
 Scales below the grid spacing degenerate to single-point balls; scales
 outside the ladder contribute nothing, and the share of the boundary
 octaves is reported as the truncation diagnostic.
@@ -19,7 +26,7 @@ import warnings
 import numpy as np
 
 from .calculus import HolomorphicFunctionSpec, eigen_apply_many, exp_abs
-from .grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid
+from .grid import Field, GridSpec, TLadder, lp_norm_grid
 from .operators import LinearOperatorHandle
 
 __all__ = [
@@ -96,29 +103,27 @@ def unit_ball_volume(n: int) -> float:
     return {1: 2.0, 2: np.pi}[n]
 
 
-def _ball_masks(grid: GridSpec, radius: float) -> np.ndarray:
-    """Indicator of the torus ball of the given radius around the origin."""
-    return grid.torus_distance_table() <= radius + 1e-12
+def _ball_averages(stack: np.ndarray, grid: GridSpec, radii) -> tuple:
+    """Means over the torus balls of radii[k] of stack[k], at every center.
+
+    stack has shape (K,) + grid_shape.  The ball indicators of all radii
+    come from one distance table and act as one stack of Fourier
+    multipliers: one fftn and one ifftn for all K layers.  Balls smaller
+    than the grid spacing reduce to the point value.  Returns the means
+    and the point count of each ball.
+    """
+    radii = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * grid.dim)
+    masks = grid.torus_distance_table() <= radii + 1e-12
+    counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
+    axes = tuple(range(-grid.dim, 0))
+    kernels = np.fft.fftn(masks, axes=axes) / counts.reshape(radii.shape)
+    out = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * kernels, axes=axes)
+    return out.real, counts
 
 
 def _ball_average(scalar: np.ndarray, grid: GridSpec, radius: float) -> np.ndarray:
-    """Mean over the torus ball at each center, via circular convolution.
-
-    scalar has shape (..., grid_shape).  Balls smaller than the grid
-    spacing reduce to the point value.
-    """
-    mask = _ball_masks(grid, radius)
-    count = int(mask.sum())
-    if count == 1:
-        return scalar
-    axes = tuple(range(-grid.dim, 0))
-    kernel = np.fft.fftn(mask.astype(float), axes=axes)
-    out = np.fft.ifftn(np.fft.fftn(scalar, axes=axes) * kernel, axes=axes)
-    return out.real / count
-
-
-def _ball_counts(grid: GridSpec, radius: float) -> int:
-    return int(_ball_masks(grid, radius).sum())
+    """Mean over the torus ball at each center: the one-radius case."""
+    return _ball_averages(scalar[None], grid, [radius])[0][0]
 
 
 def square_function(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
@@ -129,10 +134,8 @@ def square_function(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.nda
     cone cross-section constant (unit-ball volume times aperture^n).
     """
     grid = F.grid
-    sq = F.channel_square()
-    acc = np.zeros(grid.shape)
-    for j, (t, w) in enumerate(zip(F.ladder.t, F.ladder.weights)):
-        acc += w * _ball_average(sq[j], grid, wp.aperture * t)
+    means, _ = _ball_averages(F.channel_square(), grid, wp.aperture * F.ladder.t)
+    acc = np.tensordot(F.ladder.weights, means, axes=1)
     cross_section = unit_ball_volume(grid.dim) * wp.aperture**grid.dim
     return np.sqrt(cross_section * acc)
 
@@ -178,42 +181,32 @@ def carleson_norm(F: TentField, alpha: float = 0.0) -> float:
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     grid = F.grid
-    sq = F.channel_square()
-    best = 0.0
-    for r in _dyadic_radii(grid):
-        tmask = F.ladder.t <= r + 1e-12
-        if not tmask.any():
-            continue
-        slab = np.tensordot(F.ladder.weights[tmask], sq[tmask], axes=(0, 0))
-        avg = _ball_average(slab, grid, r)
-        measure = _ball_counts(grid, r) * grid.cell_volume
-        # ball mass over |B|^(1 + 2 alpha / n) reduces to the ball average
-        # of the slab over |B|^(2 alpha / n)
-        mass = avg * measure ** (-2.0 * alpha / grid.dim)
-        best = max(best, float(mass.max()))
-    return float(np.sqrt(best))
+    radii = _dyadic_radii(grid)
+    # slab of radius r: the dt/t-weighted sum of |F|^2 over scales t <= r;
+    # a radius below every scale gets a zero slab and adds nothing
+    slab_weights = F.ladder.weights * (F.ladder.t <= radii[:, None] + 1e-12)
+    slabs = np.tensordot(slab_weights, F.channel_square(), axes=1)
+    means, counts = _ball_averages(slabs, grid, radii)
+    measure = (counts * grid.cell_volume).reshape((-1,) + (1,) * grid.dim)
+    # ball mass over |B|^(1 + 2 alpha / n) reduces to the ball average
+    # of the slab over |B|^(2 alpha / n)
+    mass = means * measure ** (-2.0 * alpha / grid.dim)
+    return float(np.sqrt(max(mass.max(), 0.0)))
 
 
 def _box_maximal(F: TentField, wp: WhitneyParams, alpha: float) -> np.ndarray:
     """nt_maximal with the box mean square at scale t weighted by t^(-2 alpha)."""
     grid = F.grid
-    sq = F.channel_square()
     t = F.ladder.t
-    w_lin = F.ladder.weights * t  # dt weights from dt/t weights
-    best = np.zeros(grid.shape)
-    for j, tj in enumerate(t):
-        radius = wp.c1 * tj
-        window = (t > tj / wp.c0) & (t < tj * wp.c0)
-        if not window.any():
-            window = np.zeros_like(window)
-            window[j] = True
-        total = 0.0
-        acc = np.zeros(grid.shape)
-        for s_idx in np.nonzero(window)[0]:
-            acc += w_lin[s_idx] * _ball_average(sq[s_idx], grid, radius)
-            total += w_lin[s_idx]
-        best = np.maximum(best, tj ** (-2.0 * alpha) * acc / total)
-    return np.sqrt(np.maximum(best, 0.0))
+    # row j: normalized dt weights of the window (t_j / c0, c0 t_j), which
+    # holds t_j itself as c0 > 1; the box mean at t_j is the ball mean of
+    # the window-weighted sum of |F|^2, as the ball radius depends on j only
+    window = (t > t[:, None] / wp.c0) & (t < t[:, None] * wp.c0)
+    W = window * (F.ladder.weights * t)
+    W /= W.sum(axis=1, keepdims=True)
+    means, _ = _ball_averages(np.tensordot(W, F.channel_square(), axes=1), grid, wp.c1 * t)
+    weighted = t.reshape((-1,) + (1,) * grid.dim) ** (-2.0 * alpha) * means
+    return np.sqrt(np.maximum(weighted.max(axis=0), 0.0))
 
 
 def nt_maximal(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
@@ -260,7 +253,8 @@ def quadratic_norm(
         raise ValueError("quadratic norm requires Psi-class decay")
     specs = [psi.scaled(t) for t in ladder.t]
     fields = eigen_apply_many(T, specs, h)
-    norms2 = np.array([l2_norm(f) ** 2 for f in fields])
+    stack = np.stack([f.values for f in fields])
+    norms2 = (np.abs(stack) ** 2).reshape(len(fields), -1).sum(axis=1) * T.grid.cell_volume
     total = float((ladder.weights * norms2).sum())
     if total > 0:
         per_octave = np.log(2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -362,3 +363,29 @@ def test_contour_weights_reproduce_scalar_rationals():
     for a in (1.0, 2.0, -3.0, 1.5 * np.exp(0.15j), -0.7 * np.exp(-0.1j)):
         approx = np.sum(w * b(lam) / (1.0 - a / lam))
         assert abs(approx - b(np.array([a]))[0]) < 1e-10
+
+
+class _CountingMatrix(np.ndarray):
+    """Eigenvector matrix that counts its left products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def test_eigen_apply_many_one_eigenvector_product(perturbed_system_32, rng):
+    T = perturbed_system_32.db
+    h = random_field(T.grid, rng)
+    specs = [fc.exp_abs(t) for t in (0.1, 0.5, 1.0, 2.0, 4.0)]
+    expected = [fc.apply_calculus(b, T, h, path="eigen") for b in specs]
+    ed = fc.eigen_data(T)
+    T._eigen = dataclasses.replace(ed, V=ed.V.view(_CountingMatrix))
+    try:
+        parts = fc.eigen_apply_many(T, specs, h)
+    finally:
+        T._eigen = ed
+    assert _CountingMatrix.products == 1
+    for part, ref in zip(parts, expected):
+        assert l2_norm(part - ref) <= 1e-12 * l2_norm(ref)

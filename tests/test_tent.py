@@ -357,3 +357,106 @@ def test_whitney_validation():
         WhitneyParams(c1=-1.0)
     with pytest.raises(ValueError):
         WhitneyParams(aperture=0.0)
+
+
+# ---------------------------------------------------------------------------
+# two-dimensional references and the batching guard
+# ---------------------------------------------------------------------------
+
+
+def direct_box_maximal(F, wp, alpha=0.0):
+    """Independent box sup: explicit loops over centers, scales, window, ball points."""
+    grid = F.grid
+    sq = F.channel_square()
+    table = grid.torus_distance_table()
+    npts = grid.points**grid.dim
+    sq_flat = sq.reshape(len(F.ladder), npts)
+    t = F.ladder.t
+    w_lin = F.ladder.weights * t
+    out2 = np.zeros(npts)
+    for center in range(npts):
+        idx = np.unravel_index(center, grid.shape)
+        rolled = np.roll(
+            table, shift=tuple(idx), axis=tuple(range(grid.dim))
+        ).reshape(-1)
+        for j, tj in enumerate(t):
+            ball = rolled <= wp.c1 * tj + 1e-12
+            acc = tot = 0.0
+            for s in range(len(t)):
+                if tj / wp.c0 < t[s] < tj * wp.c0:
+                    acc += w_lin[s] * sq_flat[s][ball].mean()
+                    tot += w_lin[s]
+            out2[center] = max(out2[center], tj ** (-2 * alpha) * acc / tot)
+    return np.sqrt(out2).reshape(grid.shape)
+
+
+def _random_tent_field(grid, ladder, rng):
+    shape = (len(ladder),) + grid.shape + (grid.channels,)
+    return TentField(grid, ladder, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_square_function_matches_direct_sum_2d(g8x2, rng):
+    F = _random_tent_field(g8x2, TLadder.logspaced(2.0**-3, 2.0**2, 2), rng)
+    for wp in (WhitneyParams(), WhitneyParams(aperture=2.0)):
+        np.testing.assert_allclose(
+            square_function(F, wp), direct_square_function(F, wp), rtol=1e-10, atol=0
+        )
+
+
+def test_carleson_matches_direct_2d(g8x2, rng):
+    F = _random_tent_field(g8x2, TLadder.logspaced(2.0**-3, 2.0**2, 2), rng)
+    for alpha in (0.0, 0.5):
+        assert carleson_norm(F, alpha) == pytest.approx(direct_carleson(F, alpha), rel=1e-10)
+
+
+def test_nt_maximal_matches_direct_2d(g8x2, rng):
+    F = _random_tent_field(g8x2, TLadder.logspaced(2.0**-3, 2.0**2, 2), rng)
+    for wp in (WhitneyParams(), WhitneyParams(c0=3.0, c1=0.5)):
+        np.testing.assert_allclose(
+            nt_maximal(F, wp), direct_box_maximal(F, wp), rtol=1e-10, atol=0
+        )
+
+
+def test_nt_sharp_matches_direct_2d(perturbed_system_2d, rng):
+    grid = perturbed_system_2d.grid
+    T = perturbed_system_2d.bd
+    h = random_field(grid, rng)
+    ladder = TLadder.logspaced(2.0**-3, 2.0**2, 2)
+    F = TentField.from_fields(ladder, [fc.semigroup(T, t, h) - h for t in ladder.t])
+    wp = WhitneyParams()
+    for alpha in (0.0, 0.5):
+        np.testing.assert_allclose(
+            nt_sharp(h, T, ladder, wp, alpha=alpha),
+            direct_box_maximal(F, wp, alpha),
+            rtol=1e-10,
+            atol=0,
+        )
+
+
+def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def count(ladder):
+        F = _random_tent_field(g8x2, ladder, rng)
+        out = {}
+        for name, fn in (
+            ("nt_maximal", lambda: nt_maximal(F)),
+            ("tent_norm", lambda: tent_norm(F, 2.0)),
+            ("carleson_norm", lambda: carleson_norm(F, 0.5)),
+        ):
+            calls.update(fftn=0, ifftn=0)
+            fn()
+            out[name] = dict(calls)
+        return out
+
+    short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
+    assert (len(short), len(long)) == (9, 41)
+    assert count(short) == count(long)
