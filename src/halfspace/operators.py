@@ -13,6 +13,7 @@ iteration beyond it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -488,6 +489,11 @@ class DecayEstimate:
 def _localized_norm(T, t, mask_E, mask_F, trials, rng, tol=1e-10) -> float:
     """Empirical norm of cutoff (I + i t T)^{-1} cutoff on random data."""
     grid = T.grid
+    # below the dense limit one cached LU of I + i t T serves every trial
+    if grid.dof <= DENSE_LIMIT:
+        solve = resolvent_operator(T, t).apply
+    else:
+        solve = functools.partial(resolvent_solve, T, t, tol=tol)
     best = 0.0
     for _ in range(trials):
         vals = np.zeros(grid.shape + (grid.channels,), dtype=complex)
@@ -497,7 +503,7 @@ def _localized_norm(T, t, mask_E, mask_F, trials, rng, tol=1e-10) -> float:
         norm_f = np.linalg.norm(vals)
         if norm_f == 0:
             continue
-        u = resolvent_solve(T, t, f, tol=tol)
+        u = solve(f)
         restricted = u.to_physical().values[mask_E]
         best = max(best, float(np.linalg.norm(restricted) / norm_f))
     return best

@@ -344,6 +344,26 @@ def test_offdiag_distance_sweep_exponent(g64):
     assert not est.saturated
 
 
+def test_offdiag_factorizes_once_per_scale(g32, rng, monkeypatch):
+    T = db_operator(hat_transform(identity_coefficients(g32)))
+    dist = g32.torus_distance_table()
+    factorizations = []
+    lu_factor = operators.scipy.linalg.lu_factor
+
+    def counted(M, *args, **kwargs):
+        factorizations.append(M.shape)
+        return lu_factor(M, *args, **kwargs)
+
+    def refactorize(*args, **kwargs):
+        raise AssertionError("a dense solve factorizes again for each trial")
+
+    monkeypatch.setattr(operators.scipy.linalg, "lu_factor", counted)
+    monkeypatch.setattr(operators.scipy.linalg, "solve", refactorize)
+    est = offdiag_probe(T, np.array([0.3, 1.0]), dist <= 0.3, dist >= 2.0, trials=4, rng=rng)
+    assert len(factorizations) == 2
+    assert np.all(est.norms > 0)
+
+
 def test_offdiag_saturation_flag(g32, rng):
     B = hat_transform(identity_coefficients(g32))
     T = db_operator(B)
