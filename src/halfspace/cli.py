@@ -5,8 +5,9 @@ check records (name, value, bound, pass) and exits nonzero when any
 check fails.  Configuration comes from a JSON file plus flag overrides;
 identical configuration and seed reproduce identical numeric records.
 
-The HALFSPACE_THREADS environment variable caps the worker threads used
-for independent probe loops.
+The HALFSPACE_THREADS environment variable sets the worker threads used
+for independent probe loops; by default they fill the cores that BLAS
+leaves free (see max_workers).
 """
 
 from __future__ import annotations
@@ -68,13 +69,24 @@ VARIANTS = {
 
 
 def max_workers() -> int:
+    """Worker threads for independent probe loops.
+
+    HALFSPACE_THREADS sets the count.  Otherwise the workers share the
+    cores with their BLAS threads, OPENBLAS_NUM_THREADS each (OpenBLAS
+    uses every core when it is unset), so that the two never
+    oversubscribe the cores: with multithreaded BLAS the loop runs on
+    one worker.
+    """
     cap = os.environ.get("HALFSPACE_THREADS")
     if cap:
         try:
             return max(1, int(cap))
         except ValueError:
             pass
-    return min(8, os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    blas_threads = int(blas) if blas.isdigit() and int(blas) > 0 else cores
+    return min(8, max(1, cores // blas_threads))
 
 
 @dataclasses.dataclass

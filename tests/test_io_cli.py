@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -117,6 +118,19 @@ def test_max_workers_env(monkeypatch):
     assert max_workers() >= 1
     monkeypatch.delenv("HALFSPACE_THREADS")
     assert max_workers() >= 1
+
+
+def test_max_workers_leave_cores_to_blas(monkeypatch):
+    monkeypatch.delenv("HALFSPACE_THREADS", raising=False)
+    cores = os.cpu_count() or 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert max_workers() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert max_workers() == min(8, cores)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores))
+    assert max_workers() == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "junk")
+    assert max_workers() == 1
 
 
 # ---------------------------------------------------------------------------
