@@ -15,6 +15,7 @@ determined modulo constants.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -169,7 +170,11 @@ def _scalar_l2(grid: GridSpec, f) -> float:
 
 
 class SpectralHardyBasis:
-    """Orthonormal bases of the two spectral subspaces of one composition."""
+    """Orthonormal basis of the positive spectral subspace of one composition.
+
+    The dimensions of both spectral subspaces and of the null space are
+    recorded; the negative subspace needs no basis.
+    """
 
     def __init__(self, T: LinearOperatorHandle):
         ed = eigen_data(T)
@@ -177,7 +182,6 @@ class SpectralHardyBasis:
         plus = (~null) & (ed.lam.real > 0)
         minus = (~null) & (ed.lam.real < 0)
         self.plus, _ = np.linalg.qr(ed.V[:, plus])
-        self.minus, _ = np.linalg.qr(ed.V[:, minus])
         self.dim_plus = int(plus.sum())
         self.dim_minus = int(minus.sum())
         self.dim_null = int(null.sum())
@@ -190,11 +194,45 @@ class SpectralHardyBasis:
             )
 
 
+@dataclasses.dataclass(frozen=True)
+class _FactoredMap:
+    """A dense map from coordinates in `basis` to boundary data, kept as its thin SVD."""
+
+    basis: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vh: np.ndarray
+
+    @classmethod
+    def of(cls, basis: np.ndarray, matrix: np.ndarray) -> "_FactoredMap":
+        return cls(basis, *np.linalg.svd(matrix, full_matrices=False))
+
+    @property
+    def condition(self) -> float:
+        return float(self.s[0] / self.s[-1]) if self.s[-1] > 0 else np.inf
+
+    def solve(self, rhs: np.ndarray):
+        """Minimum-norm least squares with numpy.linalg.lstsq's default cutoff.
+
+        Returns the coordinates and the fitted data, the map applied to them.
+        """
+        cutoff = np.finfo(float).eps * max(self.U.shape[0], self.Vh.shape[1]) * self.s[0]
+        keep = self.s > cutoff
+        s_inv = np.zeros_like(self.s)
+        s_inv[keep] = 1.0 / self.s[keep]
+        coords = self.U.conj().T @ rhs
+        return self.Vh.conj().T @ (s_inv * coords), self.U @ (keep * coords)
+
+
 class FirstOrderSystem:
     """Coefficients, the transformed multiplier, its certificate and operators.
 
     Builds the accretivity certificate up front (it gates everything
-    downstream) and caches dense eigendecompositions and Hardy bases.
+    downstream) and diagonalizes one dense matrix, that of DB.  BD = B (DB)
+    B^-1 takes its eigendecomposition from DB's, and the adjoint system
+    shares the certificate and takes its eigendecompositions from BD's, so
+    neither runs another eig or certificate.  Hardy bases and the factorized
+    trace maps are cached per system.
     """
 
     def __init__(self, A: CoefficientMatrix, report: AccretivityReport | None = None):
@@ -206,7 +244,11 @@ class FirstOrderSystem:
         self.bd = bd_operator(self.B)
         self.db.accretivity_angle = self.report.omega
         self.bd.accretivity_angle = self.report.omega
+        # the derivations refer to the handles and B, never to the system, so
+        # a system is freed without the cyclic garbage collector
+        self.bd._eigen_source = functools.partial(fc.reversed_eigen_data, self.db, self.B)
         self._hardy = {}
+        self._trace_maps = {}
         self._adjoint = None
 
     @classmethod
@@ -220,9 +262,39 @@ class FirstOrderSystem:
             )
         return self._hardy[which]
 
+    def trace_map(self, slot: str) -> _FactoredMap:
+        """Factorized map from Hardy coordinates to boundary data, built once.
+
+        "scalar" and "tangential" read that slot of the positive Hardy basis
+        of DB; "potential" applies D to the positive Hardy basis of BD.
+        """
+        if slot not in self._trace_maps:
+            grid = self.grid
+            if slot == "potential":
+                Q = self.hardy("BD").plus
+                cols = Q.T.reshape((-1,) + grid.shape + (grid.channels,))
+                DQ, _ = d_operator(grid).apply_array(cols, PHYSICAL)
+                rows = ifft_values(DQ, grid).reshape(Q.shape[1], -1).T
+            else:
+                Q = self.hardy("DB").plus
+                m = grid.system_size
+                channels = slice(None, m) if slot == "scalar" else slice(m, None)
+                rows = Q.reshape(grid.shape + (grid.channels, -1))[..., channels, :]
+                rows = rows.reshape(-1, Q.shape[1])
+            self._trace_maps[slot] = _FactoredMap.of(Q, rows)
+        return self._trace_maps[slot]
+
     def adjoint(self) -> "FirstOrderSystem":
+        """The system of the adjoint coefficients A^*.
+
+        Its transform N B^* N has the same kappa and omega on the range of D
+        as B, so the certificate is shared, and its DB is -N (BD)^* N, so its
+        eigendecomposition comes from this system's BD.
+        """
         if self._adjoint is None:
-            self._adjoint = FirstOrderSystem(self.A.adjoint())
+            adj = FirstOrderSystem(self.A.adjoint(), self.report)
+            adj.db._eigen_source = functools.partial(fc.adjoint_eigen_data, self.bd)
+            self._adjoint = adj
         return self._adjoint
 
     def semigroup_db(self, t: float, h: Field) -> Field:
@@ -272,15 +344,10 @@ class BVPSolution:
     def _potential_vector(self) -> Field:
         """v with D v = -h in the positive subspace of the reversed composition."""
         if "_v0" not in self.diagnostics:
-            sys_ = self.system
-            grid = sys_.grid
-            Qp = sys_.hardy("BD").plus
-            cols = Qp.T.reshape((-1,) + grid.shape + (grid.channels,))
-            DQ, _ = d_operator(grid).apply_array(cols, PHYSICAL)
-            M = ifft_values(DQ, grid).reshape(Qp.shape[1], -1).T
-            c, *_ = np.linalg.lstsq(M, -self.h.flat(), rcond=None)
-            v0 = Field.from_flat(sys_.grid, Qp @ c)
-            resid = np.linalg.norm(M @ c + self.h.flat()) / max(
+            tm = self.system.trace_map("potential")
+            c, fitted = tm.solve(-self.h.flat())
+            v0 = Field.from_flat(self.system.grid, tm.basis @ c)
+            resid = np.linalg.norm(fitted + self.h.flat()) / max(
                 np.linalg.norm(self.h.flat()), 1e-300
             )
             self.diagnostics["_v0"] = v0
@@ -341,34 +408,24 @@ class BVPSolution:
 def _solve_trace(system: FirstOrderSystem, datum_field: np.ndarray, slot: str, kind: str):
     """Least squares for h in the positive subspace with prescribed slot."""
     grid = system.grid
-    Qp = system.hardy("DB").plus
-    m = grid.system_size
-    dim_grid = grid.points**grid.dim
-    Q = Qp.reshape(grid.shape + (grid.channels, Qp.shape[1]))
-    if slot == "scalar":
-        rows = Q[..., :m, :].reshape(dim_grid * m, -1)
-        rhs = datum_field.reshape(-1)
-    else:
-        rows = Q[..., m:, :].reshape(dim_grid * m * grid.dim, -1)
-        rhs = datum_field.reshape(-1)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    tm = system.trace_map(slot)
+    rhs = datum_field.reshape(-1)
+    condition = tm.condition
     if condition > TRACE_CONDITION_LIMIT:
         problem = "regularity" if slot == "tangential" else "neumann"
         raise TraceMapError(
             f"{problem} problem numerically not solvable at exponent two: "
             f"trace-map condition number {condition:.3e}"
         )
-    c, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    h = Field.from_flat(grid, Qp @ c)
-    fitted = rows @ c
+    c, fitted = tm.solve(rhs)
+    h = Field.from_flat(grid, tm.basis @ c)
     residual = float(
         np.linalg.norm(fitted - rhs) / max(np.linalg.norm(rhs), 1e-300)
     )
     diagnostics = {
         "trace_residual": residual,
         "trace_condition": condition,
-        "hardy_dim": Qp.shape[1],
+        "hardy_dim": tm.basis.shape[1],
         "datum_l2": _scalar_l2(grid, datum_field),
         "trace_l2": l2_norm(h),
     }
@@ -439,7 +496,8 @@ def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        fields = [sol.evaluate(t) * t for t in ladder.t]
+        flows = fc.eigen_apply_many(sys_.db, [fc.exp_abs(t) for t in ladder.t], sol.h)
+        fields = [flow * t for flow, t in zip(flows, ladder.t)]
         sol.diagnostics["tent_norm_t_grad"] = tent_norm(
             TentField.from_fields(ladder, fields), 2.0
         )

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
+from .coefficients import TransformedB
 from .grid import Field
 from .operators import (
     DENSE_LIMIT,
@@ -305,20 +306,76 @@ class EigenData:
         return np.abs(self.lam) < NULL_CLUSTER_FACTOR * max(self.radius, 1e-300)
 
 
+def _checked_condition(V: np.ndarray) -> float:
+    cond = float(np.linalg.cond(V))
+    if cond > EIG_CONDITION_LIMIT:
+        raise OperatorError(
+            f"eigenvector condition number {cond:.2e} exceeds "
+            f"{EIG_CONDITION_LIMIT:.0e}; a Schur-blocked evaluation "
+            "would be needed for this operator"
+        )
+    return cond
+
+
 def eigen_data(T: LinearOperatorHandle) -> EigenData:
-    """Dense eigendecomposition of the operator, cached on the handle."""
+    """Eigendecomposition of the operator, cached on the handle.
+
+    A handle whose operator is similar to one already diagonalized carries
+    the derivation in `_eigen_source`; any other handle diagonalizes its
+    dense matrix.
+    """
     if T._eigen is None:
-        M = T.dense_matrix()
-        lam, V = np.linalg.eig(M)
-        cond = float(np.linalg.cond(V))
-        if cond > EIG_CONDITION_LIMIT:
-            raise OperatorError(
-                f"eigenvector condition number {cond:.2e} exceeds "
-                f"{EIG_CONDITION_LIMIT:.0e}; a Schur-blocked evaluation "
-                "would be needed for this operator"
-            )
-        T._eigen = EigenData(lam=lam, V=V, Vinv=np.linalg.inv(V), condition=cond)
+        if T._eigen_source is not None:
+            T._eigen = T._eigen_source()
+        else:
+            lam, V = np.linalg.eig(T.dense_matrix())
+            cond = _checked_condition(V)
+            T._eigen = EigenData(lam=lam, V=V, Vinv=np.linalg.inv(V), condition=cond)
     return T._eigen
+
+
+def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-grid-point matrices applied to X along its flattened physical rows."""
+    shape = mats.shape[:-1] + (X.shape[1],)
+    return (mats @ X.reshape(shape)).reshape(X.shape)
+
+
+def reversed_eigen_data(db: LinearOperatorHandle, B: TransformedB) -> EigenData:
+    """Eigendecomposition of BD = B (DB) B^-1 from that of DB, without eig.
+
+    The eigenvalues are shared; the eigenvectors are B V_DB scaled to unit
+    columns, and the inverse is V_DB^-1 B^-1 with its rows scaled back.
+    B must be invertible at every grid point, as it is wherever the d
+    block of the coefficients is.
+    """
+    ed = eigen_data(db)
+    V = _pointwise_rows(B.values, ed.V)
+    Binv_T = np.swapaxes(np.linalg.inv(B.values), -1, -2)
+    Vinv = _pointwise_rows(Binv_T, ed.Vinv.T).T
+    norms = np.linalg.norm(V, axis=0)
+    V /= norms
+    Vinv *= norms[:, None]
+    return EigenData(lam=ed.lam, V=V, Vinv=Vinv, condition=_checked_condition(V))
+
+
+def adjoint_eigen_data(bd: LinearOperatorHandle) -> EigenData:
+    """Eigendecomposition of the adjoint system's DB from the primal BD.
+
+    The adjoint coefficients transform to N B^* N with N = diag(I_m, -I_mn)
+    per grid point, and D N = -N D, so the adjoint DB is -N (BD)^* N:
+    eigenvalues -conj(lam), eigenvectors N Vinv^*, inverse V^* N, and the
+    same eigenvector condition number.
+    """
+    ed = eigen_data(bd)
+    grid = bd.grid
+    n = np.where(np.arange(grid.channels) < grid.system_size, 1.0, -1.0)
+    n = np.tile(n, grid.points**grid.dim)
+    return EigenData(
+        lam=-ed.lam.conj(),
+        V=n[:, None] * ed.Vinv.conj().T,
+        Vinv=ed.V.conj().T * n,
+        condition=ed.condition,
+    )
 
 
 def _eigen_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field) -> Field:

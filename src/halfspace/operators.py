@@ -160,6 +160,8 @@ class LinearOperatorHandle:
       multiplier_matrix  - the TransformedB of B, DB and BD, else None
       accretivity_angle  - sector angle used by the contour path, 0.0 by default
       _dense, _eigen, _schur, _split_cache, _lu  - lazily built caches
+      _eigen_source  - callable deriving _eigen from a similar operator's
+                       eigendecomposition, or None to diagonalize densely
     """
 
     def __init__(self, tag: str, grid: GridSpec, kind: str, payload,
@@ -172,6 +174,7 @@ class LinearOperatorHandle:
         self.accretivity_angle = 0.0
         self._dense = None
         self._eigen = None
+        self._eigen_source = None
         self._schur = None
         self._split_cache = None
         self._lu = None

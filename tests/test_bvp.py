@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import halfspace.bvp as bvp
+import halfspace.calculus as fc
 from halfspace.bvp import (
     DatumError,
     FirstOrderSystem,
@@ -27,6 +31,7 @@ from halfspace.coefficients import (
 )
 from halfspace.grid import Field, TLadder, l2_norm, random_field
 from halfspace.operators import p_operator
+from halfspace.tent import TentField, tent_norm
 
 from conftest import band_limited_scalar
 
@@ -177,6 +182,23 @@ def test_dirichlet_tent_diagnostic(perturbed_system_32):
     ladder = TLadder.logspaced(2.0**-5, 2.0**3, 2)
     sol = solve_dirichlet(perturbed_system_32, band_limited_scalar(grid, rng), ladder=ladder)
     assert sol.diagnostics["tent_norm_t_grad"] > 0
+    # the batched ladder against one semigroup evaluation per height
+    fields = [sol.evaluate(t) * t for t in ladder.t]
+    reference = tent_norm(TentField.from_fields(ladder, fields), 2.0)
+    assert sol.diagnostics["tent_norm_t_grad"] == pytest.approx(reference, rel=1e-12)
+
+
+def test_factored_map_matches_lstsq():
+    rng = np.random.default_rng(15)
+    M = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
+    M[:, -1] = M[:, 0]  # rank deficient: lstsq's cutoff drops one singular value
+    rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    tm = bvp._FactoredMap.of(np.eye(12), M)
+    ref, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    c, fitted = tm.solve(rhs)
+    assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(fitted - M @ ref) <= 1e-12 * np.linalg.norm(M @ ref)
+    assert tm.condition > 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +297,72 @@ def test_hardy_dimensions(perturbed_system_32):
     grid = perturbed_system_32.grid
     assert basis.dim_plus + basis.dim_minus == 2 * (grid.points - 1)
     assert basis.dim_plus == basis.dim_minus
+
+
+# ---------------------------------------------------------------------------
+# one eigendecomposition per system
+# ---------------------------------------------------------------------------
+
+
+def _four_handles(sys_):
+    adj = sys_.adjoint()
+    return {"BD": sys_.bd, "adjoint DB": adj.db, "adjoint BD": adj.bd, "DB": sys_.db}
+
+
+@pytest.fixture(params=["g32", "g8x2"])
+def fresh_system(request):
+    grid = request.getfixturevalue(request.param)
+    return FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(21), 0.15))
+
+
+def test_derived_eigen_data_matches_dense_eig(fresh_system):
+    grid = fresh_system.grid
+    h = random_field(grid, np.random.default_rng(22))
+    for name, T in _four_handles(fresh_system).items():
+        ed = fc.eigen_data(T)
+        M = T.dense_matrix()
+        residual = np.linalg.norm(M @ ed.V - ed.V * ed.lam)
+        assert residual <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(ed.V), name
+        lam, V = np.linalg.eig(M)
+        ref = fc.EigenData(lam=lam, V=V, Vinv=np.linalg.inv(V), condition=0.0)
+        assert ed.null_mask().sum() == ref.null_mask().sum(), name
+        plus = np.where(ref.null_mask(), 0.0, lam.real > 0)
+        expected = V @ (plus * (ref.Vinv @ h.flat()))
+        got = fc.apply_calculus(fc.chi_plus(), T, h, path="eigen").flat()
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected), name
+
+
+def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
+    calls = {"eig": 0, "certificate": 0}
+    eig, certificate = np.linalg.eig, bvp.accretivity_estimate
+
+    def counting_eig(M):
+        calls["eig"] += 1
+        return eig(M)
+
+    def counting_certificate(B):
+        calls["certificate"] += 1
+        return certificate(B)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(bvp, "accretivity_estimate", counting_certificate)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(23), 0.1))
+    for T in _four_handles(sys_).values():
+        fc.eigen_data(T)
+    assert calls == {"eig": 1, "certificate": 1}
+
+
+def test_system_with_derived_eigen_data_freed_without_gc(g8x2):
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(24), 0.1))
+    for T in _four_handles(sys_).values():
+        fc.eigen_data(T)
+    refs = [weakref.ref(sys_), weakref.ref(sys_.adjoint())]
+    gc.disable()
+    try:
+        del sys_
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 DECLARED_STATE = {
     "tag", "grid", "kind", "payload", "multiplier_matrix", "accretivity_angle",
-    "_dense", "_eigen", "_schur", "_split_cache", "_lu",
+    "_dense", "_eigen", "_eigen_source", "_schur", "_split_cache", "_lu",
 }
 
 
