@@ -6,7 +6,8 @@ with one unitary complex Schur form of the operator and a triangular
 shifted solve per node, and never sees the eigenvectors.  Spectral
 projections, the sign involution and the decay semigroup all come from
 the same machinery, and a companion function reproduces the identity as
-a mean over scales.
+a mean over scales: the whole scale ladder is one call of the
+eigendecomposition kernel, which returns every scale in one array.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from halfspace import (
     random_field,
     semigroup,
 )
-from halfspace.grid import TLadder, l2_norm
+from halfspace.grid import Field, TLadder, l2_norm
 from halfspace.operators import p_operator
 
 grid = GridSpec(dim=1, points=64)
@@ -54,10 +55,10 @@ psi2 = fc.bracket_exp_abs()
 phi = calderon_pair(psi2)
 ladder = TLadder.logspaced(2.0**-12, 2.0**8, per_octave=8)
 hr = p_operator(grid).apply(h)
-specs = [phi.scaled(tj).product(psi2.scaled(tj)) for tj in ladder.t]
-parts = fc.eigen_apply_many(T, specs, hr)
-acc = parts[0] * 0.0
-for w, part in zip(ladder.weights, parts):
-    acc = acc + w * part
+# phi(tT) psi(tT) hr at every ladder scale t, from one evaluation of the
+# base function phi psi on the scaled eigenvalues and one eigenvector product
+parts = fc.eigen_apply_scaled(T, phi.product(psi2), ladder.t, hr)
+acc = Field.physical(grid, np.tensordot(ladder.weights, parts, axes=1))
+print(f"{len(ladder)} scales as one array of shape {parts.shape}")
 print(f"reproducing formula defect on the range: "
       f"{l2_norm(acc - hr) / l2_norm(hr):.2e}")

@@ -312,8 +312,8 @@ def spectral_split(system, h: Field):
     """
     sys_ = FirstOrderSystem.from_coefficients(system)
     Ph = p_operator(sys_.grid).apply(h)
-    hp = fc.spectral_projection(sys_.db, +1, Ph)
-    hm = fc.spectral_projection(sys_.db, -1, Ph)
+    hp = fc.apply_calculus(fc.chi_plus(), sys_.db, Ph, path="eigen")
+    hm = fc.apply_calculus(fc.chi_minus(), sys_.db, Ph, path="eigen")
     return hp, hm
 
 
@@ -378,22 +378,18 @@ class BVPSolution:
         Five-point fourth-order differencing in log t against the applied
         composition, maximized over interior ladder scales.
         """
-        fields = [self.evaluate(t).to_physical().values for t in ladder.t]
-        u = np.log(ladder.t)
-        du = float(np.diff(u).mean())
-        worst = 0.0
-        for j in range(2, len(ladder.t) - 2):
-            d_u = (
-                fields[j - 2] - 8 * fields[j - 1] + 8 * fields[j + 1] - fields[j + 2]
-            ) / (12 * du)
-            Tf = self.system.db.apply(
-                Field.physical(self.system.grid, fields[j])
-            ).to_physical().values
-            target = ladder.t[j] * Tf
-            num = np.linalg.norm(d_u + target)
-            den = max(np.linalg.norm(target), 1e-300)
-            worst = max(worst, float(num / den))
-        return worst
+        db = self.system.db
+        flows = fc.eigen_apply_scaled(db, fc.exp_abs(1.0), ladder.t, self.h)
+        du = float(np.diff(np.log(ladder.t)).mean())
+        d_u = (flows[:-4] - 8 * flows[1:-3] + 8 * flows[3:-1] - flows[4:]) / (12 * du)
+        Tf, rep = db.apply_array(flows[2:-2], PHYSICAL)
+        if rep != PHYSICAL:
+            Tf = ifft_values(Tf, db.grid)
+        target = ladder.t[2:-2].reshape((-1,) + (1,) * (Tf.ndim - 1)) * Tf
+        rows = (len(Tf), db.grid.dof)
+        num = np.linalg.norm((d_u + target).reshape(rows), axis=1)
+        den = np.maximum(np.linalg.norm(target.reshape(rows), axis=1), 1e-300)
+        return float(np.max(num / den, initial=0.0))
 
     def equation_residual_at(self, t: float, rel_delta: float = 1e-4) -> float:
         """Pointwise evolution residual with a tight centered difference."""
@@ -496,10 +492,10 @@ def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        flows = fc.eigen_apply_many(sys_.db, [fc.exp_abs(t) for t in ladder.t], sol.h)
-        fields = [flow * t for flow, t in zip(flows, ladder.t)]
+        flows = fc.eigen_apply_scaled(sys_.db, fc.exp_abs(1.0), ladder.t, sol.h)
+        t = ladder.t.reshape((-1,) + (1,) * (flows.ndim - 1))
         sol.diagnostics["tent_norm_t_grad"] = tent_norm(
-            TentField.from_fields(ladder, fields), 2.0
+            TentField(grid, ladder, flows * t), 2.0
         )
     return sol
 

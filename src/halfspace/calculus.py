@@ -8,7 +8,9 @@ contour path factorizes the dense operator once into a complex Schur
 form M = Z R Z^* with Z unitary and R upper triangular, cached on the
 handle, and solves every shifted resolvent at the quadrature nodes by
 triangular back substitution; it never sees eigenvectors.  The two paths
-are kept separate so that each can check the other.
+are kept separate so that each can check the other.  On the eigen path
+a ladder of scales is one kernel call: b(s T) h for every scale s comes
+from one evaluation of b and one eigenvector product, as one array.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -26,7 +28,7 @@ import scipy.integrate
 import scipy.linalg
 
 from .coefficients import TransformedB
-from .grid import Field
+from .grid import Field, check_finite
 from .operators import (
     DENSE_LIMIT,
     LinearOperatorHandle,
@@ -40,6 +42,7 @@ __all__ = [
     "HolomorphicFunctionSpec",
     "ContourSpec",
     "apply_calculus",
+    "eigen_apply_scaled",
     "semigroup",
     "calderon_pair",
     "bracket",
@@ -137,10 +140,6 @@ def sgn() -> HolomorphicFunctionSpec:
 
 def one() -> HolomorphicFunctionSpec:
     return HolomorphicFunctionSpec("one", lambda z: np.ones_like(z), 1.0, (0.0, 0.0))
-
-
-def identity_fn() -> HolomorphicFunctionSpec:
-    return HolomorphicFunctionSpec("z", lambda z: z, 0.0, (1.0, -0.0))
 
 
 def exp_abs(t: float) -> HolomorphicFunctionSpec:
@@ -378,24 +377,24 @@ def adjoint_eigen_data(bd: LinearOperatorHandle) -> EigenData:
     )
 
 
-def _eigen_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field) -> Field:
-    ed = eigen_data(T)
-    vals = b(ed.lam)
-    vals = np.where(ed.null_mask(), b.value_at_zero, vals)
-    out = ed.V @ (vals * (ed.Vinv @ h.flat()))
-    return Field.from_flat(T.grid, out)
+def eigen_apply_scaled(
+    T: LinearOperatorHandle, b: HolomorphicFunctionSpec, scales, h: Field
+) -> np.ndarray:
+    """b(s T) h at every scale s, as one (S,) + grid_shape + (N,) array.
 
-
-def eigen_apply_many(
-    T: LinearOperatorHandle, specs: typing.Sequence[HolomorphicFunctionSpec], h: Field
-) -> list:
-    """Apply several calculus functions to one field with one decomposition."""
+    b is evaluated on all scaled eigenvalues in one call, takes its value
+    at the origin on the null cluster, and the eigenvectors are applied
+    once for all scales.  Raises ValueError for a nonpositive scale and
+    GridError for a non-finite result.
+    """
+    scales = np.asarray(scales, dtype=float)
+    if np.any(scales <= 0):
+        raise ValueError("scale must be positive")
     ed = eigen_data(T)
-    coords = ed.Vinv @ h.flat()
-    nm = ed.null_mask()
-    vals = np.stack([np.where(nm, b.value_at_zero, b(ed.lam)) for b in specs], axis=1)
-    out = ed.V @ (vals * coords[:, None])
-    return [Field.from_flat(T.grid, col) for col in out.T]
+    vals = np.where(ed.null_mask(), b.value_at_zero, b(ed.lam * scales[:, None]))
+    out = (ed.V @ (vals * (ed.Vinv @ h.flat())).T).T
+    check_finite(out)
+    return out.reshape(scales.shape + T.grid.shape + (T.grid.channels,))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +573,7 @@ def apply_calculus(
     if path == "auto":
         path = "eigen" if T.grid.dof <= DENSE_LIMIT else "contour"
     if path == "eigen":
-        return _eigen_apply(T, b, h)
+        return Field.physical(T.grid, eigen_apply_scaled(T, b, [1.0], h)[0])
     if path == "contour":
         if not b.is_psi_class:
             raise OperatorError("contour requires Psi-class decay")
@@ -596,7 +595,7 @@ def semigroup(
     if t == 0:
         return h.copy()
     if path == "eigen":
-        return _eigen_apply(T, exp_abs(t), h)
+        return Field.physical(T.grid, eigen_apply_scaled(T, exp_abs(1.0), [t], h)[0])
     if path == "contour":
         remainder = HolomorphicFunctionSpec(
             name="exp(-t[z])-(1+itz)^-1",
@@ -608,14 +607,6 @@ def semigroup(
         )
         return _contour_apply(T, remainder, h, None) + resolvent_solve(T, t, h)
     raise ValueError(f"unknown path {path!r}")
-
-
-def sgn_apply(T: LinearOperatorHandle, h: Field) -> Field:
-    return _eigen_apply(T, sgn(), h)
-
-
-def spectral_projection(T: LinearOperatorHandle, sign: int, h: Field) -> Field:
-    return _eigen_apply(T, chi_plus() if sign > 0 else chi_minus(), h)
 
 
 # ---------------------------------------------------------------------------

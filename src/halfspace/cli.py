@@ -22,6 +22,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .calculus import (
@@ -295,11 +296,8 @@ def run_calderon(cfg: ExperimentConfig) -> list:
     worst_op = 0.0
     for _ in range(max(2, cfg.probes // 4)):
         h = range_probe(grid, rng)
-        specs = [phi.scaled(t).product(psi.scaled(t)) for t in ladder.t]
-        parts = fc.eigen_apply_many(T, specs, h)
-        acc = Field.zero(grid)
-        for w, part in zip(ladder.weights, parts):
-            acc = acc + w * part
+        parts = fc.eigen_apply_scaled(T, phi.product(psi), ladder.t, h)
+        acc = Field.physical(grid, np.tensordot(ladder.weights, parts, axes=1))
         worst_op = max(worst_op, l2_norm(acc - h) / l2_norm(h))
     recs.append(upper("operator_reproducing", worst_op, 1e-3,
                       "calderon_pair + quadrature",
@@ -596,6 +594,7 @@ def environment_fingerprint() -> dict:
     return {
         "package_version": __version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "python": platform.python_version(),
         "platform": platform.platform(),
     }

@@ -169,28 +169,16 @@ def _range_basis_coefficients(grid: GridSpec):
     channel-vector list) with one entry per basis element.
     """
     m = grid.system_size
-    N = grid.channels
+    alpha = np.arange(m)
     freqs = grid.frequencies().reshape(-1, grid.dim)
-    flat_indices = np.arange(freqs.shape[0])
-    vectors = []
-    positions = []
-    for idx in flat_indices:
-        k = freqs[idx]
-        if np.all(k == 0):
-            continue
-        khat = k / np.linalg.norm(k)
-        for alpha in range(m):
-            e = np.zeros(N, dtype=complex)
-            e[alpha] = 1.0
-            vectors.append(e)
-            positions.append(idx)
-        for alpha in range(m):
-            e = np.zeros(N, dtype=complex)
-            for j in range(grid.dim):
-                e[m + j * m + alpha] = khat[j]
-            vectors.append(e)
-            positions.append(idx)
-    return np.asarray(positions), np.asarray(vectors)
+    nonzero = np.flatnonzero(np.any(freqs != 0, axis=1))
+    khat = freqs[nonzero] / np.linalg.norm(freqs[nonzero], axis=1, keepdims=True)
+    # per frequency: m scalar-slot vectors, then m tangential ones
+    vectors = np.zeros((len(nonzero), 2, m, grid.channels), dtype=complex)
+    vectors[:, 0, alpha, alpha] = 1.0
+    tangential = m + m * np.arange(grid.dim)[:, None] + alpha
+    vectors[:, 1, alpha, tangential] = khat[:, :, None]
+    return np.repeat(nonzero, 2 * m), vectors.reshape(-1, grid.channels)
 
 
 def _range_basis_fields(grid: GridSpec) -> np.ndarray:

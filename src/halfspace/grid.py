@@ -107,6 +107,13 @@ def ifft_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.fft.ifftn(values, axes=_grid_axes(grid), norm=_FFT_NORM)
 
 
+def check_finite(values: np.ndarray) -> None:
+    """Raise GridError naming the first non-finite entry of values."""
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise GridError(f"non-finite entry at index {tuple(bad)}")
+
+
 class Field:
     """A C^N-valued function on the grid, physical or spectral.
 
@@ -125,9 +132,7 @@ class Field:
             )
         if rep not in (PHYSICAL, SPECTRAL):
             raise GridError(f"unknown representation {rep!r}")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise GridError(f"non-finite entry at index {tuple(bad)}")
+        check_finite(values)
         self.grid = grid
         self.values = values
         self.rep = rep

@@ -71,10 +71,10 @@ def _load_samples(path, grid: GridSpec) -> CoefficientMatrix:
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
         blob = fh.read()
-    fields = dict(
-        part.split("=") for part in header.replace(_SAMPLES_MAGIC, "").split() if "=" in part
-    )
     try:
+        fields = dict(
+            part.split("=") for part in header.replace(_SAMPLES_MAGIC, "").split() if "=" in part
+        )
         n, m, G = int(fields["n"]), int(fields["m"]), int(fields["G"])
     except (KeyError, ValueError) as exc:
         raise CoefficientFormatError(f"malformed samples header: {header!r}") from exc
@@ -85,11 +85,11 @@ def _load_samples(path, grid: GridSpec) -> CoefficientMatrix:
         )
     N = grid.channels
     expected = G**n * N * N * 2
-    data = np.frombuffer(blob, dtype="<f8")
-    if data.size != expected:
+    if len(blob) != 8 * expected:
         raise CoefficientFormatError(
-            f"samples payload has {data.size} float64 values, expected {expected}"
+            f"samples payload has {len(blob)} bytes, expected {expected} float64 values"
         )
+    data = np.frombuffer(blob, dtype="<f8")
     values = (data[0::2] + 1j * data[1::2]).reshape(grid.shape + (N, N))
     return CoefficientMatrix(grid, values)
 
@@ -102,8 +102,8 @@ def _load_fourier(path, grid: GridSpec) -> CoefficientMatrix:
             raise CoefficientFormatError(
                 f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
-    if doc.get("format") != "fourier":
-        raise CoefficientFormatError("missing format tag 'fourier'")
+    if not isinstance(doc, dict) or doc.get("format") != "fourier":
+        raise CoefficientFormatError("not a JSON object with format tag 'fourier'")
     if (doc.get("n"), doc.get("m")) != (grid.dim, grid.system_size):
         raise CoefficientFormatError(
             f"file dimensions (n={doc.get('n')}, m={doc.get('m')}) do not match grid"
@@ -111,13 +111,21 @@ def _load_fourier(path, grid: GridSpec) -> CoefficientMatrix:
     N = grid.channels
     coords = grid.coordinates()
     values = np.zeros(grid.shape + (N, N), dtype=complex)
-    for entry in doc["entries"]:
-        k = entry["k"]
-        if len(k) != grid.dim:
-            raise CoefficientFormatError(f"frequency {k} has wrong dimension")
-        mat = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
-            entry.get("im", np.zeros((N, N))), dtype=float
-        )
+    entries = doc.get("entries")
+    if not isinstance(entries, list):
+        raise CoefficientFormatError("missing list of 'entries'")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not {"k", "re"} <= entry.keys():
+            raise CoefficientFormatError(f"entry {i} needs keys 'k' and 're'")
+        k = np.asarray(entry["k"])
+        if k.shape != (grid.dim,) or k.dtype.kind not in "iu":
+            raise CoefficientFormatError(f"frequency {entry['k']} is not {grid.dim} integers")
+        try:
+            mat = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
+                entry.get("im", np.zeros((N, N))), dtype=float
+            )
+        except (TypeError, ValueError) as exc:
+            raise CoefficientFormatError(f"entry {i} is not numeric: {exc}") from exc
         if mat.shape != (N, N):
             raise CoefficientFormatError(f"matrix for k={k} has shape {mat.shape}")
         phase = np.exp(1j * sum(kj * c for kj, c in zip(k, coords)))

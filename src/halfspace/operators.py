@@ -129,16 +129,6 @@ def build_inverse_D_symbol(grid: GridSpec) -> MultiplierSymbol:
     return MultiplierSymbol(grid, mats)
 
 
-def build_power_symbol(grid: GridSpec, s: float) -> MultiplierSymbol:
-    """|k|^s times the identity, zero at the zero frequency."""
-    kn = grid.frequency_norms()
-    w = np.zeros_like(kn)
-    nz = kn > 0
-    w[nz] = kn[nz] ** s
-    eye = np.eye(grid.channels, dtype=complex)
-    return MultiplierSymbol(grid, w[..., None, None] * eye)
-
-
 def _resolvent_of_D_symbol(grid: GridSpec, t: float) -> MultiplierSymbol:
     """(I + i t D)^{-1} as an exact multiplier, used as a preconditioner."""
     D = build_D_symbol(grid).matrices

@@ -1,6 +1,11 @@
 """Tent-space functionals on the discrete half-space over the torus.
 
-A sampled function on the half-space is one field per ladder scale.
+A sampled function on the half-space is one array with a leading
+ladder axis, shape (K,) + grid_shape + (N,).  The semigroup and
+quadratic functionals sample the calculus of one base function along
+the whole ladder, b(t T) h for every scale t, with one evaluation and
+one eigenvector product.
+
 Cones and boxes use the torus metric; balls are sets of grid points
 within a torus distance, and averages over them are plain means over
 the contained points, so that the square-function energy identity at
@@ -25,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .calculus import HolomorphicFunctionSpec, eigen_apply_many, exp_abs
+from .calculus import HolomorphicFunctionSpec, eigen_apply_scaled, exp_abs
 from .grid import Field, GridSpec, TLadder, lp_norm_grid
 from .operators import LinearOperatorHandle
 
@@ -56,7 +61,7 @@ class WhitneyParams:
 
 
 class TentField:
-    """One field per ladder scale, all sharing a grid."""
+    """Samples on the half-space: one grid array per ladder scale, stacked."""
 
     def __init__(self, grid: GridSpec, ladder: TLadder, values: np.ndarray):
         values = np.asarray(values, dtype=complex)
@@ -68,24 +73,11 @@ class TentField:
         self.values = values
 
     @classmethod
-    def from_fields(cls, ladder: TLadder, fields) -> "TentField":
-        fields = list(fields)
-        grid = fields[0].grid
-        vals = np.stack([f.to_physical().values for f in fields], axis=0)
-        return cls(grid, ladder, vals)
-
-    @classmethod
     def from_function(cls, grid: GridSpec, ladder: TLadder, fn) -> "TentField":
         """fn(t, coordinate arrays) -> channel array for one scale."""
         coords = grid.coordinates()
         vals = np.stack([np.asarray(fn(t, *coords), dtype=complex) for t in ladder.t])
         return cls(grid, ladder, vals)
-
-    def scaled_by(self, weights) -> "TentField":
-        w = np.asarray(weights, dtype=complex).reshape(
-            (-1,) + (1,) * (self.values.ndim - 1)
-        )
-        return TentField(self.grid, self.ladder, self.values * w)
 
     def channel_square(self) -> np.ndarray:
         """|F(t, x)|^2 summed over channels, shape (K,) + grid_shape."""
@@ -94,9 +86,7 @@ class TentField:
 
 def semigroup_tent_field(T: LinearOperatorHandle, h: Field, ladder: TLadder) -> TentField:
     """Samples of the decay semigroup of T applied to h along the ladder."""
-    specs = [exp_abs(t) for t in ladder.t]
-    fields = eigen_apply_many(T, specs, h)
-    return TentField.from_fields(ladder, fields)
+    return TentField(T.grid, ladder, eigen_apply_scaled(T, exp_abs(1.0), ladder.t, h))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -251,10 +241,8 @@ def quadratic_norm(
     """
     if not psi.is_psi_class:
         raise ValueError("quadratic norm requires Psi-class decay")
-    specs = [psi.scaled(t) for t in ladder.t]
-    fields = eigen_apply_many(T, specs, h)
-    stack = np.stack([f.values for f in fields])
-    norms2 = (np.abs(stack) ** 2).reshape(len(fields), -1).sum(axis=1) * T.grid.cell_volume
+    stack = eigen_apply_scaled(T, psi, ladder.t, h)
+    norms2 = (np.abs(stack) ** 2).reshape(len(ladder), -1).sum(axis=1) * T.grid.cell_volume
     total = float((ladder.weights * norms2).sum())
     if total > 0:
         per_octave = np.log(2.0)

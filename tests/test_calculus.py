@@ -16,7 +16,7 @@ from halfspace.calculus import (
     semigroup,
     verify_decay,
 )
-from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
+from halfspace.grid import Field, GridError, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     OperatorError,
     d_operator,
@@ -322,11 +322,8 @@ def test_calderon_operator_identity(perturbed_system_32, rng):
     phi = calderon_pair(psi)
     h = p_operator(sys_.grid).apply(random_field(sys_.grid, rng))
     ladder = TLadder.logspaced(2.0**-12, 2.0**8, per_octave=8)
-    specs = [phi.scaled(t).product(psi.scaled(t)) for t in ladder.t]
-    parts = fc.eigen_apply_many(sys_.db, specs, h)
-    acc = Field.zero(sys_.grid)
-    for w, part in zip(ladder.weights, parts):
-        acc = acc + w * part
+    parts = fc.eigen_apply_scaled(sys_.db, phi.product(psi), ladder.t, h)
+    acc = Field.physical(sys_.grid, np.tensordot(ladder.weights, parts, axes=1))
     assert l2_norm(acc - h) <= 1e-3 * l2_norm(h)
 
 
@@ -375,17 +372,58 @@ class _CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
-def test_eigen_apply_many_one_eigenvector_product(perturbed_system_32, rng):
+def test_eigen_apply_scaled_one_evaluation_one_eigenvector_product(perturbed_system_32, rng):
     T = perturbed_system_32.db
     h = random_field(T.grid, rng)
-    specs = [fc.exp_abs(t) for t in (0.1, 0.5, 1.0, 2.0, 4.0)]
-    expected = [fc.apply_calculus(b, T, h, path="eigen") for b in specs]
+    ladder = TLadder.default()
+    assert len(ladder) == 41
+    base = fc.exp_abs(1.0)
+    evaluations = []
+
+    def counted(z):
+        evaluations.append(z.shape)
+        return base.evaluate(z)
+
+    b = dataclasses.replace(base, evaluate=counted)
     ed = fc.eigen_data(T)
     T._eigen = dataclasses.replace(ed, V=ed.V.view(_CountingMatrix))
+    _CountingMatrix.products = 0
     try:
-        parts = fc.eigen_apply_many(T, specs, h)
+        parts = fc.eigen_apply_scaled(T, b, ladder.t, h)
     finally:
         T._eigen = ed
+    assert evaluations == [(41, T.grid.dof)]
     assert _CountingMatrix.products == 1
-    for part, ref in zip(parts, expected):
-        assert l2_norm(part - ref) <= 1e-12 * l2_norm(ref)
+    assert parts.shape == (41,) + T.grid.shape + (T.grid.channels,)
+    for t, part in zip(ladder.t, parts):
+        ref = fc.semigroup(T, t, h).values
+        assert np.linalg.norm(part - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("system", ["perturbed_system_32", "perturbed_system_2d"])
+@pytest.mark.parametrize("handle", ["db", "bd"])
+def test_eigen_apply_scaled_matches_scaled_specs(system, handle, request, rng):
+    T = getattr(request.getfixturevalue(system), handle)
+    h = random_field(T.grid, rng)
+    scales = np.array([0.01, 0.3, 1.0, 2.5, 40.0])
+    psi = fc.bracket_exp_abs()
+    for b in (fc.exp_abs(1.0), psi, calderon_pair(psi).product(psi)):
+        parts = fc.eigen_apply_scaled(T, b, scales, h)
+        for s, part in zip(scales, parts):
+            ref = apply_calculus(b.scaled(s), T, h, path="eigen").values
+            assert np.linalg.norm(part - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_eigen_apply_scaled_refuses_non_finite_values(perturbed_system_32, rng):
+    T = perturbed_system_32.db
+    h = random_field(T.grid, rng)
+    b = fc.custom(0.0, 0.0, lambda z: np.full_like(z, np.nan), name="nan")
+    with pytest.raises(GridError, match="non-finite"):
+        fc.eigen_apply_scaled(T, b, [1.0], h)
+
+
+@pytest.mark.parametrize("scales", [[1.0, 0.0], [-0.5], [2.0, -1.0, 3.0]])
+def test_eigen_apply_scaled_refuses_nonpositive_scales(perturbed_system_32, rng, scales):
+    T = perturbed_system_32.db
+    with pytest.raises(ValueError, match="scale must be positive"):
+        fc.eigen_apply_scaled(T, fc.exp_abs(1.0), scales, random_field(T.grid, rng))

@@ -12,7 +12,7 @@ from halfspace.coefficients import (
     identity_coefficients,
     perturbation_of_identity,
 )
-from halfspace.grid import l2_norm, random_field
+from halfspace.grid import GridSpec, l2_norm, random_field
 from halfspace.operators import p_operator
 
 
@@ -149,6 +149,41 @@ def test_hat_of_adjoint_parity_relation(g32, rng):
     parity = np.diag([1.0] * m + [-1.0] * (g32.channels - m))
     expected = parity @ B.adjoint_values() @ parity
     assert np.abs(B_adj.values - expected).max() < 1e-12
+
+
+def loop_range_basis_coefficients(grid):
+    """Per-frequency reference: m scalar-slot then m tangential vectors per k != 0."""
+    m = grid.system_size
+    freqs = grid.frequencies().reshape(-1, grid.dim)
+    positions, vectors = [], []
+    for idx, k in enumerate(freqs):
+        if np.all(k == 0):
+            continue
+        khat = k / np.linalg.norm(k)
+        for alpha in range(m):
+            e = np.zeros(grid.channels, dtype=complex)
+            e[alpha] = 1.0
+            vectors.append(e)
+            positions.append(idx)
+        for alpha in range(m):
+            e = np.zeros(grid.channels, dtype=complex)
+            for j in range(grid.dim):
+                e[m + j * m + alpha] = khat[j]
+            vectors.append(e)
+            positions.append(idx)
+    return np.asarray(positions), np.asarray(vectors)
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(dim=1, points=32, system_size=2), GridSpec(dim=2, points=8)]
+)
+def test_range_basis_coefficients_match_loop(grid):
+    from halfspace.coefficients import _range_basis_coefficients
+
+    positions, vectors = _range_basis_coefficients(grid)
+    ref_positions, ref_vectors = loop_range_basis_coefficients(grid)
+    assert np.array_equal(positions, ref_positions)
+    assert np.array_equal(vectors, ref_vectors)
 
 
 def test_compression_is_range_basis_pairing(g8x2, rng):

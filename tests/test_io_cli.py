@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from halfspace.cli import (
     ExperimentConfig,
@@ -78,6 +79,32 @@ def test_fourier_bad_json_line_diagnostics(tmp_path, g32):
     path.write_text('{"format": "fourier",\n "n": 1,\n "m": 1,\n "entries": [}')
     with pytest.raises(CoefficientFormatError, match="line 4"):
         load_coefficients(path, g32)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"halfspace-coefficients samples n=1=2 m=1 G=8\n", "samples header"),
+        (b"[1, 2]", "format tag"),
+        (b'{"format": "fourier", "n": 1, "m": 1}', "'entries'"),
+        (b'{"format": "fourier", "n": 1, "m": 1, "entries": [{"re": [[1, 0], [0, 1]]}]}',
+         "entry 0 needs keys 'k'"),
+        (b"halfspace-coefficients samples n=1 m=1 G=8\n" + bytes(10), "payload"),
+        (b'{"format": "fourier", "n": 1, "m": 1, "entries": [{"k": 1, "re": [[1]]}]}',
+         "not 1 integers"),
+        (b'{"format": "fourier", "n": 1, "m": 1, "entries": [{"k": ["a"], "re": [[1]]}]}',
+         "not 1 integers"),
+        (b'{"format": "fourier", "n": 1, "m": 1, "entries": [{"k": [1], "re": "x"}]}',
+         "not numeric"),
+    ],
+    ids=["samples-header", "json-list", "no-entries", "entry-without-k",
+         "odd-payload", "scalar-k", "string-k", "string-matrix"],
+)
+def test_malformed_coefficient_files(tmp_path, content, message):
+    path = tmp_path / "coeff"
+    path.write_bytes(content)
+    with pytest.raises(CoefficientFormatError, match=message):
+        load_coefficients(path, GridSpec(dim=1, points=8))
 
 
 def test_fourier_wrong_matrix_shape(tmp_path, g32):
@@ -177,7 +204,7 @@ def test_main_pass_exit_zero(tmp_path):
     assert {"name", "value", "bound", "pass", "operation", "anchor"} <= set(
         doc["records"][0]
     )
-    assert "environment" in doc
+    assert doc["environment"]["scipy"] == scipy.__version__
 
 
 def test_main_config_file(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import halfspace.calculus as fc
-from halfspace.grid import TLadder, l2_norm, lp_norm_grid, random_field
+from halfspace.grid import Field, TLadder, l2_norm, lp_norm_grid, random_field
 from halfspace.operators import bd_operator, d_operator, p_operator
 from halfspace.tent import (
     TentField,
@@ -264,8 +264,8 @@ def test_nt_sharp_alpha_weight_shifts_to_small_scales(g32):
 
     from halfspace.calculus import semigroup
 
-    fields = [semigroup(T, t, h) - h for t in ladder.t]
-    F = TentField.from_fields(ladder, fields)
+    fields = [(semigroup(T, t, h) - h).values for t in ladder.t]
+    F = TentField(g32, ladder, np.stack(fields))
     sq = F.channel_square()
     w_lin = ladder.weights * ladder.t
     best = np.zeros(g32.shape)
@@ -422,7 +422,8 @@ def test_nt_sharp_matches_direct_2d(perturbed_system_2d, rng):
     T = perturbed_system_2d.bd
     h = random_field(grid, rng)
     ladder = TLadder.logspaced(2.0**-3, 2.0**2, 2)
-    F = TentField.from_fields(ladder, [fc.semigroup(T, t, h) - h for t in ladder.t])
+    fields = [(fc.semigroup(T, t, h) - h).values for t in ladder.t]
+    F = TentField(grid, ladder, np.stack(fields))
     wp = WhitneyParams()
     for alpha in (0.0, 0.5):
         np.testing.assert_allclose(
@@ -455,6 +456,35 @@ def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch
             calls.update(fftn=0, ifftn=0)
             fn()
             out[name] = dict(calls)
+        return out
+
+    short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
+    assert (len(short), len(long)) == (9, 41)
+    assert count(short) == count(long)
+
+
+def test_ladder_functionals_build_no_field_per_scale(perturbed_system_32, rng, monkeypatch):
+    T = perturbed_system_32.db
+    h = p_operator(T.grid).apply(random_field(T.grid, rng))
+    psi = fc.z_over_one_plus_z2()
+    calls = []
+    init = Field.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+
+    def count(ladder):
+        out = []
+        for fn in (
+            lambda: semigroup_tent_field(T, h, ladder),
+            lambda: quadratic_norm(T, psi, h, ladder, warn_share=1.0),
+        ):
+            calls.clear()
+            fn()
+            out.append(len(calls))
         return out
 
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
