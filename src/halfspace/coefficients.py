@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 
 from .grid import Field, GridSpec, PHYSICAL, ifft_values
 
@@ -217,28 +218,33 @@ def compressed_quadratic_form(B: TransformedB) -> np.ndarray:
     return _compression(B, _range_basis_fields(B.grid))
 
 
-def _sector_contains(C: np.ndarray, phi: float, tol: float) -> bool:
-    """Whether the numerical range of C lies in the closed sector of half-angle phi.
-
-    tol bounds how far below zero the rotated Hermitian parts may reach.
-    """
-    for sign in (+1.0, -1.0):
-        rot = np.exp(1j * sign * (np.pi / 2 - phi)) * C
-        herm = 0.5 * (rot + rot.conj().T)
-        lam_min = np.linalg.eigvalsh(herm)[0]
-        if lam_min < -tol:
-            return False
-    return True
+def _round_up_to_bisection_grid(angle: float, resolution: float) -> float:
+    """Upper end of the halving of [0, pi/2 - 1e-9] around angle, down to resolution."""
+    lo, hi = 0.0, np.pi / 2 - 1e-9
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # the grid is finer than the float spacing
+        if mid >= angle:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> AccretivityReport:
     """Estimate the accretivity bound and angle of the compressed multiplier.
 
-    kappa is the smallest eigenvalue of the Hermitian part of the
-    compression.  The angle is located by bisection of the monotone
-    sector-containment predicate; the numerical range of a matrix is
-    convex, so this is exact up to the angular resolution.
+    kappa is the smallest eigenvalue of the Hermitian part H of the
+    compression C = H + iK.  As H > 0, the numerical range of C lies in
+    the sector |arg z| <= phi exactly when |<Kx,x>| <= tan(phi) <Hx,x> for
+    every x, so the exact angle is arctan max|mu| over the eigenvalues mu
+    of the Hermitian pencil K x = mu H x.  The reported omega is that
+    angle rounded up to the grid of the bisection of [0, pi/2) down to
+    the angular resolution; it is 0 when ||K||_2 is within roundoff.
     """
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"angle resolution must be finite and positive, got {resolution}")
     C = compressed_quadratic_form(B)
     herm = 0.5 * (C + C.conj().T)
     kappa = float(np.linalg.eigvalsh(herm)[0])
@@ -249,26 +255,28 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
     if kappa <= 0:
         raise NotAccretiveError("B not accretive on range of D")
     tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
-    lo, hi = 0.0, np.pi / 2 - 1e-9
-    if _sector_contains(C, lo, tol):
-        omega = 0.0
+    skew = -0.5j * (C - C.conj().T)
+    # an entry bounds ||K||_2 from below, so this solve runs only near zero
+    if np.abs(skew).max() <= tol and np.abs(np.linalg.eigvalsh(skew)).max() <= tol:
+        omega = exact = 0.0
+        max_mu, search = None, "none: skew-Hermitian part within roundoff"
     else:
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if _sector_contains(C, mid, tol):
-                hi = mid
-            else:
-                lo = mid
-        omega = hi
+        mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
+        max_mu = float(max(-mu[0], mu[-1]))
+        exact = float(np.arctan(max_mu))
+        omega = _round_up_to_bisection_grid(exact, resolution)
+        search = "generalized Hermitian eigenproblem (K, H)"
     return AccretivityReport(
         kappa=kappa,
-        omega=float(omega),
+        omega=omega,
         sup_norm=sup,
         pointwise_accretive=pointwise,
         method={
             "compression_size": C.shape[0],
             "angle_resolution": resolution,
-            "angle_search": "bisection on sector containment",
+            "angle_search": search,
+            "omega_exact": exact,
+            "pencil_max_abs_eigenvalue": max_mu,
         },
     )
 

@@ -78,11 +78,44 @@ def test_hat_singular_block_names_point(g32):
         hat_transform(CoefficientMatrix(g32, vals))
 
 
+def sector_contains(C, phi, tol):
+    """Reference predicate: the numerical range of C lies in the sector of half-angle phi."""
+    for sign in (+1.0, -1.0):
+        rot = np.exp(1j * sign * (np.pi / 2 - phi)) * C
+        herm = 0.5 * (rot + rot.conj().T)
+        if np.linalg.eigvalsh(herm)[0] < -tol:
+            return False
+    return True
+
+
+def bisection_certificate(B):
+    """Reference (kappa, omega) by bisection of the sector-containment predicate."""
+    from halfspace.coefficients import compressed_quadratic_form
+
+    C = compressed_quadratic_form(B)
+    kappa = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
+    tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
+    lo, hi = 0.0, np.pi / 2 - 1e-9
+    if sector_contains(C, lo, tol):
+        return kappa, 0.0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if sector_contains(C, mid, tol):
+            hi = mid
+        else:
+            lo = mid
+    return kappa, hi
+
+
 def test_accretivity_identity(g32):
-    report = accretivity_estimate(hat_transform(identity_coefficients(g32)))
+    B = hat_transform(identity_coefficients(g32))
+    report = accretivity_estimate(B)
     assert report.kappa == pytest.approx(1.0, abs=1e-10)
     assert report.omega == pytest.approx(0.0, abs=2e-3)
     assert report.pointwise_accretive
+    assert (report.kappa, report.omega) == bisection_certificate(B)
+    assert report.method["omega_exact"] == 0.0
+    assert report.method["pencil_max_abs_eigenvalue"] is None
 
 
 @pytest.mark.parametrize("theta", [0.2, 0.45, -0.3])
@@ -92,6 +125,8 @@ def test_accretivity_rotated_identity(g32, theta):
     assert report.kappa == pytest.approx(np.cos(theta), rel=1e-9)
     assert report.omega == pytest.approx(abs(theta), abs=2e-3)
     assert report.sup_norm == pytest.approx(1.0, rel=1e-12)
+    assert (report.kappa, report.omega) == bisection_certificate(B)
+    assert report.method["omega_exact"] == pytest.approx(abs(theta), abs=1e-12)
 
 
 def test_accretivity_hermitian_perturbation(g32, rng):
@@ -212,5 +247,107 @@ def test_certificate_takes_one_spectral_norm(g32, rng, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted)
     rep = accretivity_estimate(B)
-    assert rep.omega > 0  # the angle bisection ran
+    assert rep.omega > 0  # the angle search ran
     assert len(calls) == 1
+
+
+def _benchmark_input(dim, points, size, seed, system_size=1):
+    grid = GridSpec(dim=dim, points=points, system_size=system_size)
+    return hat_transform(perturbation_of_identity(grid, np.random.default_rng([seed, 0]), size))
+
+
+# the benchmark's grids and perturbation sizes (bvp2d, probes1d, contour1d)
+# at its default and held-out seeds, and a system of two equations
+CERTIFICATE_INPUTS = [
+    pytest.param(dim, points, size, seed, m, id=f"{dim}d-g{points}-m{m}-s{seed}")
+    for dim, points, size, m in [(2, 8, 0.1, 1), (1, 64, 0.15, 1), (1, 32, 0.15, 1),
+                                 (1, 32, 0.3, 2)]
+    for seed in (0, 7919)
+]
+
+
+@pytest.mark.parametrize("dim, points, size, seed, m", CERTIFICATE_INPUTS)
+def test_pencil_angle_matches_bisection(dim, points, size, seed, m):
+    B = _benchmark_input(dim, points, size, seed, m)
+    report = accretivity_estimate(B)
+    assert (report.kappa, report.omega) == bisection_certificate(B)
+    assert report.method["angle_search"] == "generalized Hermitian eigenproblem (K, H)"
+    assert report.method["omega_exact"] <= report.omega <= report.method["omega_exact"] + 1e-3
+    assert report.method["omega_exact"] == np.arctan(report.method["pencil_max_abs_eigenvalue"])
+
+
+def test_pencil_angle_is_attained_and_bounds_the_range():
+    import scipy.linalg
+
+    from halfspace.coefficients import _range_basis_fields, compressed_quadratic_form
+
+    B = _benchmark_input(1, 32, 0.4, 1)
+    grid = B.grid
+    exact = accretivity_estimate(B).method["omega_exact"]
+    C = compressed_quadratic_form(B)
+    herm, skew = 0.5 * (C + C.conj().T), -0.5j * (C - C.conj().T)
+    mu, X = scipy.linalg.eigh(skew, herm)
+    x = X[:, np.argmax(np.abs(mu))]
+    assert abs(np.angle(x.conj() @ C @ x)) == pytest.approx(exact, abs=1e-12)
+    # forms <u, Bu> of random range vectors u = Q y, evaluated pointwise in physical space
+    Q = _range_basis_fields(grid)
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((Q.shape[1], 1000)) + 1j * rng.standard_normal((Q.shape[1], 1000))
+    U = Q @ Y
+    cols = U.reshape(grid.shape + (grid.channels, -1))
+    BU = np.einsum("...ij,...jr->...ir", B.values, cols).reshape(U.shape)
+    forms = np.einsum("ir,ir->r", U.conj(), BU)
+    assert np.abs(np.angle(forms)).max() <= exact + 1e-12
+
+
+def test_certificate_solves_do_not_grow_with_resolution(monkeypatch):
+    import scipy.linalg
+
+    B = _benchmark_input(1, 32, 0.3, 3)
+    calls = []
+    eigvalsh, eigh = np.linalg.eigvalsh, scipy.linalg.eigh
+
+    def counted(solver):
+        def call(*args, **kwargs):
+            calls.append(solver)
+            return solver(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigh", counted(eigh))
+    counts = []
+    for resolution in (1e-3, 1e-6):
+        calls.clear()
+        assert accretivity_estimate(B, resolution=resolution).omega > 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3
+
+
+def test_resolution_must_be_finite_and_positive():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # a separate process, so that an angle search that never ends fails on the timeout;
+    # a resolution finer than the float spacing must end there
+    script = (
+        "import numpy as np\n"
+        "from halfspace import GridSpec, accretivity_estimate, hat_transform, "
+        "perturbation_of_identity\n"
+        "g = GridSpec(dim=1, points=16, system_size=1)\n"
+        "B = hat_transform(perturbation_of_identity(g, np.random.default_rng(0), 0.3))\n"
+        "for resolution in (float('nan'), 0.0, -1e-3, 1e-300):\n"
+        "    try:\n"
+        "        rep = accretivity_estimate(B, resolution=resolution)\n"
+        "        print((rep.omega - rep.method['omega_exact']) / rep.omega)\n"
+        "    except ValueError:\n"
+        "        print('raised', resolution)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.split("\n")
+    assert lines[:3] == ["raised nan", "raised 0.0", "raised -0.001"]
+    assert 0.0 <= float(lines[3]) <= 1e-15
