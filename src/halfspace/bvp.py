@@ -172,19 +172,19 @@ def _scalar_l2(grid: GridSpec, f) -> float:
 class SpectralHardyBasis:
     """Orthonormal basis of the positive spectral subspace of one composition.
 
-    The dimensions of both spectral subspaces and of the null space are
-    recorded; the negative subspace needs no basis.
+    The eigen data hold only the range part of the operator, so its
+    eigenvalues split into the two spectral subspaces and the null space
+    is the rest of the dof.  The dimensions of all three are recorded; the
+    negative subspace needs no basis.
     """
 
     def __init__(self, T: LinearOperatorHandle):
         ed = eigen_data(T)
-        null = ed.null_mask()
-        plus = (~null) & (ed.lam.real > 0)
-        minus = (~null) & (ed.lam.real < 0)
+        plus = ed.lam.real > 0
         self.plus, _ = np.linalg.qr(ed.V[:, plus])
         self.dim_plus = int(plus.sum())
-        self.dim_minus = int(minus.sum())
-        self.dim_null = int(null.sum())
+        self.dim_minus = int((ed.lam.real < 0).sum())
+        self.dim_null = T.grid.dof - len(ed.lam)
         grid = T.grid
         range_dim = 2 * grid.system_size * (grid.points**grid.dim - 1)
         if self.dim_plus + self.dim_minus != range_dim:
@@ -228,11 +228,12 @@ class FirstOrderSystem:
     """Coefficients, the transformed multiplier, its certificate and operators.
 
     Builds the accretivity certificate up front (it gates everything
-    downstream) and diagonalizes one dense matrix, that of DB.  BD = B (DB)
-    B^-1 takes its eigendecomposition from DB's, and the adjoint system
-    shares the certificate and takes its eigendecompositions from BD's, so
-    neither runs another eig or certificate.  Hardy bases and the factorized
-    trace maps are cached per system.
+    downstream).  DB and BD = B (DB) B^-1 share one r x r eigendecomposition,
+    that of D_r C, DB restricted to the range of D, cached on B; their null
+    parts are exact.  The adjoint system shares the certificate and derives
+    its DB from this BD and its BD from this DB, so neither runs another eig
+    or certificate.  Hardy bases and the factorized trace maps are cached
+    per system.
     """
 
     def __init__(self, A: CoefficientMatrix, report: AccretivityReport | None = None):
@@ -244,9 +245,6 @@ class FirstOrderSystem:
         self.bd = bd_operator(self.B)
         self.db.accretivity_angle = self.report.omega
         self.bd.accretivity_angle = self.report.omega
-        # the derivations refer to the handles and B, never to the system, so
-        # a system is freed without the cyclic garbage collector
-        self.bd._eigen_source = functools.partial(fc.reversed_eigen_data, self.db, self.B)
         self._hardy = {}
         self._trace_maps = {}
         self._adjoint = None
@@ -288,12 +286,15 @@ class FirstOrderSystem:
         """The system of the adjoint coefficients A^*.
 
         Its transform N B^* N has the same kappa and omega on the range of D
-        as B, so the certificate is shared, and its DB is -N (BD)^* N, so its
-        eigendecomposition comes from this system's BD.
+        as B, so the certificate is shared.  Its DB is -N (BD)^* N and its BD
+        is -N (DB)^* N, so both eigendecompositions come from this system's.
         """
         if self._adjoint is None:
             adj = FirstOrderSystem(self.A.adjoint(), self.report)
+            # the derivations refer to handles, never to a system, so a
+            # system is freed without the cyclic garbage collector
             adj.db._eigen_source = functools.partial(fc.adjoint_eigen_data, self.bd)
+            adj.bd._eigen_source = functools.partial(fc.adjoint_eigen_data, self.db)
             self._adjoint = adj
         return self._adjoint
 

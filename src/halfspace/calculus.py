@@ -1,16 +1,27 @@
 """Holomorphic functional calculus on double sectors.
 
 Bounded holomorphic functions of the first-order compositions are
-computed two independent ways: a dense eigendecomposition (the reference
-at desk scale, where the discretized operator is a plain matrix) and a
-quadrature of the resolvent over the boundary of a double sector.  The
-contour path factorizes the dense operator once into a complex Schur
-form M = Z R Z^* with Z unitary and R upper triangular, cached on the
-handle, and solves every shifted resolvent at the quadrature nodes by
-triangular back substitution; it never sees eigenvectors.  The two paths
-are kept separate so that each can check the other.  On the eigen path
-a ladder of scales is one kernel call: b(s T) h for every scale s comes
-from one evaluation of b and one eigenvector product, as one array.
+computed two independent ways: an eigendecomposition (the reference at
+desk scale) and a quadrature of the resolvent over the boundary of a
+double sector.  The contour path factorizes the dense operator once into
+a complex Schur form M = Z R Z^* with Z unitary and R upper triangular,
+cached on the handle, and solves every shifted resolvent at the
+quadrature nodes by triangular back substitution; it never sees
+eigenvectors.  The two paths are kept separate so that each can check
+the other.
+
+The eigen path keeps only the range part of an operator, T = V diag(lam)
+Vinv on its range, so b(T) h = b(0) h + V (b(lam) - b(0)) Vinv h.  DB
+maps the closed range of D into itself, and L^2 = N(DB) + R(D) with
+N(DB) = B^-1 N(D) once B is accretive there.  In the orthonormal range
+basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
+in closed form and C = Q^* B Q is the compression of the range split.
+One eig of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B
+(DB) B^-1 and, by duality, the adjoint system, with an exact null part.
+Handles without a multiplier diagonalize their dense matrix and cut the
+null cluster at a threshold.  A ladder of scales is one kernel call:
+b(s T) h for every scale s comes from one evaluation of b and one
+eigenvector product, as one array.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -27,7 +38,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .coefficients import TransformedB
+from .coefficients import TransformedB, _range_symbol_product
 from .grid import Field, check_finite
 from .operators import (
     DENSE_LIMIT,
@@ -286,12 +297,21 @@ def verify_decay(
 # eigendecomposition path
 # ---------------------------------------------------------------------------
 
+# the null cluster of a dense eig, relative to the spectral radius
 NULL_CLUSTER_FACTOR = 1e-10
 EIG_CONDITION_LIMIT = 1e8
 
 
 @dataclasses.dataclass
 class EigenData:
+    """The operator on its range: T = V diag(lam) Vinv there, zero on the null space.
+
+    V is dof x r with the range eigenvectors as columns and Vinv is r x
+    dof with Vinv V = I, so I - V Vinv projects onto the null space along
+    the range and b(T) h = b(0) h + V (b(lam) - b(0)) Vinv h.  condition
+    bounds ||V||_2 ||Vinv||_2 from above.
+    """
+
     lam: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
@@ -299,15 +319,11 @@ class EigenData:
 
     @property
     def radius(self) -> float:
-        return float(np.abs(self.lam).max())
-
-    def null_mask(self) -> np.ndarray:
-        return np.abs(self.lam) < NULL_CLUSTER_FACTOR * max(self.radius, 1e-300)
+        return float(np.abs(self.lam).max(initial=0.0))
 
 
-def _checked_condition(V: np.ndarray) -> float:
-    cond = float(np.linalg.cond(V))
-    if cond > EIG_CONDITION_LIMIT:
+def _checked_condition(cond: float) -> float:
+    if not cond <= EIG_CONDITION_LIMIT:
         raise OperatorError(
             f"eigenvector condition number {cond:.2e} exceeds "
             f"{EIG_CONDITION_LIMIT:.0e}; a Schur-blocked evaluation "
@@ -316,21 +332,39 @@ def _checked_condition(V: np.ndarray) -> float:
     return cond
 
 
-def eigen_data(T: LinearOperatorHandle) -> EigenData:
-    """Eigendecomposition of the operator, cached on the handle.
+@dataclasses.dataclass(frozen=True)
+class _RangeEigen:
+    """D_r C = W diag(lam) W^-1 with the LU of W, shared by DB and BD on one B;
+    condition is cond(W) sup|B| / lambda_min(Re C)."""
 
-    A handle whose operator is similar to one already diagonalized carries
-    the derivation in `_eigen_source`; any other handle diagonalizes its
-    dense matrix.
+    lam: np.ndarray
+    W: np.ndarray
+    lu: tuple
+    condition: float
+
+
+def _range_eigen(B: TransformedB, splitter) -> _RangeEigen:
+    """The r x r eigendecomposition of DB on the range of D, cached on B.
+
+    With Q the orthonormal range basis, D Q = Q D_r and Q^* D (I - Q Q^*) =
+    0, so DB Q = Q D_r C with C = Q^* B Q.  Accretivity makes D_r C
+    invertible, so every one of its r eigenvalues is nonzero.
     """
-    if T._eigen is None:
-        if T._eigen_source is not None:
-            T._eigen = T._eigen_source()
-        else:
-            lam, V = np.linalg.eig(T.dense_matrix())
-            cond = _checked_condition(V)
-            T._eigen = EigenData(lam=lam, V=V, Vinv=np.linalg.inv(V), condition=cond)
-    return T._eigen
+    if B._range_eigen is None:
+        C = splitter.C
+        lam, W = np.linalg.eig(_range_symbol_product(B.grid, C))
+        kappa = float(scipy.linalg.eigvalsh(0.5 * (C + C.conj().T),
+                                            subset_by_index=[0, 0])[0])
+        if not kappa > 0:
+            raise OperatorError(
+                f"B is not accretive on the range of D (lambda_min(Re C) = "
+                f"{kappa:.3e}); the range eigendecomposition needs it"
+            )
+        B._range_eigen = _RangeEigen(
+            lam=lam, W=W, lu=scipy.linalg.lu_factor(W),
+            condition=float(np.linalg.cond(W)) * B.sup_norm() / kappa,
+        )
+    return B._range_eigen
 
 
 def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -339,34 +373,74 @@ def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (mats @ X.reshape(shape)).reshape(X.shape)
 
 
-def reversed_eigen_data(db: LinearOperatorHandle, B: TransformedB) -> EigenData:
-    """Eigendecomposition of BD = B (DB) B^-1 from that of DB, without eig.
+def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
+    """DB or BD from the factorization shared by every handle on its B.
 
-    The eigenvalues are shared; the eigenvectors are B V_DB scaled to unit
-    columns, and the inverse is V_DB^-1 B^-1 with its rows scaled back.
-    B must be invertible at every grid point, as it is wherever the d
-    block of the coefficients is.
+    The condition bounds use ||C^-1|| <= 1/kappa, kappa = lambda_min(Re C),
+    and ||B|| = sup|B|, the largest pointwise norm.  DB has V = Q W and
+    Vinv = W^-1 C^-1 Q^* B, so ||V|| ||Vinv|| <= cond(W) sup|B| / kappa.
+    BD = B (DB) B^-1 has V = B Q W S^-1 and Vinv = S W^-1 C^-1 Q^*, with S
+    the column norms of B Q W, so the bound gains the factor max S / min S;
+    each column is nonzero, as D maps it to a nonzero multiple of Q w.
     """
-    ed = eigen_data(db)
-    V = _pointwise_rows(B.values, ed.V)
-    Binv_T = np.swapaxes(np.linalg.inv(B.values), -1, -2)
-    Vinv = _pointwise_rows(Binv_T, ed.Vinv.T).T
-    norms = np.linalg.norm(V, axis=0)
-    V /= norms
-    Vinv *= norms[:, None]
-    return EigenData(lam=ed.lam, V=V, Vinv=Vinv, condition=_checked_condition(V))
+    B = T.multiplier_matrix
+    splitter = range_splitter(T)
+    core = _range_eigen(B, splitter)
+    Q = splitter.Q
+    if T.tag == "DB":
+        cond = _checked_condition(core.condition)
+        V = Q @ core.W
+        QB = _pointwise_rows(B.adjoint_values(), Q).conj().T  # Q^* B = (B^* Q)^*
+        Vinv = scipy.linalg.lu_solve(core.lu, scipy.linalg.lu_solve(splitter.lu, QB))
+    else:
+        V = _pointwise_rows(B.values, Q @ core.W)
+        norms = np.linalg.norm(V, axis=0)
+        cond = _checked_condition(core.condition * norms.max() / norms.min())
+        V /= norms
+        Vinv = scipy.linalg.lu_solve(core.lu, scipy.linalg.lu_solve(splitter.lu, Q.conj().T))
+        Vinv *= norms[:, None]
+    return EigenData(lam=core.lam, V=V, Vinv=Vinv, condition=cond)
 
 
-def adjoint_eigen_data(bd: LinearOperatorHandle) -> EigenData:
-    """Eigendecomposition of the adjoint system's DB from the primal BD.
+def _dense_eigen_data(M: np.ndarray) -> EigenData:
+    """Range part of a dense eig; the null cluster is cut at NULL_CLUSTER_FACTOR."""
+    lam, V = np.linalg.eig(M)
+    cond = _checked_condition(float(np.linalg.cond(V)))
+    Vinv = np.linalg.inv(V)
+    keep = np.abs(lam) >= NULL_CLUSTER_FACTOR * max(np.abs(lam).max(), 1e-300)
+    return EigenData(lam=lam[keep], V=V[:, keep], Vinv=Vinv[keep], condition=cond)
+
+
+def eigen_data(T: LinearOperatorHandle) -> EigenData:
+    """Eigendecomposition of the operator on its range, cached on the handle.
+
+    A handle whose operator is similar to one already diagonalized carries
+    the derivation in `_eigen_source`.  DB and BD take theirs from the r x r
+    factorization shared by every handle on their multiplier, with an exact
+    null part and no dof-sized SVD.  Any other handle diagonalizes its dense
+    matrix.  Raises OperatorError beyond the dense limit, before allocating,
+    and when the eigenvector condition bound exceeds EIG_CONDITION_LIMIT.
+    """
+    if T._eigen is None:
+        if T._eigen_source is not None:
+            T._eigen = T._eigen_source()
+        elif T.multiplier_matrix is not None and T.tag in ("DB", "BD"):
+            T._eigen = _range_eigen_data(T)
+        else:
+            T._eigen = _dense_eigen_data(T.dense_matrix())
+    return T._eigen
+
+
+def adjoint_eigen_data(T: LinearOperatorHandle) -> EigenData:
+    """Eigendecomposition of an adjoint-system handle from a primal one.
 
     The adjoint coefficients transform to N B^* N with N = diag(I_m, -I_mn)
-    per grid point, and D N = -N D, so the adjoint DB is -N (BD)^* N:
-    eigenvalues -conj(lam), eigenvectors N Vinv^*, inverse V^* N, and the
-    same eigenvector condition number.
+    per grid point, and D N = -N D, so the adjoint DB is -N (BD)^* N and
+    the adjoint BD is -N (DB)^* N: eigenvalues -conj(lam), eigenvectors
+    N Vinv^*, inverse V^* N, and the same condition bound.
     """
-    ed = eigen_data(bd)
-    grid = bd.grid
+    ed = eigen_data(T)
+    grid = T.grid
     n = np.where(np.arange(grid.channels) < grid.system_size, 1.0, -1.0)
     n = np.tile(n, grid.points**grid.dim)
     return EigenData(
@@ -382,17 +456,20 @@ def eigen_apply_scaled(
 ) -> np.ndarray:
     """b(s T) h at every scale s, as one (S,) + grid_shape + (N,) array.
 
-    b is evaluated on all scaled eigenvalues in one call, takes its value
-    at the origin on the null cluster, and the eigenvectors are applied
-    once for all scales.  Raises ValueError for a nonpositive scale and
-    GridError for a non-finite result.
+    b is evaluated on all scaled range eigenvalues in one call, the
+    eigenvectors are applied once for all scales, and the null part takes
+    the value at the origin: b(sT) h = b(0) h + V (b(s lam) - b(0)) Vinv h.
+    Raises ValueError for a nonpositive scale and GridError for a
+    non-finite result.
     """
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
     ed = eigen_data(T)
-    vals = np.where(ed.null_mask(), b.value_at_zero, b(ed.lam * scales[:, None]))
-    out = (ed.V @ (vals * (ed.Vinv @ h.flat())).T).T
+    b0 = b.value_at_zero
+    vals = b(ed.lam * scales[:, None]) - b0
+    flat = h.flat()
+    out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b0 * flat
     check_finite(out)
     return out.reshape(scales.shape + T.grid.shape + (T.grid.channels,))
 
@@ -564,8 +641,8 @@ def apply_calculus(
 ) -> Field:
     """Compute b(T) h.
 
-    path "eigen" diagonalizes the dense operator and applies b on the
-    eigenvalues, with the value at the origin on the null cluster.  path
+    path "eigen" applies b on the range eigenvalues of the operator, with
+    the value at the origin on its null space.  path
     "contour" quadratures the resolvent over the sector boundary and
     requires Psi-class decay.  "auto" takes eigen up to the dense limit;
     beyond it both paths refuse with OperatorError before allocating.

@@ -109,7 +109,17 @@ class CoefficientMatrix(_PointwiseMatrix):
 
 
 class TransformedB(_PointwiseMatrix):
-    """Pointwise multiplier B(x) obtained from coefficients A(x)."""
+    """Pointwise multiplier B(x) obtained from coefficients A(x).
+
+    Every DB and BD handle on one multiplier shares its range split and
+    the eigendecomposition of DB restricted to the range of D, each built
+    lazily, by operators.range_splitter and calculus.eigen_data.
+    """
+
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        super().__init__(grid, values)
+        self._splitter = None
+        self._range_eigen = None
 
     def adjoint(self) -> "TransformedB":
         return TransformedB(self.grid, self.adjoint_values())
@@ -198,6 +208,22 @@ def _range_basis_fields(grid: GridSpec) -> np.ndarray:
     # the spectral basis is orthonormal in plain coefficient dots; the
     # series-normalized inverse transform scales flat norms by G^(n/2)
     return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)
+
+
+def _range_symbol_product(grid: GridSpec, X: np.ndarray) -> np.ndarray:
+    """D_r X for the symbol compressed to its range, D_r = Q^* D Q.
+
+    In the basis of _range_basis_coefficients D_r is block diagonal: per
+    nonzero frequency k the block [[0, i|k|], [-i|k|, 0]] (x) I_m pairs
+    the m scalar-slot vectors with the m tangential ones.  X has r rows.
+    """
+    kn = grid.frequency_norms().reshape(-1)
+    kn = kn[kn > 0][:, None, None]
+    blocks = X.reshape(len(kn), 2, grid.system_size, -1)
+    out = np.empty(blocks.shape, dtype=complex)
+    out[:, 0] = 1j * kn * blocks[:, 1]
+    out[:, 1] = -1j * kn * blocks[:, 0]
+    return out.reshape(X.shape)
 
 
 def _compression(B: TransformedB, Q: np.ndarray) -> np.ndarray:

@@ -149,9 +149,11 @@ class LinearOperatorHandle:
     attributes besides tag, grid, kind and payload:
       multiplier_matrix  - the TransformedB of B, DB and BD, else None
       accretivity_angle  - sector angle used by the contour path, 0.0 by default
-      _dense, _eigen, _schur, _split_cache, _lu  - lazily built caches
+      _dense, _eigen, _schur, _lu  - lazily built caches
+      _split_cache  - the projection splitter of D; DB and BD share the
+                      splitter cached on their multiplier instead
       _eigen_source  - callable deriving _eigen from a similar operator's
-                       eigendecomposition, or None to diagonalize densely
+                       eigendecomposition, or None to compute it here
     """
 
     def __init__(self, tag: str, grid: GridSpec, kind: str, payload,
@@ -275,17 +277,17 @@ def check_dense_size(grid: GridSpec) -> None:
         raise OperatorError(
             f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
             f"matrix would take {gib:.2f} GiB; the eigen and contour calculus "
-            "paths both factorize it, and only resolvent_solve runs beyond "
-            "the limit, by GMRES"
+            "paths factorize it or build the dense range basis, and only "
+            "resolvent_solve runs beyond the limit, by GMRES"
         )
 
 
 def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """Matrix of T in the flattened physical basis.
 
-    Raises OperatorError beyond the dense limit, before allocating; both
-    calculus paths (eigen and contour) factorize this matrix, so neither
-    runs in that regime.
+    Raises OperatorError beyond the dense limit, before allocating; the
+    contour path factorizes this matrix, and the eigen path diagonalizes
+    it for handles without a multiplier, so neither runs in that regime.
     """
     check_dense_size(T.grid)
     dim = T.grid.dof
@@ -381,12 +383,15 @@ class RangeSplitter:
     """Kernel/range decompositions for both compositions with one multiplier.
 
     Solves the compressed quadratic form once per coefficient multiplier;
-    accretivity makes the compression invertible.
+    accretivity makes the compression invertible.  Keeps B's values, not
+    B, since B caches its splitter.  Refuses beyond the dense limit
+    before allocating the dof x r basis.
     """
 
     def __init__(self, B: TransformedB):
+        check_dense_size(B.grid)
         self.grid = B.grid
-        self.B = B
+        self.values = B.values
         self.Q = _range_basis_fields(B.grid)  # dof x r, orthonormal
         self.C = _compression(B, self.Q)
         self.lu = scipy.linalg.lu_factor(self.C)
@@ -401,7 +406,7 @@ class RangeSplitter:
         f_null into the kernel of the symbol.
         """
         vec = f.flat()
-        Bf = np.einsum("...ij,...j->...i", self.B.values, f.to_physical().values)
+        Bf = np.einsum("...ij,...j->...i", self.values, f.to_physical().values)
         rhs = self.Q.conj().T @ Bf.reshape(-1)
         c = scipy.linalg.lu_solve(self.lu, rhs)
         f_range = Field.from_flat(self.grid, self.Q @ c)
@@ -419,7 +424,7 @@ class RangeSplitter:
         c = scipy.linalg.lu_solve(self.lu, rhs)
         g = (self.Q @ c).reshape(self.grid.shape + (self.grid.channels,))
         f_range = Field.physical(
-            self.grid, np.einsum("...ij,...j->...i", self.B.values, g)
+            self.grid, np.einsum("...ij,...j->...i", self.values, g)
         )
         f_null = Field.from_flat(self.grid, vec - f_range.values.reshape(-1))
         return f_range, f_null
@@ -444,14 +449,17 @@ class _ProjectionSplitter:
 
 
 def range_splitter(T: LinearOperatorHandle):
-    """Splitter cached on the handle: the compression of B for DB and BD, P for D."""
+    """The compression of B for DB and BD, cached on B and so shared by every
+    handle on it; P for D, cached on the handle."""
+    B = T.multiplier_matrix
+    if B is not None:
+        if B._splitter is None:
+            B._splitter = RangeSplitter(B)
+        return B._splitter
+    if T.tag != "D":
+        raise OperatorError(f"no range split for tag {T.tag}")
     if T._split_cache is None:
-        if T.multiplier_matrix is not None:
-            T._split_cache = RangeSplitter(T.multiplier_matrix)
-        elif T.tag == "D":
-            T._split_cache = _ProjectionSplitter(T.grid)
-        else:
-            raise OperatorError(f"no range split for tag {T.tag}")
+        T._split_cache = _ProjectionSplitter(T.grid)
     return T._split_cache
 
 

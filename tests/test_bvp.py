@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 import halfspace.bvp as bvp
 import halfspace.calculus as fc
@@ -27,10 +29,17 @@ from halfspace.bvp import (
 )
 from halfspace.coefficients import (
     block_diagonal_coefficients,
+    hat_transform,
     perturbation_of_identity,
 )
-from halfspace.grid import Field, TLadder, l2_norm, random_field
-from halfspace.operators import p_operator
+from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
+from halfspace.operators import (
+    OperatorError,
+    bd_operator,
+    db_operator,
+    p_operator,
+    range_splitter,
+)
 from halfspace.tent import TentField, tent_norm
 
 from conftest import band_limited_scalar
@@ -309,47 +318,133 @@ def _four_handles(sys_):
     return {"BD": sys_.bd, "adjoint DB": adj.db, "adjoint BD": adj.bd, "DB": sys_.db}
 
 
-@pytest.fixture(params=["g32", "g8x2"])
+def _bare_pair(sys_):
+    """DB and BD built straight from the system's multiplier, outside any system."""
+    B = hat_transform(sys_.A)
+    return {"bare DB": db_operator(B), "bare BD": bd_operator(B)}
+
+
+@pytest.fixture(params=["g32", "g8x2", "g16m2"])
 def fresh_system(request):
-    grid = request.getfixturevalue(request.param)
+    if request.param == "g16m2":
+        grid = GridSpec(dim=1, points=16, system_size=2)
+    else:
+        grid = request.getfixturevalue(request.param)
     return FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(21), 0.15))
 
 
+def _range_dim(grid):
+    return 2 * grid.system_size * (grid.points**grid.dim - 1)
+
+
 def test_derived_eigen_data_matches_dense_eig(fresh_system):
+    # the reference diagonalizes the dense matrix here and never sees the
+    # range split, so it witnesses the split independently
     grid = fresh_system.grid
     h = random_field(grid, np.random.default_rng(22))
-    for name, T in _four_handles(fresh_system).items():
+    for name, T in {**_four_handles(fresh_system), **_bare_pair(fresh_system)}.items():
         ed = fc.eigen_data(T)
         M = T.dense_matrix()
         residual = np.linalg.norm(M @ ed.V - ed.V * ed.lam)
         assert residual <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(ed.V), name
         lam, V = np.linalg.eig(M)
-        ref = fc.EigenData(lam=lam, V=V, Vinv=np.linalg.inv(V), condition=0.0)
-        assert ed.null_mask().sum() == ref.null_mask().sum(), name
-        plus = np.where(ref.null_mask(), 0.0, lam.real > 0)
-        expected = V @ (plus * (ref.Vinv @ h.flat()))
-        got = fc.apply_calculus(fc.chi_plus(), T, h, path="eigen").flat()
-        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected), name
+        Vinv = np.linalg.inv(V)
+        null = np.abs(lam) < fc.NULL_CLUSTER_FACTOR * np.abs(lam).max()
+        assert grid.dof - len(ed.lam) == null.sum(), name
+        assert len(ed.lam) == _range_dim(grid), name
+        rows, cols = linear_sum_assignment(np.abs(ed.lam[:, None] - lam[~null][None, :]))
+        assert np.abs(ed.lam[rows] - lam[~null][cols]).max() <= 1e-10 * ed.radius, name
+        for b in (fc.chi_plus(), fc.sgn(), fc.exp_abs(1.0), fc.resolvent_power(4)):
+            vals = np.where(null, b.value_at_zero, b(lam))
+            expected = V @ (vals * (Vinv @ h.flat()))
+            got = fc.apply_calculus(b, T, h, path="eigen").flat()
+            err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+            assert err <= 1e-10, (name, b.name, err)
+
+
+def test_range_eigen_data_null_part_is_exact(fresh_system):
+    # h in the null space of DB is B^-1 (I - P) g, and of BD is (I - P) g;
+    # every function then acts by its value at the origin, with no threshold
+    grid = fresh_system.grid
+    g = random_field(grid, np.random.default_rng(26))
+    null_d = (g - p_operator(grid).apply(g)).to_physical()
+    for sys_ in (fresh_system, fresh_system.adjoint()):
+        null_db = np.linalg.solve(sys_.B.values, null_d.values[..., None])[..., 0]
+        for handle, v in ((sys_.db, Field.physical(grid, null_db)), (sys_.bd, null_d)):
+            for b in (fc.chi_plus(), fc.sgn(), fc.exp_abs(1.0), fc.one(),
+                      fc.resolvent_power(4)):
+                got = fc.apply_calculus(b, handle, v, path="eigen")
+                assert l2_norm(got - b.value_at_zero * v) <= 1e-12 * l2_norm(v), (
+                    handle.tag, b.name)
 
 
 def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
-    calls = {"eig": 0, "certificate": 0}
-    eig, certificate = np.linalg.eig, bvp.accretivity_estimate
-
-    def counting_eig(M):
-        calls["eig"] += 1
-        return eig(M)
+    calls = {"certificate": 0}
+    certificate = bvp.accretivity_estimate
 
     def counting_certificate(B):
         calls["certificate"] += 1
         return certificate(B)
 
-    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    eig_shapes = []
+    eig = np.linalg.eig
+
+    def recording_eig(M):
+        eig_shapes.append(np.shape(M))
+        return eig(M)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
     monkeypatch.setattr(bvp, "accretivity_estimate", counting_certificate)
     sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(23), 0.1))
     for T in _four_handles(sys_).values():
         fc.eigen_data(T)
-    assert calls == {"eig": 1, "certificate": 1}
+    r = _range_dim(g8x2)
+    assert calls == {"certificate": 1}
+    assert eig_shapes == [(r, r)]
+    # a bare DB/BD pair on one multiplier shares its split and its eig too
+    db, bd = _bare_pair(sys_).values()
+    fc.eigen_data(db)
+    fc.eigen_data(bd)
+    assert eig_shapes == [(r, r), (r, r)]
+    assert range_splitter(db) is range_splitter(bd)
+
+
+def test_range_eigen_data_has_no_dof_sized_svd(fresh_system, monkeypatch):
+    shapes = []
+
+    def recording(inner):
+        def wrapped(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return inner(M, *args, **kwargs)
+        return wrapped
+
+    handles = {**_four_handles(fresh_system), **_bare_pair(fresh_system)}
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "cond"), (scipy.linalg, "svd")):
+        monkeypatch.setattr(owner, name, recording(getattr(owner, name)))
+    for T in handles.values():
+        fc.eigen_data(T)
+    dof = fresh_system.grid.dof
+    assert shapes and all(shape[-2] != dof for shape in shapes), shapes
+
+
+def test_condition_bounds_eigenvector_condition(fresh_system):
+    handles = {**_four_handles(fresh_system), **_bare_pair(fresh_system)}
+    for name, T in handles.items():
+        ed = fc.eigen_data(T)
+        norm_v = np.linalg.svd(ed.V, compute_uv=False)[0]
+        norm_vinv = np.linalg.svd(ed.Vinv, compute_uv=False)[0]
+        assert ed.condition >= norm_v * norm_vinv, name
+
+
+@pytest.mark.parametrize("handle", ["db", "bd"])
+def test_range_condition_guard(g8x2, monkeypatch, handle):
+    A = perturbation_of_identity(g8x2, np.random.default_rng(28), 0.1)
+    ed = fc.eigen_data(getattr(FirstOrderSystem(A), handle))
+    norm = (np.linalg.svd(ed.V, compute_uv=False)[0]
+            * np.linalg.svd(ed.Vinv, compute_uv=False)[0])
+    monkeypatch.setattr(fc, "EIG_CONDITION_LIMIT", 0.5 * norm)
+    with pytest.raises(OperatorError, match="condition number"):
+        fc.eigen_data(getattr(FirstOrderSystem(A), handle))
 
 
 def test_system_with_derived_eigen_data_freed_without_gc(g8x2):

@@ -392,7 +392,8 @@ def test_eigen_apply_scaled_one_evaluation_one_eigenvector_product(perturbed_sys
         parts = fc.eigen_apply_scaled(T, b, ladder.t, h)
     finally:
         T._eigen = ed
-    assert evaluations == [(41, T.grid.dof)]
+    r = 2 * T.grid.system_size * (T.grid.points**T.grid.dim - 1)
+    assert evaluations == [(41, r)]
     assert _CountingMatrix.products == 1
     assert parts.shape == (41,) + T.grid.shape + (T.grid.channels,)
     for t, part in zip(ladder.t, parts):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from halfspace.coefficients import hat_transform, identity_coefficients, perturbation_of_identity
+from halfspace.calculus import eigen_data
+from halfspace.coefficients import (
+    _range_basis_fields,
+    _range_symbol_product,
+    hat_transform,
+    identity_coefficients,
+    perturbation_of_identity,
+)
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     DENSE_LIMIT,
@@ -300,6 +307,28 @@ def test_handle_state_is_declared(g32, rng):
     for T in (D, db, bd, R, p_operator(g32), dense_operator("M", g32, db.dense_matrix())):
         assert set(vars(T)) == DECLARED_STATE
     assert R._lu is not None
+    eigen_data(db)
+    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen"}
+    assert range_splitter(bd) is B._splitter and B._range_eigen is not None
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
+                                  GridSpec(2, 8, 2)], ids=str)
+def test_range_symbol_is_compressed_D(grid):
+    Q = _range_basis_fields(grid)
+    compressed = Q.conj().T @ d_operator(grid).dense_matrix() @ Q
+    closed_form = _range_symbol_product(grid, np.eye(Q.shape[1]))
+    assert np.abs(closed_form - compressed).max() <= 1e-13 * grid.points
+
+
+def test_range_split_refuses_beyond_dense_limit():
+    grid = GridSpec(dim=2, points=64, system_size=1)  # dof 12288 > limit
+    B = hat_transform(identity_coefficients(grid))
+    with pytest.raises(OperatorError, match="size 12288 exceeds"):
+        range_splitter(db_operator(B))
+    with pytest.raises(OperatorError, match="size 12288 exceeds"):
+        eigen_data(bd_operator(B))
+    assert B._splitter is None
 
 
 def test_d_splits_by_projection_alone(g32, rng, monkeypatch):
