@@ -1,9 +1,12 @@
 """Functions of the first-order composition, two independent ways.
 
 The eigendecomposition path is the desk-scale reference; the contour
-path quadratures the resolvent over the boundary of a double sector,
-with one unitary complex Schur form of the operator and a triangular
-shifted solve per node, and never sees the eigenvectors.  Spectral
+path sums the resolvent over two closed curves around the range
+spectrum, an ellipse in log(lambda) and its mirror image, with one
+unitary complex Schur form of the operator and a triangular shifted
+solve per node, and never sees the eigenvectors.  The curves avoid 0
+and infinity, so functions that do not decay there, such as chi+, are
+computed on both paths.  Spectral
 projections, the sign involution and the decay semigroup all come from
 the same machinery, and a companion function reproduces the identity as
 a mean over scales: the whole scale ladder is one call of the
@@ -42,6 +45,9 @@ print(f"path agreement on a rational kernel: "
       f"{l2_norm(u_eig - u_con) / l2_norm(u_eig):.2e}")
 
 hp = apply_calculus(fc.chi_plus(), T, h)
+hp_con = apply_calculus(fc.chi_plus(), T, h, path="contour")
+print(f"path agreement on the spectral projection chi+: "
+      f"{l2_norm(hp - hp_con) / l2_norm(hp):.2e}")
 hm = apply_calculus(fc.chi_minus(), T, h)
 sgn2 = apply_calculus(fc.sgn(), T, apply_calculus(fc.sgn(), T, h))
 print(f"projections: |chi+ h| = {l2_norm(hp):.3f}, |chi- h| = {l2_norm(hm):.3f}, "

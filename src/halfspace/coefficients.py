@@ -113,7 +113,8 @@ class TransformedB(_PointwiseMatrix):
 
     Every DB and BD handle on one multiplier shares its range split and
     the eigendecomposition of DB restricted to the range of D, each built
-    lazily, by operators.range_splitter and calculus.eigen_data.
+    lazily, by operators.range_splitter (or the certificate) and
+    calculus.eigen_data.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -262,18 +263,24 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
     """Estimate the accretivity bound and angle of the compressed multiplier.
 
     kappa is the smallest eigenvalue of the Hermitian part H of the
-    compression C = H + iK.  As H > 0, the numerical range of C lies in
-    the sector |arg z| <= phi exactly when |<Kx,x>| <= tan(phi) <Hx,x> for
-    every x, so the exact angle is arctan max|mu| over the eigenvalues mu
-    of the Hermitian pencil K x = mu H x.  The reported omega is that
+    compression C = H + iK.  C and kappa come from the range split cached
+    on B, which the calculus on B reuses, so the certificate refuses
+    beyond the dense limit as the split does.  As H > 0, the numerical
+    range of C lies in the sector |arg z| <= phi exactly when |<Kx,x>| <=
+    tan(phi) <Hx,x> for every x, so the exact angle is arctan max|mu| over
+    the eigenvalues mu of the Hermitian pencil K x = mu H x.  The reported omega is that
     angle rounded up to the grid of the bisection of [0, pi/2) down to
     the angular resolution; it is 0 when ||K||_2 is within roundoff.
     """
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError(f"angle resolution must be finite and positive, got {resolution}")
-    C = compressed_quadratic_form(B)
+    # operators imports this module, so the shared range split is imported here
+    from .operators import b_operator, range_splitter
+
+    splitter = range_splitter(b_operator(B))
+    C = splitter.C
     herm = 0.5 * (C + C.conj().T)
-    kappa = float(np.linalg.eigvalsh(herm)[0])
+    kappa = splitter.kappa
     sup = B.sup_norm()
     pointwise = bool(
         np.all(np.linalg.eigvalsh(0.5 * (B.values + B.adjoint_values()))[..., 0] > 0)

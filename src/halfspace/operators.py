@@ -396,6 +396,15 @@ class RangeSplitter:
         self.C = _compression(B, self.Q)
         self.lu = scipy.linalg.lu_factor(self.C)
 
+    @functools.cached_property
+    def kappa(self) -> float:
+        """lambda_min(Re C), the accretivity bound of B on the range of D.
+
+        Computed once per multiplier: the certificate, the range
+        eigendecomposition and the contour path all read it here.
+        """
+        return float(np.linalg.eigvalsh(0.5 * (self.C + self.C.conj().T))[0])
+
     def compression_condition(self) -> float:
         return float(np.linalg.cond(self.C))
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from scipy.integrate import quad
 
 import halfspace.calculus as fc
+from halfspace.bvp import FirstOrderSystem
 from halfspace.calculus import (
     ContourSpec,
     apply_calculus,
@@ -16,6 +17,7 @@ from halfspace.calculus import (
     semigroup,
     verify_decay,
 )
+from halfspace.coefficients import perturbation_of_identity
 from halfspace.grid import Field, GridError, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     OperatorError,
@@ -112,19 +114,69 @@ def test_contour_agrees_with_eigen(perturbed_system_32, rng, spec_factory):
     assert l2_norm(u_eig - u_con) <= 1e-6 * max(l2_norm(u_eig), 1e-12)
 
 
-def test_contour_rejects_non_decaying(perturbed_system_32, rng):
-    h = random_field(perturbed_system_32.grid, rng)
-    with pytest.raises(OperatorError, match="Psi-class"):
-        apply_calculus(fc.chi_plus(), perturbed_system_32.db, h, path="contour")
+NON_DECAYING = [fc.chi_plus, fc.chi_minus, fc.sgn,
+                lambda: fc.exp_abs(0.01), lambda: fc.exp_abs(0.5), lambda: fc.exp_abs(10.0)]
+
+
+@pytest.mark.parametrize("system", ["perturbed_system_32", "perturbed_system_2d"])
+@pytest.mark.parametrize("tag", ["DB", "BD", "D"])
+def test_contour_computes_non_decaying_functions(system, tag, request, rng):
+    # closed curves need no decay at 0 or infinity
+    sys_ = request.getfixturevalue(system)
+    T = {"DB": sys_.db, "BD": sys_.bd, "D": d_operator(sys_.grid)}[tag]
+    h = random_field(sys_.grid, rng)
+    for factory in NON_DECAYING:
+        b = factory()
+        u_eig = apply_calculus(b, T, h, path="eigen")
+        u_con = apply_calculus(b, T, h, path="contour")
+        assert l2_norm(u_eig - u_con) <= 1e-6 * l2_norm(u_eig), b.name
 
 
 def test_contour_spec_validation():
+    for lo, hi in ((np.nan, 1.0), (0.0, np.inf), (1.0, 0.5), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            ContourSpec(lo=lo, hi=hi, height=0.5)
+    for height in (np.pi / 2, 2.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            ContourSpec(lo=-1.0, hi=1.0, height=height)
     with pytest.raises(ValueError):
-        ContourSpec(angle=2.0, r_min=1e-6, r_max=1.0)
-    with pytest.raises(ValueError):
-        ContourSpec(angle=0.8, r_min=1.0, r_max=0.5)
-    with pytest.raises(OperatorError):
-        ContourSpec.for_function(fc.exp_abs(1.0), omega=0.1)
+        ContourSpec.enclosing(1.0, 10.0, np.pi / 2)
+
+
+def _inside(contour, z):
+    """Whether z lies strictly inside the curve exp(s) or its mirror -exp(s)."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore"):  # log 0 = -inf lies outside
+        s = np.log(np.where(z.real >= 0, z, -z))
+    half, mid = 0.5 * (contour.hi - contour.lo), 0.5 * (contour.hi + contour.lo)
+    return ((s.real - mid) / half) ** 2 + (s.imag / contour.height) ** 2 < 1
+
+
+@pytest.mark.parametrize("grid, size", [(GridSpec(1, 32, 1), 0.15), (GridSpec(2, 8, 1), 0.15),
+                                        (GridSpec(1, 16, 2), 0.15), (GridSpec(1, 32, 1), 0.6)],
+                         ids=["1d-g32", "2d-g8", "g16m2", "1d-g32-size0.6"])
+def test_contour_encloses_the_range_spectrum(grid, size):
+    sys_ = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(3), size))
+    bare = db_operator(sys_.B)
+    assert bare.accretivity_angle == 0.0
+    r = 2 * grid.system_size * (grid.points**grid.dim - 1)
+    for T in (sys_.db, sys_.bd, bare, d_operator(grid)):
+        contour = fc._spectral_contour(T)
+        lam = np.linalg.eigvals(T.dense_matrix())
+        order = np.argsort(np.abs(lam))
+        null, ranged = lam[order[: grid.dof - r]], lam[order[grid.dof - r :]]
+        assert np.abs(null).max() <= 1e-10 * np.abs(ranged).min()
+        assert _inside(contour, ranged).all(), T.tag
+        assert not _inside(contour, 0.0) and not _inside(contour, null).any()
+
+
+@pytest.mark.parametrize("points", [32, 128])
+def test_contour_apply_solves_at_most_256_nodes(points, rng, monkeypatch):
+    grid = GridSpec(1, points, 1)
+    sys_ = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(5), 0.15))
+    solves = _count_calls(monkeypatch, fc, "_shifted_triangular_solves")
+    apply_calculus(fc.resolvent_power(4), sys_.db, random_field(grid, rng), path="contour")
+    assert 0 < sum(len(mu) for R, g, mu in solves) <= 256
 
 
 def test_semigroup_single_mode(g32):
@@ -352,14 +404,15 @@ def test_bracket_branch():
 
 
 def test_contour_weights_reproduce_scalar_rationals():
-    # the oriented quadrature must reproduce values of decaying rational
-    # functions at points inside the double sector
-    b = fc.resolvent_power(3)
-    contour = ContourSpec.for_function(b, omega=0.2, spectral_radius=3.0)
+    # the quadrature on both curves must reproduce b(a) for points a
+    # inside either of them, for rational b and for chi+
+    contour = ContourSpec.enclosing(0.5, 4.0, 0.2)
     lam, w = contour.nodes()
-    for a in (1.0, 2.0, -3.0, 1.5 * np.exp(0.15j), -0.7 * np.exp(-0.1j)):
-        approx = np.sum(w * b(lam) / (1.0 - a / lam))
-        assert abs(approx - b(np.array([a]))[0]) < 1e-10
+    points = (1.0, 2.0, -3.0, 1.5 * np.exp(0.15j), -0.7 * np.exp(-0.1j), 0.6 * np.exp(0.18j))
+    for b in (fc.resolvent_power(3), fc.z_over_one_plus_z2(), fc.chi_plus()):
+        for a in points:
+            approx = np.sum(w * b(lam) / (1.0 - a / lam))
+            assert abs(approx - b(np.array([a]))[0]) < 1e-10, (b.name, a)
 
 
 class _CountingMatrix(np.ndarray):

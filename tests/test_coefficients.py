@@ -303,7 +303,6 @@ def test_pencil_angle_is_attained_and_bounds_the_range():
 def test_certificate_solves_do_not_grow_with_resolution(monkeypatch):
     import scipy.linalg
 
-    B = _benchmark_input(1, 32, 0.3, 3)
     calls = []
     eigvalsh, eigh = np.linalg.eigvalsh, scipy.linalg.eigh
 
@@ -317,10 +316,39 @@ def test_certificate_solves_do_not_grow_with_resolution(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", counted(eigh))
     counts = []
     for resolution in (1e-3, 1e-6):
+        B = _benchmark_input(1, 32, 0.3, 3)  # fresh: kappa is cached on the range split of B
         calls.clear()
         assert accretivity_estimate(B, resolution=resolution).omega > 0
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3
+
+
+def test_kappa_is_computed_once_per_multiplier(monkeypatch):
+    import scipy.linalg
+
+    from halfspace import calculus as fc
+    from halfspace.grid import random_field
+    from halfspace.operators import bd_operator, db_operator
+
+    B = _benchmark_input(1, 32, 0.3, 3)
+    r = 2 * (B.grid.points - 1)
+    shapes = []
+
+    def recording(inner):
+        def call(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return inner(M, *args, **kwargs)
+        return call
+
+    for owner in (np, scipy):
+        monkeypatch.setattr(owner.linalg, "eigvalsh", recording(owner.linalg.eigvalsh))
+    report = accretivity_estimate(B)
+    db, bd = db_operator(B), bd_operator(B)
+    fc.eigen_data(db)
+    h = random_field(B.grid, np.random.default_rng(0))
+    fc.apply_calculus(fc.chi_plus(), bd, h, path="contour")
+    assert shapes.count((r, r)) == 1
+    assert B._splitter.kappa == report.kappa
 
 
 def test_resolution_must_be_finite_and_positive():
