@@ -9,15 +9,39 @@ A field lives either on the grid ("physical") or as Fourier-series
 coefficients ("spectral").  Transforms use the series normalization
 f(x) = sum_k fhat(k) exp(i k.x), which makes first-order differential
 operators exact integer-frequency multipliers.
+
+Tables that depend on the grid alone (frequencies, their norms, torus
+distances) are built once per GridSpec and shared read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# grids whose x-independent tables stay cached at once; each table is
+# O(G^n N^2) at most, so a few grids in use cost little
+GRID_CACHE_SIZE = 16
+
+
+def cached_per_grid(build):
+    """Run build(grid) once per GridSpec and share the result.
+
+    An ndarray result is made read-only, so that an in-place write raises
+    ValueError instead of corrupting every later caller.
+    """
+
+    def frozen(grid):
+        out = build(grid)
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        return out
+
+    return functools.lru_cache(maxsize=GRID_CACHE_SIZE)(functools.wraps(build)(frozen))
 
 
 class GridError(ValueError):
@@ -72,17 +96,21 @@ class GridSpec:
         x = self.axes_coordinates()
         return np.meshgrid(*([x] * self.dim), indexing="ij")
 
+    @cached_per_grid
     def frequencies(self) -> np.ndarray:
-        """Integer frequency vectors, shape grid_shape + (dim,)."""
+        """Integer frequency vectors, shape grid_shape + (dim,); read-only."""
         k1 = np.fft.fftfreq(self.points, d=1.0 / self.points)
         axes = np.meshgrid(*([k1] * self.dim), indexing="ij")
         return np.stack(axes, axis=-1)
 
+    @cached_per_grid
     def frequency_norms(self) -> np.ndarray:
+        """|k| per frequency, shape grid_shape; read-only."""
         return np.sqrt((self.frequencies() ** 2).sum(axis=-1))
 
+    @cached_per_grid
     def torus_distance_table(self) -> np.ndarray:
-        """Distance from the origin grid point, with wraparound."""
+        """Distance from the origin grid point, with wraparound; read-only."""
         d1 = self.axes_coordinates()
         d1 = np.minimum(d1, TWO_PI - d1)
         axes = np.meshgrid(*([d1] * self.dim), indexing="ij")

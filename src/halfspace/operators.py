@@ -20,7 +20,9 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .coefficients import TransformedB, _compression, _range_basis_fields
-from .grid import Field, GridSpec, PHYSICAL, SPECTRAL, fft_values, ifft_values
+from .grid import (
+    Field, GridSpec, PHYSICAL, SPECTRAL, cached_per_grid, fft_values, ifft_values,
+)
 
 __all__ = [
     "MultiplierSymbol",
@@ -57,7 +59,11 @@ class IterationError(OperatorError):
 
 @dataclasses.dataclass(frozen=True)
 class MultiplierSymbol:
-    """Frequency-indexed N x N matrices acting in the spectral representation."""
+    """Frequency-indexed N x N matrices acting in the spectral representation.
+
+    The matrices are made read-only: the symbols of D, P and D^+ are built
+    once per grid and shared by every handle on it.
+    """
 
     grid: GridSpec
     matrices: np.ndarray  # grid_shape + (N, N)
@@ -66,6 +72,7 @@ class MultiplierSymbol:
         expected = self.grid.shape + (self.grid.channels, self.grid.channels)
         if self.matrices.shape != expected:
             raise OperatorError(f"symbol shape {self.matrices.shape}, expected {expected}")
+        self.matrices.setflags(write=False)
 
     def apply_spectral(self, values: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...j->...i", self.matrices, values)
@@ -76,6 +83,12 @@ class MultiplierSymbol:
         return self.matrices[idx]
 
 
+def _frequency_norms_squared(grid: GridSpec) -> np.ndarray:
+    """|k|^2 per frequency from the integer frequencies, exact."""
+    return (grid.frequencies() ** 2).sum(axis=-1)
+
+
+@cached_per_grid
 def build_D_symbol(grid: GridSpec) -> MultiplierSymbol:
     """Symbol of the divergence / negative-gradient block operator.
 
@@ -95,6 +108,7 @@ def build_D_symbol(grid: GridSpec) -> MultiplierSymbol:
     return MultiplierSymbol(grid, mats)
 
 
+@cached_per_grid
 def build_P_symbol(grid: GridSpec) -> MultiplierSymbol:
     """Orthogonal projection onto the closed range of the block operator.
 
@@ -104,7 +118,7 @@ def build_P_symbol(grid: GridSpec) -> MultiplierSymbol:
     m = grid.system_size
     N = grid.channels
     freqs = grid.frequencies()
-    kn2 = (freqs**2).sum(axis=-1)
+    kn2 = _frequency_norms_squared(grid)
     mats = np.zeros(grid.shape + (N, N), dtype=complex)
     nz = kn2 > 0
     for alpha in range(m):
@@ -118,22 +132,32 @@ def build_P_symbol(grid: GridSpec) -> MultiplierSymbol:
     return MultiplierSymbol(grid, mats)
 
 
+@cached_per_grid
 def build_inverse_D_symbol(grid: GridSpec) -> MultiplierSymbol:
     """Spectral inverse on the range of the block operator, zero elsewhere.
 
-    Pseudo-inverse of the Hermitian symbol per frequency; the zero mode
-    is annihilated, matching the mean-zero policy of homogeneous norms.
+    The Moore-Penrose pseudo-inverse D(k)^+ of the Hermitian symbol per
+    frequency, in closed form: D(k)^2 = |k|^2 P(k), so D(k)^+ = D(k) / |k|^2
+    for k != 0, and 0 at k = 0.  The zero mode is annihilated, matching
+    the mean-zero policy of homogeneous norms.
     """
-    D = build_D_symbol(grid).matrices
-    mats = np.linalg.pinv(D, rcond=1e-12)
-    return MultiplierSymbol(grid, mats)
+    kn2 = _frequency_norms_squared(grid)
+    inv = np.zeros_like(kn2)
+    inv[kn2 > 0] = 1.0 / kn2[kn2 > 0]
+    return MultiplierSymbol(grid, build_D_symbol(grid).matrices * inv[..., None, None])
 
 
 def _resolvent_of_D_symbol(grid: GridSpec, t: float) -> MultiplierSymbol:
-    """(I + i t D)^{-1} as an exact multiplier, used as a preconditioner."""
+    """(I + i t D)^{-1} as an exact multiplier, used as a preconditioner.
+
+    D(k)^2 = |k|^2 P(k) and D = P D give the closed form
+    (I - P) + (P - i t D) / (1 + t^2 |k|^2) per frequency.
+    """
     D = build_D_symbol(grid).matrices
-    eye = np.eye(grid.channels, dtype=complex)
-    return MultiplierSymbol(grid, np.linalg.inv(eye + 1j * t * D))
+    P = build_P_symbol(grid).matrices
+    scale = 1.0 / (1.0 + t**2 * _frequency_norms_squared(grid))
+    eye = np.eye(grid.channels)
+    return MultiplierSymbol(grid, eye - P + (P - 1j * t * D) * scale[..., None, None])
 
 
 class LinearOperatorHandle:

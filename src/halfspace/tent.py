@@ -13,10 +13,14 @@ exponent two holds with the exact cone cross-section constant.
 
 Ball means are batched Fourier multipliers: the indicators of every
 radius a functional needs are transformed as one stack, and the means of
-all its layers take one forward and one inverse FFT.  The box windows in
-t are summed before the ball mean, which is linear in the field, so the
-box functionals need one ball mean per ladder scale, not one per scale
-and window point.
+all its layers take one forward and one inverse FFT.  Every stack is a
+real sum of |F|^2 and every torus ball is centrally symmetric, so its
+transform is real: the FFTs are real-to-half-spectrum (rfftn / irfftn).
+The kernels depend on the grid and the radii alone and are kept in a
+bounded cache, so repeated functionals on one ladder transform their
+indicators once.  The box windows in t are summed before the ball mean,
+which is linear in the field, so the box functionals need one ball mean
+per ladder scale, not one per scale and window point.
 
 Scales below the grid spacing degenerate to single-point balls; scales
 outside the ladder contribute nothing, and the share of the boundary
@@ -26,6 +30,7 @@ octaves is reported as the truncation diagnostic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -93,22 +98,40 @@ def unit_ball_volume(n: int) -> float:
     return {1: 2.0, 2: np.pi}[n]
 
 
+# (grid, radii) pairs whose ball kernels stay cached; a kernel stack is
+# O(K G^n), and one job uses a handful of radius families
+BALL_KERNEL_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=BALL_KERNEL_CACHE_SIZE)
+def _ball_kernels(grid: GridSpec, radii: tuple) -> tuple:
+    """Half-spectrum ball-mean multipliers of the radii, and the point counts.
+
+    The indicators of all radii come from one distance table.  Balls are
+    centrally symmetric on the torus, so the transforms are real.  Both
+    arrays are read-only, as they are shared by every later call.
+    """
+    r = np.asarray(radii).reshape((-1,) + (1,) * grid.dim)
+    masks = grid.torus_distance_table() <= r + 1e-12
+    counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
+    axes = tuple(range(-grid.dim, 0))
+    kernels = np.fft.rfftn(masks, axes=axes).real / counts.reshape(r.shape)
+    kernels.setflags(write=False)
+    counts.setflags(write=False)
+    return kernels, counts
+
+
 def _ball_averages(stack: np.ndarray, grid: GridSpec, radii) -> tuple:
     """Means over the torus balls of radii[k] of stack[k], at every center.
 
-    stack has shape (K,) + grid_shape.  The ball indicators of all radii
-    come from one distance table and act as one stack of Fourier
-    multipliers: one fftn and one ifftn for all K layers.  Balls smaller
-    than the grid spacing reduce to the point value.  Returns the means
-    and the point count of each ball.
+    stack is real with shape (K,) + grid_shape.  One rfftn and one irfftn
+    serve all K layers.  Balls smaller than the grid spacing reduce to the
+    point value.  Returns the means and the point count of each ball.
     """
-    radii = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * grid.dim)
-    masks = grid.torus_distance_table() <= radii + 1e-12
-    counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
+    kernels, counts = _ball_kernels(grid, tuple(np.ravel(radii).astype(float)))
     axes = tuple(range(-grid.dim, 0))
-    kernels = np.fft.fftn(masks, axes=axes) / counts.reshape(radii.shape)
-    out = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * kernels, axes=axes)
-    return out.real, counts
+    out = np.fft.irfftn(np.fft.rfftn(stack, axes=axes) * kernels, s=grid.shape, axes=axes)
+    return out, counts
 
 
 def _ball_average(scalar: np.ndarray, grid: GridSpec, radius: float) -> np.ndarray:

@@ -612,3 +612,38 @@ def test_layer_jumps_far_from_identity(g32):
     dp = double_layer(sys_, 0.0, f, side="+")
     dm = double_layer(sys_, 0.0, f, side="-")
     assert np.linalg.norm(dp - dm + f) <= 1e-8 * np.linalg.norm(f)
+
+
+def test_grid_objects_are_built_once_per_grid(monkeypatch):
+    # x-independent tables and symbols are cached per GridSpec: after the
+    # caches are emptied, a Dirichlet solve and both layer checks build the
+    # frequency table once and never take a pseudo-inverse
+    import halfspace.operators as ops
+    import halfspace.tent as tent
+
+    for cached in (GridSpec.frequencies, GridSpec.frequency_norms,
+                   GridSpec.torus_distance_table, ops.build_D_symbol,
+                   ops.build_P_symbol, ops.build_inverse_D_symbol, tent._ball_kernels):
+        cached.cache_clear()
+    calls = {"fftfreq": 0, "pinv": 0}
+    fftfreq, pinv = np.fft.fftfreq, np.linalg.pinv
+
+    def counted_fftfreq(*args, **kwargs):
+        calls["fftfreq"] += 1
+        return fftfreq(*args, **kwargs)
+
+    def counted_pinv(*args, **kwargs):
+        calls["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftfreq", counted_fftfreq)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    grid = GridSpec(dim=2, points=8)
+    rng = np.random.default_rng(41)
+    sys_ = FirstOrderSystem(perturbation_of_identity(grid, rng, 0.1))
+    f, g = (band_limited_scalar(grid, rng) for _ in range(2))
+    sol = solve_dirichlet(sys_, f, ladder=TLadder.logspaced(2.0**-4, 2.0**2, 8))
+    assert boundary_layer_representation_check(sys_, sol) <= 1e-6
+    for t in (0.1, 1.0):
+        assert max(layer_duality_check(sys_, t, f, g)) <= 1e-6
+    assert calls == {"fftfreq": 1, "pinv": 0}

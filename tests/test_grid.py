@@ -151,3 +151,14 @@ def test_mean_and_remove_mean(g32, rng):
     g = f.remove_mean()
     assert np.abs(g.mean()).max() < 1e-13
     assert np.allclose((f - g).to_physical().values, f.mean(), atol=1e-12)
+
+
+@pytest.mark.parametrize("table", ["frequencies", "frequency_norms", "torus_distance_table"])
+def test_grid_tables_are_shared_and_read_only(table):
+    a = getattr(GridSpec(dim=2, points=8), table)()
+    assert getattr(GridSpec(dim=2, points=8, system_size=1), table)() is a
+    assert getattr(GridSpec(dim=2, points=16), table)() is not a
+    with pytest.raises(ValueError):
+        a[(0,) * a.ndim] = 1.0
+    with pytest.raises(ValueError):
+        a += 1.0

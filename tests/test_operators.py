@@ -18,6 +18,7 @@ from halfspace.operators import (
     bd_operator,
     build_D_symbol,
     build_P_symbol,
+    build_inverse_D_symbol,
     d_operator,
     db_operator,
     dense_operator,
@@ -73,6 +74,42 @@ def test_d_symbol_hermitian_and_coercive(g8x2):
             assert nonzero.size == 0
         else:
             assert np.allclose(sorted(np.abs(nonzero)), [k, k])
+
+
+SYMBOL_GRIDS = [
+    GridSpec(dim=1, points=32),
+    GridSpec(dim=2, points=8),
+    GridSpec(dim=1, points=16, system_size=2),
+]
+
+
+@pytest.mark.parametrize("build", [build_D_symbol, build_P_symbol, build_inverse_D_symbol])
+def test_symbols_are_shared_and_read_only(build):
+    sym = build(GridSpec(dim=2, points=8))
+    assert build(GridSpec(dim=2, points=8, system_size=1)) is sym
+    with pytest.raises(ValueError):
+        sym.matrices[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sym.matrices *= 2.0
+
+
+@pytest.mark.parametrize("grid", SYMBOL_GRIDS, ids=["g32", "g8x2", "g16m2"])
+def test_inverse_d_symbol_is_the_pseudo_inverse(grid):
+    D = build_D_symbol(grid).matrices
+    Dp = build_inverse_D_symbol(grid).matrices
+    assert np.abs(Dp - np.linalg.pinv(D, rcond=1e-12)).max() <= 1e-14
+    assert np.abs(D @ Dp @ D - D).max() <= 1e-14
+    assert np.abs(Dp @ D @ Dp - Dp).max() <= 1e-14
+
+
+@pytest.mark.parametrize("grid", SYMBOL_GRIDS, ids=["g32", "g8x2", "g16m2"])
+def test_resolvent_preconditioner_is_the_inverse(grid):
+    D = build_D_symbol(grid).matrices
+    eye = np.eye(grid.channels)
+    for t in (0.05, 0.3, 1.0, 3.0, 40.0):
+        exact = np.linalg.inv(eye + 1j * t * D)
+        closed = operators._resolvent_of_D_symbol(grid, t).matrices
+        assert np.abs(closed - exact).max() <= 1e-13
 
 
 def test_d_apply_gradient_example(g32):

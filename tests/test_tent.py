@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import halfspace.calculus as fc
-from halfspace.grid import Field, TLadder, l2_norm, lp_norm_grid, random_field
+from halfspace.grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
 from halfspace.operators import bd_operator, d_operator, p_operator
 from halfspace.tent import (
     TentField,
@@ -490,3 +490,45 @@ def test_ladder_functionals_build_no_field_per_scale(perturbed_system_32, rng, m
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
     assert (len(short), len(long)) == (9, 41)
     assert count(short) == count(long)
+
+
+def complex_fft_ball_averages(stack, grid, radii):
+    """The ball means with full complex FFTs of the indicators, uncached."""
+    radii = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * grid.dim)
+    masks = grid.torus_distance_table() <= radii + 1e-12
+    counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
+    axes = tuple(range(-grid.dim, 0))
+    kernels = np.fft.fftn(masks, axes=axes) / counts.reshape(radii.shape)
+    out = np.fft.ifftn(np.fft.fftn(stack, axes=axes) * kernels, axes=axes)
+    return out.real, counts
+
+
+@pytest.mark.parametrize("grid", [GridSpec(dim=1, points=64), GridSpec(dim=2, points=8)],
+                         ids=["g64", "g8x2"])
+def test_ball_averages_match_complex_fft(grid, rng):
+    from halfspace.tent import _ball_averages
+
+    h = 2 * np.pi / grid.points
+    # below the spacing (single points), across the band, beyond the period
+    radii = np.array([0.3 * h, h, 2.5 * h, 1.0, np.pi, 2 * np.pi, 9.0])
+    stack = np.abs(rng.standard_normal((len(radii),) + grid.shape)) ** 2
+    means, counts = _ball_averages(stack, grid, radii)
+    ref_means, ref_counts = complex_fft_ball_averages(stack, grid, radii)
+    assert np.array_equal(counts, ref_counts)
+    assert counts[0] == 1 and counts[-1] == grid.points**grid.dim
+    assert np.abs(means - ref_means).max() <= 1e-13 * np.abs(stack).max()
+    again, _ = _ball_averages(stack, grid, radii)
+    assert np.array_equal(again, means)
+
+
+def test_ball_kernel_cache_is_bounded(g32):
+    from halfspace.tent import BALL_KERNEL_CACHE_SIZE, _ball_kernels
+
+    assert 0 < BALL_KERNEL_CACHE_SIZE < 1000
+    assert _ball_kernels.cache_info().maxsize == BALL_KERNEL_CACHE_SIZE
+    kernels, counts = _ball_kernels(g32, (0.5, 1.0))
+    assert _ball_kernels(g32, (0.5, 1.0))[0] is kernels
+    with pytest.raises(ValueError):
+        kernels[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        counts[0] = 0
