@@ -270,7 +270,8 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
     tan(phi) <Hx,x> for every x, so the exact angle is arctan max|mu| over
     the eigenvalues mu of the Hermitian pencil K x = mu H x.  The reported omega is that
     angle rounded up to the grid of the bisection of [0, pi/2) down to
-    the angular resolution; it is 0 when ||K||_2 is within roundoff.
+    the angular resolution; it is 0 when ||K||_2 is within roundoff of
+    sup |B|, which bounds ||C||_2 from above.
     """
     if not (np.isfinite(resolution) and resolution > 0):
         raise ValueError(f"angle resolution must be finite and positive, got {resolution}")
@@ -287,7 +288,7 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
     )
     if kappa <= 0:
         raise NotAccretiveError("B not accretive on range of D")
-    tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
+    tol = 1e-12 * max(sup, 1.0)
     skew = -0.5j * (C - C.conj().T)
     # an entry bounds ||K||_2 from below, so this solve runs only near zero
     if np.abs(skew).max() <= tol and np.abs(np.linalg.eigvalsh(skew)).max() <= tol:

@@ -10,6 +10,12 @@ coefficients ("spectral").  Transforms use the series normalization
 f(x) = sum_k fhat(k) exp(i k.x), which makes first-order differential
 operators exact integer-frequency multipliers.
 
+Every transform in the package runs through one backend: scipy.fft with
+norm="forward", over the grid axes of a grid_shape + (channels,) array
+with any leading batch axes, on one thread.  fft_values and ifft_values
+are the complex pair; the ball means of the tent functionals use the
+real pair rfftn / irfftn of the same module.
+
 Tables that depend on the grid alone (frequencies, their norms, torus
 distances) are built once per GridSpec and shared read-only.
 """
@@ -20,6 +26,7 @@ import dataclasses
 import functools
 
 import numpy as np
+import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -128,11 +135,13 @@ def _grid_axes(grid: GridSpec) -> tuple:
 
 
 def fft_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.fftn(values, axes=_grid_axes(grid), norm=_FFT_NORM)
+    """Physical -> spectral over the grid axes of a (..., grid_shape, channels) array."""
+    return scipy.fft.fftn(values, axes=_grid_axes(grid), norm=_FFT_NORM)
 
 
 def ifft_values(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.fft.ifftn(values, axes=_grid_axes(grid), norm=_FFT_NORM)
+    """Spectral -> physical, the inverse of fft_values."""
+    return scipy.fft.ifftn(values, axes=_grid_axes(grid), norm=_FFT_NORM)
 
 
 def check_finite(values: np.ndarray) -> None:

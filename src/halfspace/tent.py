@@ -34,6 +34,7 @@ import functools
 import warnings
 
 import numpy as np
+import scipy.fft
 
 from .calculus import HolomorphicFunctionSpec, eigen_apply_scaled, exp_abs
 from .grid import Field, GridSpec, TLadder, lp_norm_grid
@@ -115,7 +116,7 @@ def _ball_kernels(grid: GridSpec, radii: tuple) -> tuple:
     masks = grid.torus_distance_table() <= r + 1e-12
     counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
     axes = tuple(range(-grid.dim, 0))
-    kernels = np.fft.rfftn(masks, axes=axes).real / counts.reshape(r.shape)
+    kernels = scipy.fft.rfftn(masks, axes=axes).real / counts.reshape(r.shape)
     kernels.setflags(write=False)
     counts.setflags(write=False)
     return kernels, counts
@@ -130,7 +131,7 @@ def _ball_averages(stack: np.ndarray, grid: GridSpec, radii) -> tuple:
     """
     kernels, counts = _ball_kernels(grid, tuple(np.ravel(radii).astype(float)))
     axes = tuple(range(-grid.dim, 0))
-    out = np.fft.irfftn(np.fft.rfftn(stack, axes=axes) * kernels, s=grid.shape, axes=axes)
+    out = scipy.fft.irfftn(scipy.fft.rfftn(stack, axes=axes) * kernels, s=grid.shape, axes=axes)
     return out, counts
 
 

@@ -35,12 +35,22 @@ from halfspace.coefficients import (
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     OperatorError,
+    assemble_dense,
     bd_operator,
     db_operator,
     p_operator,
     range_splitter,
+    resolvent_solve,
 )
-from halfspace.tent import TentField, tent_norm
+from halfspace.tent import (
+    TentField,
+    carleson_norm,
+    nt_maximal,
+    nt_sharp,
+    quadratic_norm,
+    semigroup_tent_field,
+    tent_norm,
+)
 
 from conftest import band_limited_scalar
 
@@ -563,6 +573,43 @@ def test_representation_zero_solution(identity_system_32):
     assert boundary_layer_representation_check(identity_system_32, sol) == 0.0
 
 
+def per_height_representation_check(system, solution, ladder):
+    """The representation defect evaluated one height at a time."""
+    grid = system.grid
+    conormal0 = solution.conormal_trace()
+    value0 = solution.scalar_trace()
+
+    def l2(f):
+        return np.sqrt(grid.cell_volume) * np.linalg.norm(f)
+
+    worst = 0.0
+    for t in ladder.t:
+        u_t = solution.scalar_value(t)
+        rep = single_layer(system, t, conormal0) - double_layer(system, t, value0)
+        scale = max(l2(u_t), l2(rep), 1e-12 * l2(value0))
+        worst = max(worst, l2(u_t - rep) / max(scale, 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["perturbed_system_32", "perturbed_system_2d"])
+def test_representation_heights_match_per_height_loop(name, request):
+    system = request.getfixturevalue(name)
+    grid = system.grid
+    rng = np.random.default_rng(41)
+    sol = solve_dirichlet(system, band_limited_scalar(grid, rng))
+    # a trace off the positive subspace, so the defect is far above roundoff
+    h = sol.h + random_field(grid, rng, mean_zero=True)
+    ladder = TLadder.logspaced(2.0**-6, 2.0**2, per_octave=1)
+    expected = per_height_representation_check(
+        system, bvp.BVPSolution("dirichlet", system, h, {}), ladder
+    )
+    got = boundary_layer_representation_check(
+        system, bvp.BVPSolution("dirichlet", system, h, {}), ladder
+    )
+    assert expected > 1e-3
+    assert abs(got - expected) <= 1e-10 * expected
+
+
 # ---------------------------------------------------------------------------
 # scalar/tangential helpers
 # ---------------------------------------------------------------------------
@@ -647,3 +694,39 @@ def test_grid_objects_are_built_once_per_grid(monkeypatch):
     for t in (0.1, 1.0):
         assert max(layer_duality_check(sys_, t, f, g)) <= 1e-6
     assert calls == {"fftfreq": 1, "pinv": 0}
+
+
+NUMPY_TRANSFORMS = ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def test_no_numpy_transform_runs(g8x2, monkeypatch):
+    rng = np.random.default_rng(43)
+    A = perturbation_of_identity(g8x2, rng, 0.1)
+    f, g = band_limited_scalar(g8x2, rng), band_limited_scalar(g8x2, rng)
+    h = random_field(g8x2, rng, mean_zero=True)
+    ladder = TLadder.logspaced(2.0**-2, 2.0**2, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.fft transform ran")
+
+    for name in NUMPY_TRANSFORMS:
+        monkeypatch.setattr(np.fft, name, refuse)
+
+    system = FirstOrderSystem(A)
+    solve_neumann(system, f)
+    solve_regularity(system, tangential_gradient(g8x2, f))
+    solve_dirichlet(system, f)
+    sol = solve_dirichlet(system, f, ladder=ladder)
+    for side in "+-":
+        grad_single_layer(system, 0.0, f, side=side)
+        double_layer(system, 0.0, f, side=side)
+    boundary_layer_representation_check(system, sol)
+    layer_duality_check(system, 0.3, f, g)
+    F = semigroup_tent_field(system.db, h, ladder)
+    nt_maximal(F)
+    tent_norm(F, 2.0)
+    carleson_norm(F)
+    quadratic_norm(system.db, fc.z_over_one_plus_z2(), h, ladder, warn_share=1.0)
+    nt_sharp(h, system.bd, ladder)
+    assemble_dense(system.db)
+    resolvent_solve(system.db, 0.5, h, method="gmres")

@@ -235,7 +235,7 @@ def test_compression_is_range_basis_pairing(g8x2, rng):
     assert np.abs(C - dense).max() < 1e-13
 
 
-def test_certificate_takes_one_spectral_norm(g32, rng, monkeypatch):
+def test_certificate_takes_no_dense_spectral_norm(g32, rng, monkeypatch):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.3))
     calls = []
     norm = np.linalg.norm
@@ -248,7 +248,8 @@ def test_certificate_takes_one_spectral_norm(g32, rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     rep = accretivity_estimate(B)
     assert rep.omega > 0  # the angle search ran
-    assert len(calls) == 1
+    # sup |B| bounds ||C||_2 for the roundoff tolerance, so no SVD runs
+    assert calls == []
 
 
 def _benchmark_input(dim, points, size, seed, system_size=1):

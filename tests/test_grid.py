@@ -9,7 +9,9 @@ from halfspace.grid import (
     GridSpec,
     RepresentationError,
     TLadder,
+    fft_values,
     forward_transform,
+    ifft_values,
     inner,
     inverse_transform,
     l2_norm,
@@ -28,6 +30,29 @@ def test_grid_validation():
     g = GridSpec(dim=2, points=8, system_size=2)
     assert g.channels == 6
     assert g.dof == 6 * 64
+
+
+TRANSFORM_GRIDS = [
+    GridSpec(dim=1, points=32),
+    GridSpec(dim=2, points=8),
+    GridSpec(dim=1, points=16, system_size=2),
+]
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d-g{g.points}-m{g.system_size}")
+def test_fft_values_match_numpy_and_round_trip(grid):
+    rng = np.random.default_rng(5)
+    shape = (3,) + grid.shape + (grid.channels,)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(1, grid.dim + 1))
+    for ours, reference in (
+        (fft_values, np.fft.fftn(values, axes=axes, norm="forward")),
+        (ifft_values, np.fft.ifftn(values, axes=axes, norm="forward")),
+    ):
+        out = ours(values, grid)
+        assert np.linalg.norm(out - reference) <= 1e-15 * np.linalg.norm(reference)
+    back = ifft_values(fft_values(values, grid), grid)
+    assert np.linalg.norm(back - values) <= 1e-15 * np.linalg.norm(values)
 
 
 def test_parseval_thousand_fields(g32):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import halfspace.calculus as fc
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
@@ -435,15 +436,15 @@ def test_nt_sharp_matches_direct_2d(perturbed_system_2d, rng):
 
 
 def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch):
-    calls = {"fftn": 0, "ifftn": 0}
+    calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
-        original = getattr(np.fft, name)
+        original = getattr(scipy.fft, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(scipy.fft, name, counted)
 
     def count(ladder):
         F = _random_tent_field(g8x2, ladder, rng)
@@ -453,14 +454,18 @@ def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch
             ("tent_norm", lambda: tent_norm(F, 2.0)),
             ("carleson_norm", lambda: carleson_norm(F, 0.5)),
         ):
-            calls.update(fftn=0, ifftn=0)
+            fn()  # the ball kernels of (grid, radii) are cached after one call
+            calls.update(rfftn=0, irfftn=0)
             fn()
             out[name] = dict(calls)
         return out
 
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
     assert (len(short), len(long)) == (9, 41)
-    assert count(short) == count(long)
+    one_pair = {"rfftn": 1, "irfftn": 1}
+    expected = {"nt_maximal": one_pair, "tent_norm": one_pair, "carleson_norm": one_pair}
+    assert count(short) == expected
+    assert count(long) == expected
 
 
 def test_ladder_functionals_build_no_field_per_scale(perturbed_system_32, rng, monkeypatch):
