@@ -378,7 +378,7 @@ class BVPSolution:
         composition, maximized over interior ladder scales.
         """
         db = self.system.db
-        flows = fc.eigen_apply_scaled(db, fc.exp_abs(1.0), ladder.t, self.h)
+        flows = fc.eigen_apply_scaled(db, fc.UNIT_SEMIGROUP, ladder.t, self.h)
         du = float(np.diff(np.log(ladder.t)).mean())
         d_u = (flows[:-4] - 8 * flows[1:-3] + 8 * flows[3:-1] - flows[4:]) / (12 * du)
         Tf, rep = db.apply_array(flows[2:-2], PHYSICAL)
@@ -491,7 +491,7 @@ def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        flows = fc.eigen_apply_scaled(sys_.db, fc.exp_abs(1.0), ladder.t, sol.h)
+        flows = fc.eigen_apply_scaled(sys_.db, fc.UNIT_SEMIGROUP, ladder.t, sol.h)
         t = ladder.t.reshape((-1,) + (1,) * (flows.ndim - 1))
         sol.diagnostics["tent_norm_t_grad"] = tent_norm(
             TentField(grid, ladder, flows * t), 2.0
@@ -678,7 +678,7 @@ def boundary_layer_representation_check(
     _require_mean_zero(grid, value0, "double layer density")
     extension = _decaying_extension_spec(1.0, +1)
     interior = fc.eigen_apply_scaled(
-        sys_.bd, fc.exp_abs(1.0), ladder.t, solution._potential_vector()
+        sys_.bd, fc.UNIT_SEMIGROUP, ladder.t, solution._potential_vector()
     )
     single = fc.eigen_apply_scaled(sys_.db, extension, ladder.t, embed_scalar(grid, conormal0))
     double = fc.eigen_apply_scaled(sys_.bd, extension, ladder.t, embed_scalar(grid, value0))

@@ -67,6 +67,7 @@ __all__ = [
     "chi_minus",
     "sgn",
     "exp_abs",
+    "UNIT_SEMIGROUP",
     "z_exp_abs",
     "bracket_exp_abs",
     "resolvent_power",
@@ -175,6 +176,11 @@ def exp_abs(t: float) -> HolomorphicFunctionSpec:
         (0.0, 0.0),
         bound=1.0,
     )
+
+
+# The one spec object of the unit semigroup exp(-[z]): ladder calls pass it
+# with their scales as times, so repeated calls find their cached table.
+UNIT_SEMIGROUP = exp_abs(1.0)
 
 
 def abs_value() -> HolomorphicFunctionSpec:
@@ -307,6 +313,9 @@ def verify_decay(
 # the null cluster of a dense eig, relative to the spectral radius
 NULL_CLUSTER_FACTOR = 1e-10
 EIG_CONDITION_LIMIT = 1e8
+# (spec, scales) tables kept per eigendecomposition; a table is S x r, and a
+# job reuses a few, such as the unit semigroup on its ladder
+SCALED_TABLE_LIMIT = 8
 
 
 @dataclasses.dataclass
@@ -323,10 +332,30 @@ class EigenData:
     V: np.ndarray
     Vinv: np.ndarray
     condition: float
+    _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     @property
     def radius(self) -> float:
         return float(np.abs(self.lam).max(initial=0.0))
+
+    def scaled_table(self, b: HolomorphicFunctionSpec, scales: np.ndarray) -> np.ndarray:
+        """b(s lam) - b(0) for every scale s, shape (S, r), read-only.
+
+        Cached per spec object and scales, at most SCALED_TABLE_LIMIT of
+        them, the least recently used leaving first.  The entry holds b, so
+        the id in its key cannot pass to another spec while it is kept.
+        """
+        key = (id(b), scales.tobytes())
+        entry = self._tables.pop(key, None)
+        if entry is None:
+            table = b(self.lam * scales[:, None]) - b.value_at_zero
+            table.setflags(write=False)
+            entry = (b, table)
+            if len(self._tables) >= SCALED_TABLE_LIMIT:
+                del self._tables[next(iter(self._tables))]
+        self._tables[key] = entry
+        return entry[1]
 
 
 def _checked_condition(cond: float) -> float:
@@ -467,7 +496,8 @@ def eigen_apply_scaled(
 ) -> np.ndarray:
     """b(s T) h at every scale s, as one (S,) + grid_shape + (N,) array.
 
-    b is evaluated on all scaled range eigenvalues in one call, the
+    b is evaluated on all scaled range eigenvalues in one call, whose
+    table the eigendecomposition keeps for the same b and scales, the
     eigenvectors are applied once for all scales, and the null part takes
     the value at the origin: b(sT) h = b(0) h + V (b(s lam) - b(0)) Vinv h.
     Raises ValueError for a nonpositive scale and GridError for a
@@ -477,10 +507,9 @@ def eigen_apply_scaled(
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
     ed = eigen_data(T)
-    b0 = b.value_at_zero
-    vals = b(ed.lam * scales[:, None]) - b0
+    vals = ed.scaled_table(b, scales)
     flat = h.flat()
-    out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b0 * flat
+    out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
     check_finite(out)
     return out.reshape(scales.shape + T.grid.shape + (T.grid.channels,))
 
@@ -593,15 +622,21 @@ def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
     sup|B|.  omega is T.accretivity_angle: the certified angle on the
     handles of a system, 0 on a bare handle, whose curve then encloses a
     nonreal spectrum only through its margin.  D has kappa = sup = 1 and
-    omega = 0.
+    omega = 0.  The fit is cached on the handle with the angle it used and
+    redone when accretivity_angle is reassigned.
     """
-    k = T.grid.frequency_norms()
-    k_min, k_max = k[k > 0].min(), k.max()
-    B = T.multiplier_matrix
-    if B is None:
-        return ContourSpec.enclosing(k_min, k_max, 0.0)
-    kappa = _accretive_kappa(range_splitter(T))
-    return ContourSpec.enclosing(kappa * k_min, B.sup_norm() * k_max, T.accretivity_angle)
+    angle = T.accretivity_angle
+    if T._contour is None or T._contour[0] != angle:
+        k = T.grid.frequency_norms()
+        k_min, k_max = k[k > 0].min(), k.max()
+        B = T.multiplier_matrix
+        if B is None:
+            spec = ContourSpec.enclosing(k_min, k_max, 0.0)
+        else:
+            kappa = _accretive_kappa(range_splitter(T))
+            spec = ContourSpec.enclosing(kappa * k_min, B.sup_norm() * k_max, angle)
+        T._contour = (angle, spec)
+    return T._contour[1]
 
 
 def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field) -> Field:
@@ -676,7 +711,7 @@ def semigroup(
     if t == 0:
         return h.copy()
     if path == "eigen":
-        return Field.physical(T.grid, eigen_apply_scaled(T, exp_abs(1.0), [t], h)[0])
+        return Field.physical(T.grid, eigen_apply_scaled(T, UNIT_SEMIGROUP, [t], h)[0])
     if path == "contour":
         return _contour_apply(T, exp_abs(t), h)
     raise ValueError(f"unknown path {path!r}")

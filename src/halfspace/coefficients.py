@@ -114,13 +114,20 @@ class TransformedB(_PointwiseMatrix):
     Every DB and BD handle on one multiplier shares its range split and
     the eigendecomposition of DB restricted to the range of D, each built
     lazily, by operators.range_splitter (or the certificate) and
-    calculus.eigen_data.
+    calculus.eigen_data, and its sup norm, computed on first use.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         super().__init__(grid, values)
         self._splitter = None
         self._range_eigen = None
+        self._sup_norm = None
+
+    def sup_norm(self) -> float:
+        """Largest pointwise operator 2-norm over the grid, computed once."""
+        if self._sup_norm is None:
+            self._sup_norm = super().sup_norm()
+        return self._sup_norm
 
     def adjoint(self) -> "TransformedB":
         return TransformedB(self.grid, self.adjoint_values())

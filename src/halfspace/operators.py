@@ -174,6 +174,8 @@ class LinearOperatorHandle:
       multiplier_matrix  - the TransformedB of B, DB and BD, else None
       accretivity_angle  - sector angle used by the contour path, 0.0 by default
       _dense, _eigen, _schur, _lu  - lazily built caches
+      _contour  - (angle, ContourSpec) of the contour path, refitted when
+                  accretivity_angle no longer equals angle
       _split_cache  - the projection splitter of D; DB and BD share the
                       splitter cached on their multiplier instead
       _eigen_source  - callable deriving _eigen from a similar operator's
@@ -192,6 +194,7 @@ class LinearOperatorHandle:
         self._eigen = None
         self._eigen_source = None
         self._schur = None
+        self._contour = None
         self._split_cache = None
         self._lu = None
 

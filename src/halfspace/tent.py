@@ -12,15 +12,19 @@ the contained points, so that the square-function energy identity at
 exponent two holds with the exact cone cross-section constant.
 
 Ball means are batched Fourier multipliers: the indicators of every
-radius a functional needs are transformed as one stack, and the means of
-all its layers take one forward and one inverse FFT.  Every stack is a
-real sum of |F|^2 and every torus ball is centrally symmetric, so its
-transform is real: the FFTs are real-to-half-spectrum (rfftn / irfftn).
-The kernels depend on the grid and the radii alone and are kept in a
-bounded cache, so repeated functionals on one ladder transform their
-indicators once.  The box windows in t are summed before the ball mean,
-which is linear in the field, so the box functionals need one ball mean
-per ladder scale, not one per scale and window point.
+radius a functional needs are transformed as one stack.  Every stack a
+functional averages is a real combination of |F|^2 along the ladder axis,
+and every torus ball is centrally symmetric, so the transforms are real:
+the FFTs are real-to-half-spectrum (rfftn / irfftn).  The transform over
+the grid axes commutes with combinations along the ladder axis, so a field
+transforms its channel square once, on first use, and every functional of
+that field forms its window, slab or scale sum from that one spectrum and
+takes one inverse FFT.  The field's values are read-only, so the spectrum
+cannot go stale.  The kernels depend on the grid and the radii alone and
+are kept in a bounded cache, so repeated functionals on one ladder
+transform their indicators once.  The box windows in t are summed before
+the ball mean, which is linear in the field, so the box functionals need
+one ball mean per ladder scale, not one per scale and window point.
 
 Scales below the grid spacing degenerate to single-point balls; scales
 outside the ladder contribute nothing, and the share of the boundary
@@ -36,7 +40,7 @@ import warnings
 import numpy as np
 import scipy.fft
 
-from .calculus import HolomorphicFunctionSpec, eigen_apply_scaled, exp_abs
+from .calculus import UNIT_SEMIGROUP, HolomorphicFunctionSpec, eigen_apply_scaled
 from .grid import Field, GridSpec, TLadder, lp_norm_grid
 from .operators import LinearOperatorHandle
 
@@ -67,13 +71,18 @@ class WhitneyParams:
 
 
 class TentField:
-    """Samples on the half-space: one grid array per ladder scale, stacked."""
+    """Samples on the half-space: one grid array per ladder scale, stacked.
+
+    values is the field's own read-only copy of the array given, as the
+    field caches the transform of its channel square.
+    """
 
     def __init__(self, grid: GridSpec, ladder: TLadder, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
+        values = np.array(values, dtype=complex)
         expected = (len(ladder),) + grid.shape + (grid.channels,)
         if values.shape != expected:
             raise ValueError(f"tent field shape {values.shape}, expected {expected}")
+        values.setflags(write=False)
         self.grid = grid
         self.ladder = ladder
         self.values = values
@@ -89,10 +98,21 @@ class TentField:
         """|F(t, x)|^2 summed over channels, shape (K,) + grid_shape."""
         return (np.abs(self.values) ** 2).sum(axis=-1)
 
+    @functools.cached_property
+    def square_spectrum(self) -> np.ndarray:
+        """rfftn of channel_square() over the grid axes, computed once; read-only."""
+        spectrum = scipy.fft.rfftn(self.channel_square(), axes=_grid_axes(self.grid))
+        spectrum.setflags(write=False)
+        return spectrum
+
 
 def semigroup_tent_field(T: LinearOperatorHandle, h: Field, ladder: TLadder) -> TentField:
     """Samples of the decay semigroup of T applied to h along the ladder."""
-    return TentField(T.grid, ladder, eigen_apply_scaled(T, exp_abs(1.0), ladder.t, h))
+    return TentField(T.grid, ladder, eigen_apply_scaled(T, UNIT_SEMIGROUP, ladder.t, h))
+
+
+def _grid_axes(grid: GridSpec) -> tuple:
+    return tuple(range(-grid.dim, 0))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -115,29 +135,40 @@ def _ball_kernels(grid: GridSpec, radii: tuple) -> tuple:
     r = np.asarray(radii).reshape((-1,) + (1,) * grid.dim)
     masks = grid.torus_distance_table() <= r + 1e-12
     counts = masks.sum(axis=tuple(range(1, grid.dim + 1)))
-    axes = tuple(range(-grid.dim, 0))
-    kernels = scipy.fft.rfftn(masks, axes=axes).real / counts.reshape(r.shape)
+    kernels = scipy.fft.rfftn(masks, axes=_grid_axes(grid)).real / counts.reshape(r.shape)
     kernels.setflags(write=False)
     counts.setflags(write=False)
     return kernels, counts
 
 
-def _ball_averages(stack: np.ndarray, grid: GridSpec, radii) -> tuple:
-    """Means over the torus balls of radii[k] of stack[k], at every center.
+def _radius_kernels(grid: GridSpec, radii) -> tuple:
+    return _ball_kernels(grid, tuple(np.ravel(radii).astype(float)))
 
-    stack is real with shape (K,) + grid_shape.  One rfftn and one irfftn
-    serve all K layers.  Balls smaller than the grid spacing reduce to the
-    point value.  Returns the means and the point count of each ball.
+
+def _irfftn(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return scipy.fft.irfftn(spectrum, s=grid.shape, axes=_grid_axes(grid))
+
+
+def _along_ladder(weights: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """weights @ spectrum over the ladder axis, for real weights.
+
+    The real and imaginary parts go through one real product: half the
+    arithmetic of a complex product, and no complex copy of the weights.
     """
-    kernels, counts = _ball_kernels(grid, tuple(np.ravel(radii).astype(float)))
-    axes = tuple(range(-grid.dim, 0))
-    out = scipy.fft.irfftn(scipy.fft.rfftn(stack, axes=axes) * kernels, s=grid.shape, axes=axes)
-    return out, counts
+    parts = spectrum.reshape(len(spectrum), -1).view(float)
+    return (weights @ parts).view(complex).reshape(weights.shape[:-1] + spectrum.shape[1:])
 
 
-def _ball_average(scalar: np.ndarray, grid: GridSpec, radius: float) -> np.ndarray:
-    """Mean over the torus ball at each center: the one-radius case."""
-    return _ball_averages(scalar[None], grid, [radius])[0][0]
+def _spectral_ball_means(spectrum: np.ndarray, grid: GridSpec, radii) -> tuple:
+    """Means over the torus balls of radii[k] of layer k, from its half spectrum.
+
+    spectrum is the rfftn over the grid axes of a real (K,) + grid_shape
+    stack; one irfftn serves all K layers.  Balls smaller than the grid
+    spacing reduce to the point value.  Returns the means and the point
+    count of each ball.
+    """
+    kernels, counts = _radius_kernels(grid, radii)
+    return _irfftn(spectrum * kernels, grid), counts
 
 
 def square_function(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.ndarray:
@@ -148,8 +179,10 @@ def square_function(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.nda
     cone cross-section constant (unit-ball volume times aperture^n).
     """
     grid = F.grid
-    means, _ = _ball_averages(F.channel_square(), grid, wp.aperture * F.ladder.t)
-    acc = np.tensordot(F.ladder.weights, means, axes=1)
+    # the ladder sum of the ball means is the mean of one sum of layers
+    # in the spectral domain
+    kernels, _ = _radius_kernels(grid, wp.aperture * F.ladder.t)
+    acc = _irfftn(_along_ladder(F.ladder.weights, F.square_spectrum * kernels), grid)
     cross_section = unit_ball_volume(grid.dim) * wp.aperture**grid.dim
     return np.sqrt(cross_section * acc)
 
@@ -199,8 +232,8 @@ def carleson_norm(F: TentField, alpha: float = 0.0) -> float:
     # slab of radius r: the dt/t-weighted sum of |F|^2 over scales t <= r;
     # a radius below every scale gets a zero slab and adds nothing
     slab_weights = F.ladder.weights * (F.ladder.t <= radii[:, None] + 1e-12)
-    slabs = np.tensordot(slab_weights, F.channel_square(), axes=1)
-    means, counts = _ball_averages(slabs, grid, radii)
+    slabs = _along_ladder(slab_weights, F.square_spectrum)
+    means, counts = _spectral_ball_means(slabs, grid, radii)
     measure = (counts * grid.cell_volume).reshape((-1,) + (1,) * grid.dim)
     # ball mass over |B|^(1 + 2 alpha / n) reduces to the ball average
     # of the slab over |B|^(2 alpha / n)
@@ -218,7 +251,7 @@ def _box_maximal(F: TentField, wp: WhitneyParams, alpha: float) -> np.ndarray:
     window = (t > t[:, None] / wp.c0) & (t < t[:, None] * wp.c0)
     W = window * (F.ladder.weights * t)
     W /= W.sum(axis=1, keepdims=True)
-    means, _ = _ball_averages(np.tensordot(W, F.channel_square(), axes=1), grid, wp.c1 * t)
+    means, _ = _spectral_ball_means(_along_ladder(W, F.square_spectrum), grid, wp.c1 * t)
     weighted = t.reshape((-1,) + (1,) * grid.dim) ** (-2.0 * alpha) * means
     return np.sqrt(np.maximum(weighted.max(axis=0), 0.0))
 
@@ -245,9 +278,9 @@ def nt_sharp(
     Measures boundary oscillation: the box RMS of exp(-t|T|) h - h, with
     an optional t^-alpha weight per box scale.
     """
-    F = semigroup_tent_field(T, h, ladder)
-    F.values -= h.to_physical().values
-    return _box_maximal(F, wp, alpha)
+    increment = eigen_apply_scaled(T, UNIT_SEMIGROUP, ladder.t, h)
+    increment -= h.to_physical().values
+    return _box_maximal(TentField(T.grid, ladder, increment), wp, alpha)
 
 
 def quadratic_norm(

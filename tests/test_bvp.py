@@ -730,3 +730,22 @@ def test_no_numpy_transform_runs(g8x2, monkeypatch):
     nt_sharp(h, system.bd, ladder)
     assemble_dense(system.db)
     resolvent_solve(system.db, 0.5, h, method="gmres")
+
+
+def test_dirichlet_solves_share_one_ladder_table(g8x2):
+    rng = np.random.default_rng(47)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    assert len(ladder) == 49
+    data = [band_limited_scalar(g8x2, rng) for _ in range(3)]
+    first = solve_dirichlet(sys_, data[0], ladder=ladder)
+    tables = fc.eigen_data(sys_.db)._tables
+    table = tables[(id(fc.UNIT_SEMIGROUP), ladder.t.tobytes())][1]
+    assert table.shape == (49, 2 * (g8x2.points**g8x2.dim - 1))
+    count = len(tables)
+    norms = [solve_dirichlet(sys_, f, ladder=ladder).diagnostics["tent_norm_t_grad"]
+             for f in data]
+    assert len(tables) == count
+    assert tables[(id(fc.UNIT_SEMIGROUP), ladder.t.tobytes())][1] is table
+    # the cached table gives the value of the first, uncached solve
+    assert norms[0] == first.diagnostics["tent_norm_t_grad"]

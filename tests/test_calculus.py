@@ -481,3 +481,102 @@ def test_eigen_apply_scaled_refuses_nonpositive_scales(perturbed_system_32, rng,
     T = perturbed_system_32.db
     with pytest.raises(ValueError, match="scale must be positive"):
         fc.eigen_apply_scaled(T, fc.exp_abs(1.0), scales, random_field(T.grid, rng))
+
+
+def _uncached_scaled(ed, b, scales, h):
+    """eigen_apply_scaled's formula with a table evaluated here, not taken from the cache."""
+    flat = h.flat()
+    vals = b(ed.lam * scales[:, None]) - b.value_at_zero
+    return (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
+
+
+@pytest.mark.parametrize("handle", ["db", "bd", "adjoint-db", "D"])
+def test_scaled_tables_match_uncached_evaluation_bitwise(perturbed_system_32, handle, rng):
+    sys_ = perturbed_system_32
+    T = {"db": sys_.db, "bd": sys_.bd, "adjoint-db": sys_.adjoint().db,
+         "D": d_operator(sys_.grid)}[handle]
+    h = random_field(T.grid, rng)
+    ed = eigen_data(T)
+    ed._tables.clear()
+    scales = TLadder.default().t
+    for b in (fc.UNIT_SEMIGROUP, fc.z_over_one_plus_z2()):
+        ref = _uncached_scaled(ed, b, scales, h)
+        for _ in range(2):  # the first call fills the table, the second reads it
+            out = fc.eigen_apply_scaled(T, b, scales, h)
+            assert np.array_equal(out.reshape(len(scales), -1), ref)
+
+
+def test_scaled_table_evaluated_once_per_spec_and_scales(g32, rng):
+    sys_ = FirstOrderSystem(perturbation_of_identity(g32, np.random.default_rng(5), 0.15))
+    T = sys_.db
+    evaluations = []
+
+    def counted(z):
+        evaluations.append(z.shape)
+        return np.exp(-fc.bracket(z))
+
+    b = dataclasses.replace(fc.UNIT_SEMIGROUP, evaluate=counted)
+    scales = TLadder.default().t
+    outs = [fc.eigen_apply_scaled(T, b, scales, random_field(g32, rng)) for _ in range(5)]
+    assert len(evaluations) == 1
+    assert all(np.isfinite(out).all() for out in outs)
+    table = eigen_data(T).scaled_table(b, scales)
+    assert len(evaluations) == 1
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # other scales are another table
+    fc.eigen_apply_scaled(T, b, scales[:-1], random_field(g32, rng))
+    assert len(evaluations) == 2
+
+
+def test_scaled_tables_never_shared_between_spec_objects(g32, rng):
+    sys_ = FirstOrderSystem(perturbation_of_identity(g32, np.random.default_rng(6), 0.15))
+    T = sys_.db
+    ed = eigen_data(T)
+    h = random_field(g32, rng)
+    scales = np.array([0.5, 2.0])
+    first = fc.custom(0.0, 0.0, lambda z: np.exp(-fc.bracket(z)), name="custom")
+    second = fc.custom(0.0, 0.0, lambda z: 1.0 / (1.0 + z * z), name="custom")
+    assert first.name == second.name
+    for b in (first, second, first):
+        out = fc.eigen_apply_scaled(T, b, scales, h)
+        assert np.array_equal(out.reshape(2, -1), _uncached_scaled(ed, b, scales, h))
+    # specs made and dropped in a loop may reuse an id once their entry is evicted
+    for c in range(3 * fc.SCALED_TABLE_LIMIT):
+        b = fc.custom(0.0, 0.0, lambda z, _c=c: np.exp(-_c * fc.bracket(z)), 1.0)
+        out = fc.eigen_apply_scaled(T, b, scales, h)
+        assert np.array_equal(out.reshape(2, -1), _uncached_scaled(ed, b, scales, h))
+
+
+def test_scaled_table_count_stays_at_the_limit(g32, rng):
+    sys_ = FirstOrderSystem(perturbation_of_identity(g32, np.random.default_rng(8), 0.15))
+    T = sys_.db
+    h = random_field(g32, rng)
+    assert 0 < fc.SCALED_TABLE_LIMIT < 50
+    for t in np.linspace(0.1, 5.0, 50):
+        semigroup(T, t, h, path="eigen")
+        assert len(eigen_data(T)._tables) <= fc.SCALED_TABLE_LIMIT
+    assert len(eigen_data(T)._tables) == fc.SCALED_TABLE_LIMIT
+    # the newest entries stay, the oldest went first
+    kept = [np.frombuffer(key[1])[0] for key in eigen_data(T)._tables]
+    assert kept == list(np.linspace(0.1, 5.0, 50)[-fc.SCALED_TABLE_LIMIT:])
+
+
+def test_contour_fitted_once_per_angle(perturbed_system_32, monkeypatch):
+    sys_ = perturbed_system_32
+    T = db_operator(sys_.B)
+    T.accretivity_angle = sys_.report.omega
+    fits = _count_calls(monkeypatch, fc.ContourSpec, "enclosing")
+    norms = _count_calls(monkeypatch, np.linalg, "norm")
+    first = fc._spectral_contour(T)
+    assert fc._spectral_contour(T) is first
+    assert len(fits) == 1
+    sys_.B.sup_norm()
+    assert not norms  # the multiplier's sup norm is computed once, by the certificate
+    T.accretivity_angle = 0.5 * sys_.report.omega
+    refit = fc._spectral_contour(T)
+    assert len(fits) == 2 and refit != first
+    k = T.grid.frequency_norms()
+    assert refit == ContourSpec.enclosing(range_splitter(T).kappa * k[k > 0].min(),
+                                          sys_.B.sup_norm() * k.max(), T.accretivity_angle)
+    assert fc._spectral_contour(T) is refit

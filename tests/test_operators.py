@@ -326,7 +326,7 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 DECLARED_STATE = {
     "tag", "grid", "kind", "payload", "multiplier_matrix", "accretivity_angle",
-    "_dense", "_eigen", "_eigen_source", "_schur", "_split_cache", "_lu",
+    "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_split_cache", "_lu",
 }
 
 
@@ -345,7 +345,7 @@ def test_handle_state_is_declared(g32, rng):
         assert set(vars(T)) == DECLARED_STATE
     assert R._lu is not None
     eigen_data(db)
-    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen"}
+    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_sup_norm"}
     assert range_splitter(bd) is B._splitter and B._range_eigen is not None
 
 

@@ -271,14 +271,12 @@ def test_nt_sharp_alpha_weight_shifts_to_small_scales(g32):
     w_lin = ladder.weights * ladder.t
     best = np.zeros(g32.shape)
     argbest = np.zeros(g32.shape, dtype=int)
-    from halfspace.tent import _ball_average
-
     for j, tj in enumerate(ladder.t):
         window = (ladder.t > tj / 2.0) & (ladder.t < tj * 2.0)
         acc = np.zeros(g32.shape)
         tot = 0.0
         for s in np.nonzero(window)[0]:
-            acc += w_lin[s] * _ball_average(sq[s], g32, 1.0 * tj)
+            acc += w_lin[s] * complex_fft_ball_averages(sq[s][None], g32, [tj])[0][0]
             tot += w_lin[s]
         cand = tj ** (-2 * alpha) * acc / tot
         upd = cand > best
@@ -446,26 +444,49 @@ def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch
 
         monkeypatch.setattr(scipy.fft, name, counted)
 
+    functionals = (
+        ("nt_maximal", lambda F: nt_maximal(F)),
+        ("tent_norm", lambda F: tent_norm(F, 2.0)),
+        ("tent_norm wide", lambda F: tent_norm(F, 2.0, WhitneyParams(aperture=2.0))),
+        ("carleson_norm", lambda F: carleson_norm(F, 0.5)),
+    )
+
     def count(ladder):
+        warm = _random_tent_field(g8x2, ladder, rng)
+        for _, fn in functionals:  # the ball kernels of (grid, radii) are cached after one call
+            fn(warm)
         F = _random_tent_field(g8x2, ladder, rng)
-        out = {}
-        for name, fn in (
-            ("nt_maximal", lambda: nt_maximal(F)),
-            ("tent_norm", lambda: tent_norm(F, 2.0)),
-            ("carleson_norm", lambda: carleson_norm(F, 0.5)),
-        ):
-            fn()  # the ball kernels of (grid, radii) are cached after one call
-            calls.update(rfftn=0, irfftn=0)
-            fn()
-            out[name] = dict(calls)
-        return out
+        calls.update(rfftn=0, irfftn=0)
+        inverse = {}
+        for name, fn in functionals:
+            before = calls["irfftn"]
+            fn(F)
+            inverse[name] = calls["irfftn"] - before
+        return calls["rfftn"], inverse
 
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
     assert (len(short), len(long)) == (9, 41)
-    one_pair = {"rfftn": 1, "irfftn": 1}
-    expected = {"nt_maximal": one_pair, "tent_norm": one_pair, "carleson_norm": one_pair}
+    # one forward transform for the field, one inverse transform per functional
+    expected = (1, {name: 1 for name, _ in functionals})
     assert count(short) == expected
     assert count(long) == expected
+
+
+def test_tent_field_values_are_read_only(g32, rng):
+    ladder = TLadder.logspaced(0.25, 4.0, 2)
+    vals = rng.standard_normal((len(ladder),) + g32.shape + (2,)) + 0j
+    F = TentField(g32, ladder, vals)
+    before = tent_norm(F, 2.0)
+    with pytest.raises(ValueError):
+        F.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        F.values -= 1.0
+    with pytest.raises(ValueError):
+        F.square_spectrum[0] = 0.0
+    # the given array stays writable, and writing to it leaves the field as it was
+    vals[0, 0, 0] = 1.0
+    assert F.values[0, 0, 0] != 1.0
+    assert tent_norm(F, 2.0) == before
 
 
 def test_ladder_functionals_build_no_field_per_scale(perturbed_system_32, rng, monkeypatch):
@@ -511,7 +532,11 @@ def complex_fft_ball_averages(stack, grid, radii):
 @pytest.mark.parametrize("grid", [GridSpec(dim=1, points=64), GridSpec(dim=2, points=8)],
                          ids=["g64", "g8x2"])
 def test_ball_averages_match_complex_fft(grid, rng):
-    from halfspace.tent import _ball_averages
+    from halfspace.tent import _spectral_ball_means
+
+    def _ball_averages(stack, grid, radii):
+        return _spectral_ball_means(scipy.fft.rfftn(stack, axes=tuple(range(1, grid.dim + 1))),
+                                    grid, radii)
 
     h = 2 * np.pi / grid.points
     # below the spacing (single points), across the band, beyond the period
