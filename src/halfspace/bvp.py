@@ -247,10 +247,6 @@ class FirstOrderSystem:
         self._trace_maps = {}
         self._adjoint = None
 
-    @classmethod
-    def from_coefficients(cls, A) -> "FirstOrderSystem":
-        return A if isinstance(A, cls) else cls(A)
-
     def hardy(self, which: str) -> SpectralHardyBasis:
         if which not in self._hardy:
             self._hardy[which] = SpectralHardyBasis(
@@ -296,23 +292,16 @@ class FirstOrderSystem:
             self._adjoint = adj
         return self._adjoint
 
-    def semigroup_db(self, t: float, h: Field) -> Field:
-        return fc.semigroup(self.db, t, h)
 
-    def semigroup_bd(self, t: float, h: Field) -> Field:
-        return fc.semigroup(self.bd, t, h)
-
-
-def spectral_split(system, h: Field):
+def spectral_split(system: FirstOrderSystem, h: Field):
     """Split the range component of h into the two spectral pieces.
 
     The projection onto the closed range is applied first, so the sum of
     the returned pieces is exactly that projection of h.
     """
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    Ph = p_operator(sys_.grid).apply(h)
-    hp = fc.apply_calculus(fc.chi_plus(), sys_.db, Ph, path="eigen")
-    hm = fc.apply_calculus(fc.chi_minus(), sys_.db, Ph, path="eigen")
+    Ph = p_operator(system.grid).apply(h)
+    hp = fc.apply_calculus(fc.chi_plus(), system.db, Ph, path="eigen")
+    hm = fc.apply_calculus(fc.chi_minus(), system.db, Ph, path="eigen")
     return hp, hm
 
 
@@ -338,7 +327,7 @@ class BVPSolution:
     datum: np.ndarray | None = None
 
     def evaluate(self, t: float) -> Field:
-        return self.system.semigroup_db(t, self.h)
+        return fc.semigroup(self.system.db, t, self.h)
 
     def _potential_vector(self) -> Field:
         """v with D v = -h in the positive subspace of the reversed composition."""
@@ -356,7 +345,7 @@ class BVPSolution:
     def scalar_value(self, t: float) -> np.ndarray:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""
         v0 = self._potential_vector()
-        vt = self.system.semigroup_bd(t, v0)
+        vt = fc.semigroup(self.system.bd, t, v0)
         vt = p_operator(self.system.grid).apply(vt).to_physical()
         return _squeeze_channels(vt.values[..., : self.system.grid.system_size].copy())
 
@@ -445,15 +434,14 @@ def _embed_datum(grid: GridSpec, datum: np.ndarray, slot: str) -> Field:
     return Field.physical(grid, vals)
 
 
-def solve_regularity(system, f) -> BVPSolution:
+def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
     """Prescribe the tangential gradient at the boundary.
 
     f must be mean-zero and curl-free per system component; the solution
     trace h has tangential slot f and the interior conormal gradient is
     the decay semigroup applied to h.
     """
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     f = _as_tangential_data(grid, f)
     _require_mean_zero(grid, f, "regularity datum")
     curl = curl_free_residual(grid, f)
@@ -461,37 +449,35 @@ def solve_regularity(system, f) -> BVPSolution:
         raise DatumError(
             f"regularity datum is not a discrete gradient (curl residual {curl:.2e})"
         )
-    return _solve_trace(sys_, f, "tangential", "regularity")
+    return _solve_trace(system, f, "tangential", "regularity")
 
 
-def solve_neumann(system, g) -> BVPSolution:
+def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
     """Prescribe the conormal derivative (scalar slot) at the boundary."""
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     g = _as_scalar_data(grid, g)
     _require_mean_zero(grid, g, "neumann datum")
-    return _solve_trace(sys_, g, "scalar", "neumann")
+    return _solve_trace(system, g, "scalar", "neumann")
 
 
-def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
+def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) -> BVPSolution:
     """Prescribe the boundary value; solved as regularity for its gradient.
 
     The interior scalar potential is recovered from the reversed-order
     flow, normalized mean-zero.  A square-function report of the scaled
     conormal gradient is attached when a ladder is supplied.
     """
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "dirichlet datum")
     grad = tangential_gradient(grid, f)
-    sol = _solve_trace(sys_, grad, "tangential", "dirichlet")
+    sol = _solve_trace(system, grad, "tangential", "dirichlet")
     u0 = sol.scalar_value(0.0)
     sol.diagnostics["boundary_value_error"] = _scalar_l2(
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        flows = fc.eigen_apply_scaled(sys_.db, fc.UNIT_SEMIGROUP, ladder.t, sol.h)
+        flows = fc.eigen_apply_scaled(system.db, fc.UNIT_SEMIGROUP, ladder.t, sol.h)
         t = ladder.t.reshape((-1,) + (1,) * (flows.ndim - 1))
         sol.diagnostics["tent_norm_t_grad"] = tent_norm(
             TentField(grid, ladder, flows * t), 2.0
@@ -499,18 +485,16 @@ def solve_dirichlet(system, f, ladder: TLadder | None = None) -> BVPSolution:
     return sol
 
 
-def dirichlet_to_neumann(system, f) -> np.ndarray:
+def dirichlet_to_neumann(system: FirstOrderSystem, f) -> np.ndarray:
     """Boundary map from the potential value to its conormal derivative."""
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grad = tangential_gradient(sys_.grid, _as_scalar_data(sys_.grid, f))
-    sol = solve_regularity(sys_, grad)
+    grad = tangential_gradient(system.grid, _as_scalar_data(system.grid, f))
+    sol = solve_regularity(system, grad)
     return sol.conormal_trace()
 
 
-def neumann_to_dirichlet(system, g) -> np.ndarray:
+def neumann_to_dirichlet(system: FirstOrderSystem, g) -> np.ndarray:
     """Boundary map from the conormal derivative back to the potential value."""
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    sol = solve_neumann(sys_, g)
+    sol = solve_neumann(system, g)
     return sol.scalar_trace()
 
 
@@ -552,7 +536,7 @@ def _decaying_extension_spec(t: float, sgn: int) -> fc.HolomorphicFunctionSpec:
     )
 
 
-def grad_single_layer(system, t: float, f, side=None) -> Field:
+def grad_single_layer(system: FirstOrderSystem, t: float, f, side=None) -> Field:
     """Conormal gradient of the single layer at height t.
 
     Positive heights use the decaying extension on the positive spectral
@@ -560,34 +544,32 @@ def grad_single_layer(system, t: float, f, side=None) -> Field:
     t = 0 pass side='+' or '-' for the exact one-sided boundary limit.
     """
     sgn = _resolve_side(t, side)
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "single layer density")
     w = embed_scalar(grid, f)
-    out = fc.apply_calculus(_decaying_extension_spec(t, sgn), sys_.db, w, path="eigen")
+    out = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.db, w, path="eigen")
     return out if sgn > 0 else -out
 
 
-def single_layer(system, t: float, f, side=None) -> np.ndarray:
+def single_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray:
     """Single layer potential, mean-zero scalar data.
 
     The symbol inverse on the range integrates the conormal gradient;
     the zero mode is excluded, realizing the potential modulo constants.
     """
     sgn = _resolve_side(t, side)
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "single layer density")
     w = embed_scalar(grid, f)
-    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), sys_.db, w, path="eigen")
+    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.db, w, path="eigen")
     lifted = inverse_d_operator(grid).apply(flow).to_physical()
     scalar = _squeeze_channels(lifted.values[..., : grid.system_size])
     return -scalar if sgn > 0 else scalar.copy()
 
 
-def double_layer(system, t: float, f, side=None) -> np.ndarray:
+def double_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray:
     """Double layer potential.
 
     Applies the reversed-order flow to the embedded datum, projects onto
@@ -595,22 +577,20 @@ def double_layer(system, t: float, f, side=None) -> np.ndarray:
     slot; signs follow the jump convention.
     """
     sgn = _resolve_side(t, side)
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "double layer density")
     w = embed_scalar(grid, f)
-    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), sys_.bd, w, path="eigen")
+    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.bd, w, path="eigen")
     projected = p_operator(grid).apply(flow).to_physical()
     scalar = _squeeze_channels(projected.values[..., : grid.system_size])
     return -scalar if sgn > 0 else scalar.copy()
 
 
-def conormal_single_layer(system, t: float, f, side=None) -> np.ndarray:
+def conormal_single_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray:
     """Scalar slot of the conormal gradient of the single layer."""
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grad = grad_single_layer(sys_, t, f, side=side).to_physical()
-    return _squeeze_channels(grad.values[..., : sys_.grid.system_size].copy())
+    grad = grad_single_layer(system, t, f, side=side).to_physical()
+    return _squeeze_channels(grad.values[..., : system.grid.system_size].copy())
 
 
 def _scalar_inner(grid: GridSpec, u, v) -> complex:
@@ -618,7 +598,7 @@ def _scalar_inner(grid: GridSpec, u, v) -> complex:
     return complex(grid.cell_volume * np.vdot(u, v))
 
 
-def layer_duality_check(system, t: float, f, g):
+def layer_duality_check(system: FirstOrderSystem, t: float, f, g):
     """Residuals of the two adjoint identities between the layers.
 
     Pairs the single layer of the system at height t against the adjoint
@@ -628,22 +608,21 @@ def layer_duality_check(system, t: float, f, g):
     """
     if t == 0:
         raise DatumError("duality check needs t != 0")
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    adj = sys_.adjoint()
-    grid = sys_.grid
+    adj = system.adjoint()
+    grid = system.grid
     f = _as_scalar_data(grid, f)
     g = _as_scalar_data(grid, g)
     _require_mean_zero(grid, f, "density")
     _require_mean_zero(grid, g, "density")
 
-    Sf = single_layer(sys_, t, f)
+    Sf = single_layer(system, t, f)
     Sg_adj = single_layer(adj, -t, g)
     lhs1 = _scalar_inner(grid, g, Sf)
     rhs1 = _scalar_inner(grid, Sg_adj, f)
     scale1 = max(abs(lhs1), abs(rhs1), 1e-300)
     res_single = abs(lhs1 - rhs1) / scale1
 
-    Df = double_layer(sys_, t, f)
+    Df = double_layer(system, t, f)
     conormal_adj = conormal_single_layer(adj, -t, g)
     lhs2 = _scalar_inner(grid, g, Df)
     rhs2 = _scalar_inner(grid, conormal_adj, f)
@@ -659,7 +638,7 @@ def _scalar_slot_stack(op: LinearOperatorHandle, stack: np.ndarray) -> np.ndarra
 
 
 def boundary_layer_representation_check(
-    system, solution: BVPSolution, ladder: TLadder | None = None
+    system: FirstOrderSystem, solution: BVPSolution, ladder: TLadder | None = None
 ) -> float:
     """Largest relative defect of the interior value against the two layers.
 
@@ -668,8 +647,7 @@ def boundary_layer_representation_check(
     by height.  As exp(-t z) chi+(z) is the t = 1 extension at t z for
     t > 0, each of the three flows is one ladder call over all heights.
     """
-    sys_ = FirstOrderSystem.from_coefficients(system)
-    grid = sys_.grid
+    grid = system.grid
     if ladder is None:
         ladder = TLadder.logspaced(2.0**-6, 2.0**2, per_octave=1)
     conormal0 = _as_scalar_data(grid, solution.conormal_trace())
@@ -678,10 +656,10 @@ def boundary_layer_representation_check(
     _require_mean_zero(grid, value0, "double layer density")
     extension = _decaying_extension_spec(1.0, +1)
     interior = fc.eigen_apply_scaled(
-        sys_.bd, fc.UNIT_SEMIGROUP, ladder.t, solution._potential_vector()
+        system.bd, fc.UNIT_SEMIGROUP, ladder.t, solution._potential_vector()
     )
-    single = fc.eigen_apply_scaled(sys_.db, extension, ladder.t, embed_scalar(grid, conormal0))
-    double = fc.eigen_apply_scaled(sys_.bd, extension, ladder.t, embed_scalar(grid, value0))
+    single = fc.eigen_apply_scaled(system.db, extension, ladder.t, embed_scalar(grid, conormal0))
+    double = fc.eigen_apply_scaled(system.bd, extension, ladder.t, embed_scalar(grid, value0))
     P = p_operator(grid)
     u = _scalar_slot_stack(P, interior)
     # single minus double layer, with the signs of single_layer and double_layer

@@ -24,10 +24,10 @@ basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
 in closed form and C = Q^* B Q is the compression of the range split.
 One eig of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B
 (DB) B^-1 and, by duality, the adjoint system, with an exact null part.
-Handles without a multiplier diagonalize their dense matrix and cut the
-null cluster at a threshold.  A ladder of scales is one kernel call:
-b(s T) h for every scale s comes from one evaluation of b and one
-eigenvector product, as one array.
+The handles without a multiplier, D, P and D^+, diagonalize their dense
+matrix and cut the null cluster at a threshold.  A ladder of scales is
+one kernel call: b(s T) h for every scale s comes from one evaluation of
+b and one eigenvector product, as one array.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -457,7 +457,7 @@ def eigen_data(T: LinearOperatorHandle) -> EigenData:
     A handle whose operator is similar to one already diagonalized carries
     the derivation in `_eigen_source`.  DB and BD take theirs from the r x r
     factorization shared by every handle on their multiplier, with an exact
-    null part and no dof-sized SVD.  Any other handle diagonalizes its dense
+    null part and no dof-sized SVD.  D, P and D^+ diagonalize their dense
     matrix.  Raises OperatorError beyond the dense limit, before allocating,
     and when the eigenvector condition bound exceeds EIG_CONDITION_LIMIT.
     """

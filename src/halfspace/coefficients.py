@@ -62,9 +62,6 @@ class _PointwiseMatrix:
     def adjoint_values(self) -> np.ndarray:
         return np.conj(np.swapaxes(self.values, -1, -2))
 
-    def matmul_values(self, other: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...jk->...ik", self.values, other)
-
     def _blocks(self):
         m = self.grid.system_size
         return (
@@ -100,12 +97,6 @@ class CoefficientMatrix(_PointwiseMatrix):
 
     def adjoint(self) -> "CoefficientMatrix":
         return CoefficientMatrix(self.grid, self.adjoint_values())
-
-    def is_block_diagonal(self, tol: float = 1e-14) -> bool:
-        scale = max(self.sup_norm(), 1e-300)
-        return bool(
-            np.abs(self.b).max() <= tol * scale and np.abs(self.c).max() <= tol * scale
-        )
 
 
 class TransformedB(_PointwiseMatrix):

@@ -221,12 +221,6 @@ class Field:
         s[(0,) * self.grid.dim] = 0.0
         return Field(self.grid, s, SPECTRAL).in_rep(self.rep)
 
-    def scalar_part(self) -> np.ndarray:
-        return self.values[..., : self.grid.system_size]
-
-    def tangential_part(self) -> np.ndarray:
-        return self.values[..., self.grid.system_size :]
-
     # minimal arithmetic, preserving representation
     def __add__(self, other: "Field") -> "Field":
         o = other.in_rep(self.rep)

@@ -167,13 +167,13 @@ class LinearOperatorHandle:
       multiplier  - acts in the spectral representation
       pointwise   - matrix multiplication per grid point, physical
       compose     - right-to-left composition of handles
-      dense       - explicit matrix on flattened physical values
-      resolvent   - (I + i t T)^{-1} by a cached LU factorization
 
     attributes besides tag, grid, kind and payload:
       multiplier_matrix  - the TransformedB of B, DB and BD, else None
       accretivity_angle  - sector angle used by the contour path, 0.0 by default
-      _dense, _eigen, _schur, _lu  - lazily built caches
+      _dense, _eigen, _schur  - lazily built caches
+      _lu  - (t, LU of I + i t T) of the last dense resolvent_solve,
+             replaced when t changes
       _contour  - (angle, ContourSpec) of the contour path, refitted when
                   accretivity_angle no longer equals angle
       _split_cache  - the projection splitter of D; DB and BD share the
@@ -217,28 +217,7 @@ class LinearOperatorHandle:
             for part in reversed(self.payload):
                 values, rep = part.apply_array(values, rep)
             return values, rep
-        if self.kind == "dense":
-            if rep == SPECTRAL:
-                values = ifft_values(values, self.grid)
-            shape = values.shape
-            flat = values.reshape(-1, self.grid.dof)
-            out = flat @ self.payload.T
-            return out.reshape(shape), PHYSICAL
-        if self.kind == "resolvent":
-            if rep == SPECTRAL:
-                values = ifft_values(values, self.grid)
-            shape = values.shape
-            flat = values.reshape(-1, self.grid.dof)
-            out = scipy.linalg.lu_solve(self._resolvent_factor(), flat.T).T
-            return out.reshape(shape), PHYSICAL
         raise OperatorError(f"unknown kind {self.kind}")
-
-    def _resolvent_factor(self):
-        if self._lu is None:
-            T, t = self.payload
-            M = np.eye(self.grid.dof, dtype=complex) + 1j * t * T.dense_matrix()
-            self._lu = scipy.linalg.lu_factor(M)
-        return self._lu
 
     def apply(self, f: Field) -> Field:
         values, rep = self.apply_array(f.values, f.rep)
@@ -277,22 +256,6 @@ def bd_operator(B: TransformedB) -> LinearOperatorHandle:
     return LinearOperatorHandle("BD", B.grid, "compose", parts, B)
 
 
-def dense_operator(tag: str, grid: GridSpec, matrix: np.ndarray) -> LinearOperatorHandle:
-    return LinearOperatorHandle(tag, grid, "dense", matrix)
-
-
-def resolvent_operator(T: LinearOperatorHandle, t: float) -> LinearOperatorHandle:
-    """(I + i t T)^{-1} as a reusable handle with a cached factorization."""
-    if T.grid.dof > DENSE_LIMIT:
-        raise OperatorError(
-            "resolvent handles factorize densely; beyond the size limit "
-            "call resolvent_solve with the iterative method instead"
-        )
-    return LinearOperatorHandle(
-        f"resolvent({T.tag},{t:g})", T.grid, "resolvent", (T, t)
-    )
-
-
 def check_dense_size(grid: GridSpec) -> None:
     """Raise OperatorError, before allocating, when grid.dof exceeds the dense limit.
 
@@ -313,13 +276,11 @@ def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """Matrix of T in the flattened physical basis.
 
     Raises OperatorError beyond the dense limit, before allocating; the
-    contour path factorizes this matrix, and the eigen path diagonalizes
-    it for handles without a multiplier, so neither runs in that regime.
+    contour path and the dense resolvent factorize this matrix, and the
+    eigen path diagonalizes it for D, P and D^+, so none runs in that regime.
     """
     check_dense_size(T.grid)
     dim = T.grid.dof
-    if T.kind == "dense":
-        return T.payload
     basis = np.eye(dim, dtype=complex).reshape(
         (dim,) + T.grid.shape + (T.grid.channels,)
     )
@@ -338,8 +299,9 @@ def resolvent_solve(
 ) -> Field:
     """Solve (I + i t T) u = f.
 
-    Dense LU below the size limit, otherwise restarted GMRES with the
-    exact multiplier resolvent of the self-adjoint part as preconditioner.
+    Dense LU below the size limit, cached on the handle for the last t,
+    otherwise restarted GMRES with the exact multiplier resolvent of the
+    self-adjoint part as preconditioner.
     The returned field satisfies the residual bound tol * |f| or an
     IterationError carries the residual history.
     """
@@ -350,8 +312,10 @@ def resolvent_solve(
         method = "dense" if grid.dof <= DENSE_LIMIT else "gmres"
     rhs = f.flat()
     if method == "dense":
-        M = np.eye(grid.dof, dtype=complex) + 1j * t * T.dense_matrix()
-        u = scipy.linalg.solve(M, rhs)
+        if T._lu is None or T._lu[0] != t:
+            M = np.eye(grid.dof, dtype=complex) + 1j * t * T.dense_matrix()
+            T._lu = (t, scipy.linalg.lu_factor(M))
+        u = scipy.linalg.lu_solve(T._lu[1], rhs)
     else:
         prec_symbol = _resolvent_of_D_symbol(grid, t)
 
@@ -524,13 +488,12 @@ class DecayEstimate:
 
 
 def _localized_norm(T, t, mask_E, mask_F, trials, rng, tol=1e-10) -> float:
-    """Empirical norm of cutoff (I + i t T)^{-1} cutoff on random data."""
+    """Empirical norm of cutoff (I + i t T)^{-1} cutoff on random data.
+
+    Every trial is one checked resolvent_solve; below the dense limit they
+    share the LU of I + i t T cached on the handle.
+    """
     grid = T.grid
-    # below the dense limit one cached LU of I + i t T serves every trial
-    if grid.dof <= DENSE_LIMIT:
-        solve = resolvent_operator(T, t).apply
-    else:
-        solve = functools.partial(resolvent_solve, T, t, tol=tol)
     best = 0.0
     for _ in range(trials):
         vals = np.zeros(grid.shape + (grid.channels,), dtype=complex)
@@ -540,7 +503,7 @@ def _localized_norm(T, t, mask_E, mask_F, trials, rng, tol=1e-10) -> float:
         norm_f = np.linalg.norm(vals)
         if norm_f == 0:
             continue
-        u = solve(f)
+        u = resolvent_solve(T, t, f, tol=tol)
         restricted = u.to_physical().values[mask_E]
         best = max(best, float(np.linalg.norm(restricted) / norm_f))
     return best

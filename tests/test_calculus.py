@@ -23,7 +23,6 @@ from halfspace.operators import (
     OperatorError,
     d_operator,
     db_operator,
-    dense_operator,
     p_operator,
     range_splitter,
 )
@@ -391,9 +390,8 @@ def test_eigen_condition_guard():
     M = np.eye(grid.dof, dtype=complex)
     M[0, 1] = 1.0
     M[1, 1] = 1.0 + 1e-14  # near-defective pair
-    T = dense_operator("bad", grid, M)
     with pytest.raises(OperatorError, match="Schur"):
-        eigen_data(T)
+        fc._dense_eigen_data(M)
 
 
 def test_bracket_branch():

@@ -21,12 +21,10 @@ from halfspace.operators import (
     build_inverse_D_symbol,
     d_operator,
     db_operator,
-    dense_operator,
     offdiag_distance_sweep,
     offdiag_probe,
     p_operator,
     range_splitter,
-    resolvent_operator,
     resolvent_solve,
     torus_mask_distance,
 )
@@ -339,11 +337,10 @@ def test_handle_state_is_declared(g32, rng):
     f = random_field(g32, rng)
     range_splitter(db).split(db, f)
     range_splitter(D).split(D, f)
-    R = resolvent_operator(db, 0.5)
-    R.apply(f)
-    for T in (D, db, bd, R, p_operator(g32), dense_operator("M", g32, db.dense_matrix())):
+    resolvent_solve(db, 0.5, f, method="dense")
+    for T in (D, db, bd, p_operator(g32)):
         assert set(vars(T)) == DECLARED_STATE
-    assert R._lu is not None
+    assert db._lu[0] == 0.5
     eigen_data(db)
     assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_sup_norm"}
     assert range_splitter(bd) is B._splitter and B._range_eigen is not None
@@ -458,27 +455,20 @@ def test_linearity_probe(g32, rng):
     assert l2_norm(lhs - rhs) < 1e-12 * (l2_norm(lhs) + 1)
 
 
-def test_dense_operator_roundtrip(g32, rng):
-    M = rng.standard_normal((g32.dof, g32.dof)) + 1j * rng.standard_normal(
-        (g32.dof, g32.dof)
-    )
-    T = dense_operator("custom", g32, M)
-    f = random_field(g32, rng)
-    out = T.apply(f)
-    assert np.allclose(out.to_physical().values.reshape(-1), M @ f.flat())
-    assert np.allclose(assemble_dense(T), M)
+def test_dense_resolvent_lu_cached_per_t(g32, rng, monkeypatch):
+    T = db_operator(hat_transform(perturbation_of_identity(g32, rng, 0.2)))
+    factorizations = []
+    lu_factor = operators.scipy.linalg.lu_factor
 
+    def counted(M, *args, **kwargs):
+        factorizations.append(M.shape)
+        return lu_factor(M, *args, **kwargs)
 
-def test_resolvent_handle_inverts(g32, rng):
-    from halfspace.operators import resolvent_operator
-
-    B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
-    T = db_operator(B)
-    R = resolvent_operator(T, 0.6)
-    f = random_field(g32, rng)
-    u = R.apply(f)
-    back = u + 1j * 0.6 * T.apply(u)
-    assert l2_norm(back - f) <= 1e-10 * l2_norm(f)
-    # handles compose and assemble like any other operator
-    M = assemble_dense(R)
-    assert np.linalg.norm(M @ f.flat() - u.flat()) <= 1e-10 * np.linalg.norm(f.flat())
+    monkeypatch.setattr(operators.scipy.linalg, "lu_factor", counted)
+    for t in (0.6, 0.6, 0.2):
+        f = random_field(g32, rng)
+        u = resolvent_solve(T, t, f, method="dense")
+        back = u + 1j * t * T.apply(u)
+        assert l2_norm(back - f) <= 1e-10 * l2_norm(f)
+    # the repeated t reuses the cached LU; the new t replaces it
+    assert len(factorizations) == 2
