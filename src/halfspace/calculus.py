@@ -24,10 +24,10 @@ basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
 in closed form and C = Q^* B Q is the compression of the range split.
 One eig of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B
 (DB) B^-1 and, by duality, the adjoint system, with an exact null part.
-The handles without a multiplier, D, P and D^+, diagonalize their dense
-matrix and cut the null cluster at a threshold.  A ladder of scales is
-one kernel call: b(s T) h for every scale s comes from one evaluation of
-b and one eigenvector product, as one array.
+The multipliers D, P and D^+ take b in closed form per frequency, since
+S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
+h for every scale s comes from one evaluation of b and one eigenvector
+or symbol product, as one array.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -46,12 +46,12 @@ import scipy.integrate
 import scipy.linalg
 
 from .coefficients import TransformedB, _range_symbol_product
-from .grid import Field, check_finite
+from .grid import Field, check_finite, ifft_values
 from .operators import (
-    DENSE_LIMIT,
     LinearOperatorHandle,
     OperatorError,
     check_dense_size,
+    p_operator,
     range_splitter,
 )
 
@@ -310,8 +310,6 @@ def verify_decay(
 # eigendecomposition path
 # ---------------------------------------------------------------------------
 
-# the null cluster of a dense eig, relative to the spectral radius
-NULL_CLUSTER_FACTOR = 1e-10
 EIG_CONDITION_LIMIT = 1e8
 # (spec, scales) tables kept per eigendecomposition; a table is S x r, and a
 # job reuses a few, such as the unit semigroup on its ladder
@@ -423,8 +421,10 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     the column norms of B Q W, so the bound gains the factor max S / min S;
     each column is nonzero, as D maps it to a nonzero multiple of Q w.
     """
-    B = T.multiplier_matrix
     splitter = range_splitter(T)
+    if T.tag not in ("DB", "BD"):
+        raise OperatorError(f"no range eigendecomposition for tag {T.tag}")
+    B = T.multiplier_matrix
     core = _range_eigen(B, splitter)
     Q = splitter.Q
     if T.tag == "DB":
@@ -442,32 +442,18 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     return EigenData(lam=core.lam, V=V, Vinv=Vinv, condition=cond)
 
 
-def _dense_eigen_data(M: np.ndarray) -> EigenData:
-    """Range part of a dense eig; the null cluster is cut at NULL_CLUSTER_FACTOR."""
-    lam, V = np.linalg.eig(M)
-    cond = _checked_condition(float(np.linalg.cond(V)))
-    Vinv = np.linalg.inv(V)
-    keep = np.abs(lam) >= NULL_CLUSTER_FACTOR * max(np.abs(lam).max(), 1e-300)
-    return EigenData(lam=lam[keep], V=V[:, keep], Vinv=Vinv[keep], condition=cond)
-
-
 def eigen_data(T: LinearOperatorHandle) -> EigenData:
-    """Eigendecomposition of the operator on its range, cached on the handle.
+    """Eigendecomposition of DB or BD on its range, cached on the handle.
 
     A handle whose operator is similar to one already diagonalized carries
-    the derivation in `_eigen_source`.  DB and BD take theirs from the r x r
+    the derivation in `_eigen_source`; DB and BD take theirs from the r x r
     factorization shared by every handle on their multiplier, with an exact
-    null part and no dof-sized SVD.  D, P and D^+ diagonalize their dense
-    matrix.  Raises OperatorError beyond the dense limit, before allocating,
-    and when the eigenvector condition bound exceeds EIG_CONDITION_LIMIT.
+    null part and no dof-sized SVD.  Raises OperatorError on any other
+    handle, beyond the dense limit before allocating, and when the
+    eigenvector condition bound exceeds EIG_CONDITION_LIMIT.
     """
     if T._eigen is None:
-        if T._eigen_source is not None:
-            T._eigen = T._eigen_source()
-        elif T.multiplier_matrix is not None and T.tag in ("DB", "BD"):
-            T._eigen = _range_eigen_data(T)
-        else:
-            T._eigen = _dense_eigen_data(T.dense_matrix())
+        T._eigen = T._eigen_source() if T._eigen_source is not None else _range_eigen_data(T)
     return T._eigen
 
 
@@ -491,25 +477,52 @@ def adjoint_eigen_data(T: LinearOperatorHandle) -> EigenData:
     )
 
 
+def _range_modulus(T: LinearOperatorHandle) -> np.ndarray:
+    """sigma(k) with S(k)^2 = sigma(k)^2 P(k) for a multiplier's Hermitian symbol S,
+    from ||S(k)||_F^2 = 2m sigma(k)^2: |k|, 1 and 1/|k| for D, P and D^+, 0 at k = 0."""
+    S = T.payload.matrices
+    return np.sqrt((S * S.conj()).real.sum(axis=(-2, -1)) / (2 * T.grid.system_size))
+
+
+def _multiplier_apply_scaled(T: LinearOperatorHandle, b: HolomorphicFunctionSpec,
+                             scales: np.ndarray, h: Field) -> np.ndarray:
+    """b(s S) = b(0) (I - P) + (b(s sigma) + b(-s sigma))/2 P + (b(s sigma) -
+    b(-s sigma))/2 S/sigma per frequency, with P = S^2/sigma^2; b is
+    evaluated only where sigma > 0."""
+    sigma = _range_modulus(T)
+    nz = sigma > 0
+    plus, minus = b(scales[:, None] * sigma[nz]), b(-scales[:, None] * sigma[nz])
+    even, odd = np.zeros((2,) + scales.shape + sigma.shape + (1,), dtype=complex)
+    even[:, nz, 0] = (0.5 * (plus + minus) - b.value_at_zero) / sigma[nz] ** 2
+    odd[:, nz, 0] = 0.5 * (plus - minus) / sigma[nz]
+    hat = h.to_spectral().values
+    Sh = T.payload.apply_spectral(hat)
+    out = b.value_at_zero * hat + even * T.payload.apply_spectral(Sh) + odd * Sh
+    return ifft_values(out, T.grid)
+
+
 def eigen_apply_scaled(
     T: LinearOperatorHandle, b: HolomorphicFunctionSpec, scales, h: Field
 ) -> np.ndarray:
     """b(s T) h at every scale s, as one (S,) + grid_shape + (N,) array.
 
-    b is evaluated on all scaled range eigenvalues in one call, whose
-    table the eigendecomposition keeps for the same b and scales, the
-    eigenvectors are applied once for all scales, and the null part takes
-    the value at the origin: b(sT) h = b(0) h + V (b(s lam) - b(0)) Vinv h.
-    Raises ValueError for a nonpositive scale and GridError for a
-    non-finite result.
+    A multiplier takes them from its symbol in closed form, at any size.
+    Otherwise b is evaluated on all scaled range eigenvalues in one call,
+    whose table the eigendecomposition keeps for the same b and scales, the
+    eigenvectors are applied once, and the null part takes the value at the
+    origin: b(sT) h = b(0) h + V (b(s lam) - b(0)) Vinv h.  Raises
+    ValueError for a nonpositive scale and GridError for a non-finite result.
     """
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
-    ed = eigen_data(T)
-    vals = ed.scaled_table(b, scales)
-    flat = h.flat()
-    out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
+    if T.kind == "multiplier":
+        out = _multiplier_apply_scaled(T, b, scales, h)
+    else:
+        ed = eigen_data(T)
+        vals = ed.scaled_table(b, scales)
+        flat = h.flat()
+        out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
     check_finite(out)
     return out.reshape(scales.shape + T.grid.shape + (T.grid.channels,))
 
@@ -621,20 +634,20 @@ def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
     DB Q = Q D_r C with |D_r C c| >= k_min kappa |c| and ||D_r C|| <= k_max
     sup|B|.  omega is T.accretivity_angle: the certified angle on the
     handles of a system, 0 on a bare handle, whose curve then encloses a
-    nonreal spectrum only through its margin.  D has kappa = sup = 1 and
-    omega = 0.  The fit is cached on the handle with the angle it used and
-    redone when accretivity_angle is reassigned.
+    nonreal spectrum only through its margin.  A multiplier's range spectrum
+    is +-sigma(k), sigma > 0.  The fit is cached on the handle with the
+    angle it used and redone when accretivity_angle is reassigned.
     """
     angle = T.accretivity_angle
     if T._contour is None or T._contour[0] != angle:
-        k = T.grid.frequency_norms()
-        k_min, k_max = k[k > 0].min(), k.max()
-        B = T.multiplier_matrix
-        if B is None:
-            spec = ContourSpec.enclosing(k_min, k_max, 0.0)
+        if T.kind == "multiplier":
+            sigma = _range_modulus(T)
+            spec = ContourSpec.enclosing(sigma[sigma > 0].min(), sigma.max(), 0.0)
         else:
+            k = T.grid.frequency_norms()
             kappa = _accretive_kappa(range_splitter(T))
-            spec = ContourSpec.enclosing(kappa * k_min, B.sup_norm() * k_max, angle)
+            spec = ContourSpec.enclosing(kappa * k[k > 0].min(),
+                                         T.multiplier_matrix.sup_norm() * k.max(), angle)
         T._contour = (angle, spec)
     return T._contour[1]
 
@@ -643,8 +656,8 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     """Trapezoid sum of b(lambda) (I - T/lambda)^{-1} h over both curves.
 
     Applied on the range component only; the null component receives the
-    value at the origin exactly.  The curves are those of
-    _spectral_contour; closed curves need no decay of b at 0 or infinity,
+    value at the origin exactly; a multiplier splits as P h + (h - P h).
+    The curves of _spectral_contour need no decay of b at 0 or infinity,
     so every b holomorphic on the open half-planes is computable.  With
     the cached Schur form M = Z R Z^*, each node's resolvent is
     Z (I - R/lambda)^{-1} Z^* h, a triangular shifted solve; the nodes are
@@ -652,7 +665,11 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     large allocation.
     """
     check_dense_size(T.grid)
-    h_range, h_null = range_splitter(T).split(T, h)
+    if T.kind == "multiplier":
+        h_range = p_operator(T.grid).apply(h)
+        h_null = h - h_range
+    else:
+        h_range, h_null = range_splitter(T).split(T, h)
     lam, w = _spectral_contour(T).nodes()
     vals = b(lam) * w
     R, Z = schur_data(T)
@@ -677,20 +694,18 @@ def apply_calculus(
     b: HolomorphicFunctionSpec,
     T: LinearOperatorHandle,
     h: Field,
-    path: str = "auto",
+    path: str = "eigen",
 ) -> Field:
     """Compute b(T) h.
 
-    path "eigen" applies b on the range eigenvalues of the operator, with
-    the value at the origin on its null space.  path "contour" sums the
+    path "eigen" applies b on the range spectrum of the operator, with the
+    value at the origin on its null space.  path "contour" sums the
     resolvent over two closed curves around the range spectrum, one in
     each half-plane, with the same value at the origin on the null space;
-    it takes any b holomorphic on the open half-planes.  "auto" takes
-    eigen up to the dense limit; beyond it both paths refuse with
+    it takes any b holomorphic on the open half-planes.  Beyond the dense
+    limit only the eigen path of a multiplier runs; the others refuse with
     OperatorError before allocating.
     """
-    if path == "auto":
-        path = "eigen" if T.grid.dof <= DENSE_LIMIT else "contour"
     if path == "eigen":
         return Field.physical(T.grid, eigen_apply_scaled(T, b, [1.0], h)[0])
     if path == "contour":

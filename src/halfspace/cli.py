@@ -511,10 +511,10 @@ def run_oracle(cfg: ExperimentConfig) -> list:
         if grid.dim != 1:
             raise ValueError("the one-d oracle needs dim=1")
         system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
-        # counted from a dense eig, independent of the range split that
-        # eigen_data builds its null part from
+        # counted from a dense eig with its own null threshold, independent
+        # of the range split that eigen_data builds its null part from
         lam = np.abs(np.linalg.eigvals(system.db.dense_matrix()))
-        null_dim = int((lam < fc.NULL_CLUSTER_FACTOR * lam.max()).sum())
+        null_dim = int((lam < 1e-10 * lam.max()).sum())
         expected = 2 * grid.system_size
         return [
             record("kernel_dimension", null_dim, expected, null_dim == expected,

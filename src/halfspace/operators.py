@@ -176,8 +176,6 @@ class LinearOperatorHandle:
              replaced when t changes
       _contour  - (angle, ContourSpec) of the contour path, refitted when
                   accretivity_angle no longer equals angle
-      _split_cache  - the projection splitter of D; DB and BD share the
-                      splitter cached on their multiplier instead
       _eigen_source  - callable deriving _eigen from a similar operator's
                        eigendecomposition, or None to compute it here
     """
@@ -195,7 +193,6 @@ class LinearOperatorHandle:
         self._eigen_source = None
         self._schur = None
         self._contour = None
-        self._split_cache = None
         self._lu = None
 
     def __repr__(self):
@@ -266,9 +263,9 @@ def check_dense_size(grid: GridSpec) -> None:
         gib = dim * dim * np.dtype(complex).itemsize / 2**30
         raise OperatorError(
             f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
-            f"matrix would take {gib:.2f} GiB; the eigen and contour calculus "
-            "paths factorize it or build the dense range basis, and only "
-            "resolvent_solve runs beyond the limit, by GMRES"
+            f"matrix would take {gib:.2f} GiB; the contour calculus and the eigen path "
+            "of DB and BD need it or the dense range basis; beyond the limit only "
+            "resolvent_solve (GMRES) and the eigen calculus of D, P and D^+ run"
         )
 
 
@@ -276,8 +273,8 @@ def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """Matrix of T in the flattened physical basis.
 
     Raises OperatorError beyond the dense limit, before allocating; the
-    contour path and the dense resolvent factorize this matrix, and the
-    eigen path diagonalizes it for D, P and D^+, so none runs in that regime.
+    contour path and the dense resolvent factorize this matrix, so neither
+    runs in that regime.  The eigen path never assembles it.
     """
     check_dense_size(T.grid)
     dim = T.grid.dof
@@ -437,30 +434,15 @@ class RangeSplitter:
         raise OperatorError(f"no range split for tag {T.tag}")
 
 
-class _ProjectionSplitter:
-    """Kernel/range decomposition of the symbol itself: the range part is P f."""
-
-    def __init__(self, grid: GridSpec):
-        self.P = p_operator(grid)
-
-    def split(self, T: LinearOperatorHandle, f: Field):
-        f_range = self.P.apply(f)
-        return f_range, f - f_range
-
-
 def range_splitter(T: LinearOperatorHandle):
     """The compression of B for DB and BD, cached on B and so shared by every
-    handle on it; P for D, cached on the handle."""
+    handle on it; a multiplier, whose range part is P f, is refused."""
     B = T.multiplier_matrix
-    if B is not None:
-        if B._splitter is None:
-            B._splitter = RangeSplitter(B)
-        return B._splitter
-    if T.tag != "D":
+    if B is None:
         raise OperatorError(f"no range split for tag {T.tag}")
-    if T._split_cache is None:
-        T._split_cache = _ProjectionSplitter(T.grid)
-    return T._split_cache
+    if B._splitter is None:
+        B._splitter = RangeSplitter(B)
+    return B._splitter
 
 
 # ---------------------------------------------------------------------------

@@ -359,7 +359,7 @@ def test_derived_eigen_data_matches_dense_eig(fresh_system):
         assert residual <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(ed.V), name
         lam, V = np.linalg.eig(M)
         Vinv = np.linalg.inv(V)
-        null = np.abs(lam) < fc.NULL_CLUSTER_FACTOR * np.abs(lam).max()
+        null = np.abs(lam) < 1e-10 * np.abs(lam).max()
         assert grid.dof - len(ed.lam) == null.sum(), name
         assert len(ed.lam) == _range_dim(grid), name
         rows, cols = linear_sum_assignment(np.abs(ed.lam[:, None] - lam[~null][None, :]))

@@ -19,10 +19,15 @@ from halfspace.calculus import (
 )
 from halfspace.coefficients import perturbation_of_identity
 from halfspace.grid import Field, GridError, GridSpec, TLadder, l2_norm, random_field
+import halfspace.operators as operators
+import halfspace.tent as tent
+from halfspace.cli import ExperimentConfig, run_experiment
+from halfspace.coefficients import hat_transform, identity_coefficients
 from halfspace.operators import (
     OperatorError,
     d_operator,
     db_operator,
+    inverse_d_operator,
     p_operator,
     range_splitter,
 )
@@ -118,17 +123,20 @@ NON_DECAYING = [fc.chi_plus, fc.chi_minus, fc.sgn,
 
 
 @pytest.mark.parametrize("system", ["perturbed_system_32", "perturbed_system_2d"])
-@pytest.mark.parametrize("tag", ["DB", "BD", "D"])
+@pytest.mark.parametrize("tag", ["DB", "BD", "D", "P", "Dinv"])
 def test_contour_computes_non_decaying_functions(system, tag, request, rng):
-    # closed curves need no decay at 0 or infinity
+    # closed curves need no decay at 0 or infinity; on the multipliers the
+    # contour path checks the closed form of the eigen path
     sys_ = request.getfixturevalue(system)
-    T = {"DB": sys_.db, "BD": sys_.bd, "D": d_operator(sys_.grid)}[tag]
+    T = {"DB": sys_.db, "BD": sys_.bd, "D": d_operator(sys_.grid), "P": p_operator(sys_.grid),
+         "Dinv": inverse_d_operator(sys_.grid)}[tag]
     h = random_field(sys_.grid, rng)
     for factory in NON_DECAYING:
         b = factory()
         u_eig = apply_calculus(b, T, h, path="eigen")
         u_con = apply_calculus(b, T, h, path="contour")
-        assert l2_norm(u_eig - u_con) <= 1e-6 * l2_norm(u_eig), b.name
+        # chi-(P) = 0: an absolute floor far below the relative bound
+        assert l2_norm(u_eig - u_con) <= max(1e-6 * l2_norm(u_eig), 1e-12 * l2_norm(h)), b.name
 
 
 def test_contour_spec_validation():
@@ -241,6 +249,42 @@ def test_contour_agrees_with_eigen_on_other_splits(perturbed_system_32, g32, rng
     assert l2_norm(u_eig - u_con) <= 1e-6 * max(l2_norm(u_eig), 1e-12)
 
 
+MULTIPLIERS = {"D": d_operator, "P": p_operator, "Dinv": inverse_d_operator}
+SYMBOL_GRIDS = [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2), GridSpec(2, 8, 2)]
+SYMBOL_GRID_IDS = ["1d-g32", "2d-g8", "g16m2", "2d-g8-m2"]
+
+
+@pytest.mark.parametrize("grid", SYMBOL_GRIDS, ids=SYMBOL_GRID_IDS)
+@pytest.mark.parametrize("tag", list(MULTIPLIERS))
+def test_multiplier_closed_form_matches_eigh(grid, tag):
+    # the reference diagonalizes the dense Hermitian matrix here, with its
+    # own null threshold, and never sees the symbol's modulus
+    T = MULTIPLIERS[tag](grid)
+    h = random_field(grid, np.random.default_rng(31))
+    lam, V = np.linalg.eigh(T.dense_matrix())
+    null = np.abs(lam) < 1e-9 * np.abs(lam).max()
+    coords = V.conj().T @ h.flat()
+    scales = TLadder.default().t
+    for b in (fc.exp_abs(1.0), fc.sgn(), fc.chi_plus(), fc.chi_minus(), fc.z_exp_abs(),
+              fc.resolvent_power(4), fc.theta()):
+        parts = fc.eigen_apply_scaled(T, b, scales, h).reshape(len(scales), -1)
+        for s, part in zip(scales, parts):
+            expected = V @ (np.where(null, b.value_at_zero, b(s * lam)) * coords)
+            assert np.linalg.norm(part - expected) <= 1e-12 * l2_norm(h), (b.name, s)
+
+
+def test_multiplier_calculus_makes_no_dense_eig(monkeypatch, g32, rng):
+    eigs = _count_calls(monkeypatch, np.linalg, "eig")
+    assemblies = _count_calls(monkeypatch, operators, "assemble_dense")
+    report = run_experiment(ExperimentConfig(experiment="sweep", variant="aperture",
+                                             grid_points=32))
+    assert report["passed"]
+    field = tent.semigroup_tent_field(d_operator(g32), random_field(g32, rng),
+                                      TLadder.default())
+    assert np.isfinite(field.values).all()
+    assert eigs == [] and assemblies == []
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call appends its arguments to a list."""
     calls = []
@@ -293,15 +337,16 @@ def test_contour_chunking_matches_single_chunk(perturbed_system_32, rng, monkeyp
 @pytest.mark.parametrize(
     "run",
     [
-        lambda T, h: apply_calculus(fc.resolvent_power(4), T, h, path="auto"),
+        lambda T, h: apply_calculus(fc.resolvent_power(4), T, h, path="eigen"),
         lambda T, h: apply_calculus(fc.resolvent_power(4), T, h, path="contour"),
         lambda T, h: semigroup(T, 0.5, h, path="contour"),
     ],
-    ids=["auto", "contour", "semigroup-contour"],
+    ids=["eigen", "contour", "semigroup-contour"],
 )
 def test_calculus_refuses_beyond_dense_limit(run):
     grid = GridSpec(dim=2, points=64, system_size=1)  # dof 12288 > limit
-    T = d_operator(grid)
+    B = hat_transform(identity_coefficients(grid))
+    T = db_operator(B)
     h = random_field(grid, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -312,7 +357,23 @@ def test_calculus_refuses_beyond_dense_limit(run):
         tracemalloc.stop()
     # the range basis alone would take 1.5 GiB and the dense matrix 2.25 GiB
     assert peak < 16 * 2**20
-    assert T._dense is None and T._split_cache is None
+    assert T._dense is None and B._splitter is None
+
+
+def test_multiplier_calculus_runs_beyond_dense_limit():
+    grid = GridSpec(dim=2, points=64, system_size=1)  # dof 12288 > limit
+    T = d_operator(grid)
+    h = single_mode_field(grid, (3, -4), [1.0, 0.6j, -0.8j])
+    tracemalloc.start()
+    try:
+        out = semigroup(T, 0.7, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # h lies in the range of the symbol at |k| = 5
+    assert l2_norm(out - np.exp(-0.7 * 5.0) * h) <= 1e-12 * l2_norm(h)
+    assert peak < 16 * 2**20
+    assert T._dense is None
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +447,10 @@ def test_scalar_quadratic_integral_oracle():
 
 
 def test_eigen_condition_guard():
-    grid = GridSpec(dim=1, points=8, system_size=1)
-    M = np.eye(grid.dof, dtype=complex)
-    M[0, 1] = 1.0
-    M[1, 1] = 1.0 + 1e-14  # near-defective pair
-    with pytest.raises(OperatorError, match="Schur"):
-        fc._dense_eigen_data(M)
+    assert fc._checked_condition(0.5 * fc.EIG_CONDITION_LIMIT) == 0.5 * fc.EIG_CONDITION_LIMIT
+    for cond in (2 * fc.EIG_CONDITION_LIMIT, np.nan):
+        with pytest.raises(OperatorError, match="Schur"):
+            fc._checked_condition(cond)
 
 
 def test_bracket_branch():
@@ -488,11 +547,10 @@ def _uncached_scaled(ed, b, scales, h):
     return (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
 
 
-@pytest.mark.parametrize("handle", ["db", "bd", "adjoint-db", "D"])
+@pytest.mark.parametrize("handle", ["db", "bd", "adjoint-db"])
 def test_scaled_tables_match_uncached_evaluation_bitwise(perturbed_system_32, handle, rng):
     sys_ = perturbed_system_32
-    T = {"db": sys_.db, "bd": sys_.bd, "adjoint-db": sys_.adjoint().db,
-         "D": d_operator(sys_.grid)}[handle]
+    T = {"db": sys_.db, "bd": sys_.bd, "adjoint-db": sys_.adjoint().db}[handle]
     h = random_field(T.grid, rng)
     ed = eigen_data(T)
     ed._tables.clear()

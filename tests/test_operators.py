@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from halfspace.calculus import eigen_data
+import halfspace.calculus as fc
+from halfspace.calculus import apply_calculus, eigen_data
 from halfspace.coefficients import (
     _range_basis_fields,
     _range_symbol_product,
@@ -21,6 +22,7 @@ from halfspace.operators import (
     build_inverse_D_symbol,
     d_operator,
     db_operator,
+    inverse_d_operator,
     offdiag_distance_sweep,
     offdiag_probe,
     p_operator,
@@ -324,7 +326,7 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 DECLARED_STATE = {
     "tag", "grid", "kind", "payload", "multiplier_matrix", "accretivity_angle",
-    "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_split_cache", "_lu",
+    "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_lu",
 }
 
 
@@ -336,7 +338,6 @@ def test_handle_state_is_declared(g32, rng):
     assert b_operator(B).multiplier_matrix is B
     f = random_field(g32, rng)
     range_splitter(db).split(db, f)
-    range_splitter(D).split(D, f)
     resolvent_solve(db, 0.5, f, method="dense")
     for T in (D, db, bd, p_operator(g32)):
         assert set(vars(T)) == DECLARED_STATE
@@ -344,6 +345,20 @@ def test_handle_state_is_declared(g32, rng):
     eigen_data(db)
     assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_sup_norm"}
     assert range_splitter(bd) is B._splitter and B._range_eigen is not None
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
+                                  GridSpec(2, 8, 2)], ids=str)
+def test_symbols_square_to_modulus_times_projection(grid):
+    # S(k)^2 = sigma(k)^2 P(k), the precondition of the closed-form calculus
+    k = grid.frequency_norms()
+    inv = np.where(k > 0, 1.0 / np.where(k > 0, k, 1.0), 0.0)
+    P = build_P_symbol(grid).matrices
+    for T, sigma in ((d_operator(grid), k), (p_operator(grid), (k > 0) * 1.0),
+                     (inverse_d_operator(grid), inv)):
+        S = T.payload.matrices
+        assert np.abs(S @ S - sigma[..., None, None] ** 2 * P).max() <= 1e-13
+        assert np.abs(fc._range_modulus(T) - sigma).max() <= 1e-13
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
@@ -365,7 +380,7 @@ def test_range_split_refuses_beyond_dense_limit():
     assert B._splitter is None
 
 
-def test_d_splits_by_projection_alone(g32, rng, monkeypatch):
+def test_d_contour_builds_no_compression(g32, rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("D needs no compression")
 
@@ -373,15 +388,27 @@ def test_d_splits_by_projection_alone(g32, rng, monkeypatch):
     monkeypatch.setattr(operators, "_compression", forbidden)
     T = d_operator(g32)
     f = random_field(g32, rng)
-    fr, fn = range_splitter(T).split(T, f)
+    # the contour path splits D as P f + (f - P f): 1 on the range and the
+    # value at the origin, here 0 and 2, on the null space
     Pf = p_operator(g32).apply(f)
-    assert l2_norm(fr - Pf) == 0.0 and l2_norm(fn - (f - Pf)) == 0.0
-    assert range_splitter(T) is T._split_cache
+    both = fc.custom(0.0, 0.0, lambda z: np.ones_like(z), 2.0, name="one-on-range")
+    out = apply_calculus(both, T, f, path="contour")
+    assert l2_norm(out - (Pf + (f - Pf) * 2.0)) <= 1e-10 * l2_norm(f)
+    assert l2_norm(apply_calculus(fc.chi_plus(), T, f, path="contour")
+                   + apply_calculus(fc.chi_minus(), T, f, path="contour") - Pf) <= 1e-10 * l2_norm(f)
 
 
-def test_range_split_refuses_other_symbols(g32):
-    with pytest.raises(OperatorError, match="no range split"):
-        range_splitter(p_operator(g32))
+def test_range_split_refuses_other_symbols(g32, rng):
+    for T in (d_operator(g32), p_operator(g32), inverse_d_operator(g32)):
+        with pytest.raises(OperatorError, match="no range split"):
+            range_splitter(T)
+        with pytest.raises(OperatorError, match="no range split"):
+            eigen_data(T)
+        assert T._eigen is None and T._dense is None
+    # B alone has a range split but no range eigendecomposition
+    B = b_operator(hat_transform(perturbation_of_identity(g32, rng, 0.2)))
+    with pytest.raises(OperatorError, match="no range eigendecomposition"):
+        eigen_data(B)
 
 
 # ---------------------------------------------------------------------------
