@@ -31,7 +31,6 @@ print(f"accretivity: kappa = {report.kappa:.4f}, angle = {report.omega:.4f} rad,
       f"sup norm = {report.sup_norm:.4f}, pointwise = {report.pointwise_accretive}")
 
 T = db_operator(B)
-T.accretivity_angle = report.omega
 
 lam = np.linalg.eigvals(assemble_dense(T))
 lam = lam[np.abs(lam) > 1e-8]

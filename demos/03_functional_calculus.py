@@ -18,7 +18,6 @@ import numpy as np
 import halfspace.calculus as fc
 from halfspace import (
     GridSpec,
-    accretivity_estimate,
     apply_calculus,
     calderon_pair,
     db_operator,
@@ -33,9 +32,7 @@ from halfspace.operators import p_operator
 grid = GridSpec(dim=1, points=64)
 rng = np.random.default_rng(2)
 B = hat_transform(perturbation_of_identity(grid, rng, 0.15))
-report = accretivity_estimate(B)
-T = db_operator(B)
-T.accretivity_angle = report.omega
+T = db_operator(B)  # both paths read the accretivity certificate cached on B
 
 h = random_field(grid, rng)
 psi = fc.resolvent_power(4)

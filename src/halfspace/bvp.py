@@ -225,24 +225,24 @@ class _FactoredMap:
 class FirstOrderSystem:
     """Coefficients, the transformed multiplier, its certificate and operators.
 
-    Builds the accretivity certificate up front (it gates everything
-    downstream).  DB and BD = B (DB) B^-1 share one r x r eigendecomposition,
-    that of D_r C, DB restricted to the range of D, cached on B; their null
-    parts are exact.  The adjoint system shares the certificate and derives
-    its DB from this BD and its BD from this DB, so neither runs another eig
-    or certificate.  Hardy bases and the factorized trace maps are cached
-    per system.
+    Builds the accretivity certificate of B up front (it gates everything
+    downstream), or stores a given report of the same coefficients on B.
+    DB and BD = B (DB) B^-1 share one r x r eigendecomposition, that of D_r
+    C, DB restricted to the range of D, cached on B; their null parts are
+    exact.  The adjoint system shares the certificate and derives its DB
+    from this BD and its BD from this DB, so neither runs another eig or
+    certificate.  Hardy bases and the factorized trace maps are cached per
+    system.
     """
 
     def __init__(self, A: CoefficientMatrix, report: AccretivityReport | None = None):
         self.A = A
         self.grid = A.grid
         self.B = hat_transform(A)
-        self.report = report if report is not None else accretivity_estimate(self.B)
+        self.B._report = report
+        self.report = accretivity_estimate(self.B)
         self.db = db_operator(self.B)
         self.bd = bd_operator(self.B)
-        self.db.accretivity_angle = self.report.omega
-        self.bd.accretivity_angle = self.report.omega
         self._hardy = {}
         self._trace_maps = {}
         self._adjoint = None
@@ -280,8 +280,9 @@ class FirstOrderSystem:
         """The system of the adjoint coefficients A^*.
 
         Its transform N B^* N has the same kappa and omega on the range of D
-        as B, so the certificate is shared.  Its DB is -N (BD)^* N and its BD
-        is -N (DB)^* N, so both eigendecompositions come from this system's.
+        as B, so this certificate is stored on the adjoint's B and none is
+        computed there.  Its DB is -N (BD)^* N and its BD is -N (DB)^* N, so
+        both eigendecompositions come from this system's.
         """
         if self._adjoint is None:
             adj = FirstOrderSystem(self.A.adjoint(), self.report)
@@ -317,7 +318,9 @@ class BVPSolution:
     The trace h lies in the span of the positive spectral basis.
     evaluate(t) returns the interior conormal gradient; scalar_value(t)
     the mean-zero interior scalar potential.  diagnostics carries the
-    trace residual, the trace-map condition number and norm reports.
+    trace residual, the trace-map condition number and norm reports, all
+    plain numbers; the potential vector behind scalar_value is cached on
+    the solution itself.
     """
 
     kind: str
@@ -325,22 +328,23 @@ class BVPSolution:
     h: Field
     diagnostics: dict
     datum: np.ndarray | None = None
+    _potential: Field | None = dataclasses.field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def evaluate(self, t: float) -> Field:
         return fc.semigroup(self.system.db, t, self.h)
 
     def _potential_vector(self) -> Field:
         """v with D v = -h in the positive subspace of the reversed composition."""
-        if "_v0" not in self.diagnostics:
+        if self._potential is None:
             tm = self.system.trace_map("potential")
             c, fitted = tm.solve(-self.h.flat())
-            v0 = Field.from_flat(self.system.grid, tm.basis @ c)
+            self._potential = Field.from_flat(self.system.grid, tm.basis @ c)
             resid = np.linalg.norm(fitted + self.h.flat()) / max(
                 np.linalg.norm(self.h.flat()), 1e-300
             )
-            self.diagnostics["_v0"] = v0
             self.diagnostics["potential_residual"] = float(resid)
-        return self.diagnostics["_v0"]
+        return self._potential
 
     def scalar_value(self, t: float) -> np.ndarray:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .coefficients import TransformedB, _range_symbol_product
+from .coefficients import TransformedB, _range_symbol_product, accretivity_estimate
 from .grid import Field, check_finite, ifft_values
 from .operators import (
     LinearOperatorHandle,
@@ -377,17 +377,6 @@ class _RangeEigen:
     condition: float
 
 
-def _accretive_kappa(splitter) -> float:
-    """lambda_min(Re C) of the range split, refused unless positive."""
-    kappa = splitter.kappa
-    if not kappa > 0:
-        raise OperatorError(
-            f"B is not accretive on the range of D (lambda_min(Re C) = "
-            f"{kappa:.3e}); the range calculus needs it"
-        )
-    return kappa
-
-
 def _range_eigen(B: TransformedB, splitter) -> _RangeEigen:
     """The r x r eigendecomposition of DB on the range of D, cached on B.
 
@@ -396,11 +385,11 @@ def _range_eigen(B: TransformedB, splitter) -> _RangeEigen:
     invertible, so every one of its r eigenvalues is nonzero.
     """
     if B._range_eigen is None:
-        kappa = _accretive_kappa(splitter)
+        report = accretivity_estimate(B)
         lam, W = np.linalg.eig(_range_symbol_product(B.grid, splitter.C))
         B._range_eigen = _RangeEigen(
             lam=lam, W=W, lu=scipy.linalg.lu_factor(W),
-            condition=float(np.linalg.cond(W)) * B.sup_norm() / kappa,
+            condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa,
         )
     return B._range_eigen
 
@@ -450,7 +439,8 @@ def eigen_data(T: LinearOperatorHandle) -> EigenData:
     factorization shared by every handle on their multiplier, with an exact
     null part and no dof-sized SVD.  Raises OperatorError on any other
     handle, beyond the dense limit before allocating, and when the
-    eigenvector condition bound exceeds EIG_CONDITION_LIMIT.
+    eigenvector condition bound exceeds EIG_CONDITION_LIMIT;
+    NotAccretiveError, before any eig, when B fails the certificate.
     """
     if T._eigen is None:
         T._eigen = T._eigen_source() if T._eigen_source is not None else _range_eigen_data(T)
@@ -626,30 +616,26 @@ def _shifted_triangular_solves(R: np.ndarray, g: np.ndarray, mu: np.ndarray) -> 
 
 
 def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
-    """The curves around the range spectrum of T, from bounds the handle holds.
+    """The curves around the range spectrum of T, fitted once per handle.
 
     B accretive on the range of D with bound kappa and angle omega puts the
     range spectrum of DB and BD in kappa k_min <= |lambda| <= sup|B| k_max,
     |arg(+-lambda)| <= omega (Axelsson-Keith-McIntosh, Invent. Math. 2006):
     DB Q = Q D_r C with |D_r C c| >= k_min kappa |c| and ||D_r C|| <= k_max
-    sup|B|.  omega is T.accretivity_angle: the certified angle on the
-    handles of a system, 0 on a bare handle, whose curve then encloses a
-    nonreal spectrum only through its margin.  A multiplier's range spectrum
-    is +-sigma(k), sigma > 0.  The fit is cached on the handle with the
-    angle it used and redone when accretivity_angle is reassigned.
+    sup|B|.  kappa, omega and sup|B| are read from the certificate cached
+    on B, so a bare handle gets the same curves as a system's.  A
+    multiplier's range spectrum is +-sigma(k), sigma > 0.
     """
-    angle = T.accretivity_angle
-    if T._contour is None or T._contour[0] != angle:
+    if T._contour is None:
         if T.kind == "multiplier":
             sigma = _range_modulus(T)
-            spec = ContourSpec.enclosing(sigma[sigma > 0].min(), sigma.max(), 0.0)
+            T._contour = ContourSpec.enclosing(sigma[sigma > 0].min(), sigma.max(), 0.0)
         else:
+            report = accretivity_estimate(T.multiplier_matrix)
             k = T.grid.frequency_norms()
-            kappa = _accretive_kappa(range_splitter(T))
-            spec = ContourSpec.enclosing(kappa * k[k > 0].min(),
-                                         T.multiplier_matrix.sup_norm() * k.max(), angle)
-        T._contour = (angle, spec)
-    return T._contour[1]
+            T._contour = ContourSpec.enclosing(report.kappa * k[k > 0].min(),
+                                               report.sup_norm * k.max(), report.omega)
+    return T._contour
 
 
 def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field) -> Field:

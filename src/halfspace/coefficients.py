@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 
+# step of the bisection grid the certified angle omega is rounded up to, radians
+ANGLE_RESOLUTION = 1e-3
+
+
 class CoefficientError(ValueError):
     pass
 
@@ -102,23 +106,18 @@ class CoefficientMatrix(_PointwiseMatrix):
 class TransformedB(_PointwiseMatrix):
     """Pointwise multiplier B(x) obtained from coefficients A(x).
 
-    Every DB and BD handle on one multiplier shares its range split and
-    the eigendecomposition of DB restricted to the range of D, each built
-    lazily, by operators.range_splitter (or the certificate) and
-    calculus.eigen_data, and its sup norm, computed on first use.
+    B owns what every DB and BD handle on it shares, each built lazily:
+    its range split (operators.range_splitter), its accretivity
+    certificate with kappa, omega and sup|B| (accretivity_estimate), and
+    the eigendecomposition of DB restricted to the range of D
+    (calculus.eigen_data).
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         super().__init__(grid, values)
         self._splitter = None
         self._range_eigen = None
-        self._sup_norm = None
-
-    def sup_norm(self) -> float:
-        """Largest pointwise operator 2-norm over the grid, computed once."""
-        if self._sup_norm is None:
-            self._sup_norm = super().sup_norm()
-        return self._sup_norm
+        self._report = None
 
     def adjoint(self) -> "TransformedB":
         return TransformedB(self.grid, self.adjoint_values())
@@ -243,13 +242,11 @@ def compressed_quadratic_form(B: TransformedB) -> np.ndarray:
     return _compression(B, _range_basis_fields(B.grid))
 
 
-def _round_up_to_bisection_grid(angle: float, resolution: float) -> float:
-    """Upper end of the halving of [0, pi/2 - 1e-9] around angle, down to resolution."""
+def _round_up_to_bisection_grid(angle: float) -> float:
+    """Upper end of the halving of [0, pi/2 - 1e-9] around angle, down to the grid step."""
     lo, hi = 0.0, np.pi / 2 - 1e-9
-    while hi - lo > resolution:
+    while hi - lo > ANGLE_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # the grid is finer than the float spacing
         if mid >= angle:
             hi = mid
         else:
@@ -257,35 +254,37 @@ def _round_up_to_bisection_grid(angle: float, resolution: float) -> float:
     return hi
 
 
-def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> AccretivityReport:
-    """Estimate the accretivity bound and angle of the compressed multiplier.
+def accretivity_estimate(B: TransformedB) -> AccretivityReport:
+    """The accretivity certificate of the compressed multiplier, cached on B.
 
-    kappa is the smallest eigenvalue of the Hermitian part H of the
-    compression C = H + iK.  C and kappa come from the range split cached
-    on B, which the calculus on B reuses, so the certificate refuses
-    beyond the dense limit as the split does.  As H > 0, the numerical
-    range of C lies in the sector |arg z| <= phi exactly when |<Kx,x>| <=
-    tan(phi) <Hx,x> for every x, so the exact angle is arctan max|mu| over
-    the eigenvalues mu of the Hermitian pencil K x = mu H x.  The reported omega is that
-    angle rounded up to the grid of the bisection of [0, pi/2) down to
-    the angular resolution; it is 0 when ||K||_2 is within roundoff of
-    sup |B|, which bounds ||C||_2 from above.
+    Computed once per multiplier; every later call, and every consumer (the
+    range eigendecomposition, the contour fit, a FirstOrderSystem and its
+    adjoint), reads the same report.  C comes from the range split cached
+    on B, so the certificate refuses beyond the dense limit as the split
+    does.  kappa is the smallest eigenvalue of the Hermitian part H of the
+    compression C = H + iK; NotAccretiveError is raised unless it is
+    positive.  As H > 0, the numerical range of C lies in the sector
+    |arg z| <= phi exactly when |<Kx,x>| <= tan(phi) <Hx,x> for every x,
+    so the exact angle is arctan max|mu| over the eigenvalues mu of the
+    Hermitian pencil K x = mu H x.  The reported omega is that angle
+    rounded up to the grid of the bisection of [0, pi/2) in steps down to
+    ANGLE_RESOLUTION; it is 0 when ||K||_2 is within roundoff of sup |B|,
+    which bounds ||C||_2 from above.
     """
-    if not (np.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"angle resolution must be finite and positive, got {resolution}")
+    if B._report is not None:
+        return B._report
     # operators imports this module, so the shared range split is imported here
     from .operators import b_operator, range_splitter
 
-    splitter = range_splitter(b_operator(B))
-    C = splitter.C
+    C = range_splitter(b_operator(B)).C
     herm = 0.5 * (C + C.conj().T)
-    kappa = splitter.kappa
+    kappa = float(np.linalg.eigvalsh(herm)[0])
+    if not kappa > 0:  # the pencil below needs H > 0
+        raise NotAccretiveError(f"B not accretive on range of D (kappa = {kappa:.3e})")
     sup = B.sup_norm()
     pointwise = bool(
         np.all(np.linalg.eigvalsh(0.5 * (B.values + B.adjoint_values()))[..., 0] > 0)
     )
-    if kappa <= 0:
-        raise NotAccretiveError("B not accretive on range of D")
     tol = 1e-12 * max(sup, 1.0)
     skew = -0.5j * (C - C.conj().T)
     # an entry bounds ||K||_2 from below, so this solve runs only near zero
@@ -296,21 +295,22 @@ def accretivity_estimate(B: TransformedB, resolution: float = 1e-3) -> Accretivi
         mu = scipy.linalg.eigh(skew, herm, eigvals_only=True)
         max_mu = float(max(-mu[0], mu[-1]))
         exact = float(np.arctan(max_mu))
-        omega = _round_up_to_bisection_grid(exact, resolution)
+        omega = _round_up_to_bisection_grid(exact)
         search = "generalized Hermitian eigenproblem (K, H)"
-    return AccretivityReport(
+    B._report = AccretivityReport(
         kappa=kappa,
         omega=omega,
         sup_norm=sup,
         pointwise_accretive=pointwise,
         method={
             "compression_size": C.shape[0],
-            "angle_resolution": resolution,
+            "angle_resolution": ANGLE_RESOLUTION,
             "angle_search": search,
             "omega_exact": exact,
             "pencil_max_abs_eigenvalue": max_mu,
         },
     )
+    return B._report
 
 
 def identity_coefficients(grid: GridSpec) -> CoefficientMatrix:

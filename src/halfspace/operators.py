@@ -13,7 +13,6 @@ iteration beyond it.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 import scipy.linalg
@@ -169,13 +168,12 @@ class LinearOperatorHandle:
       compose     - right-to-left composition of handles
 
     attributes besides tag, grid, kind and payload:
-      multiplier_matrix  - the TransformedB of B, DB and BD, else None
-      accretivity_angle  - sector angle used by the contour path, 0.0 by default
-      _dense, _eigen, _schur  - lazily built caches
+      multiplier_matrix  - the TransformedB of B, DB and BD, else None; it
+                           owns the accretivity certificate the calculus reads
+      _dense, _eigen, _schur, _contour  - lazily built caches, _contour the
+                                          ContourSpec of the contour path
       _lu  - (t, LU of I + i t T) of the last dense resolvent_solve,
              replaced when t changes
-      _contour  - (angle, ContourSpec) of the contour path, refitted when
-                  accretivity_angle no longer equals angle
       _eigen_source  - callable deriving _eigen from a similar operator's
                        eigendecomposition, or None to compute it here
     """
@@ -187,7 +185,6 @@ class LinearOperatorHandle:
         self.kind = kind
         self.payload = payload
         self.multiplier_matrix = multiplier_matrix
-        self.accretivity_angle = 0.0
         self._dense = None
         self._eigen = None
         self._eigen_source = None
@@ -383,15 +380,6 @@ class RangeSplitter:
         self.Q = _range_basis_fields(B.grid)  # dof x r, orthonormal
         self.C = _compression(B, self.Q)
         self.lu = scipy.linalg.lu_factor(self.C)
-
-    @functools.cached_property
-    def kappa(self) -> float:
-        """lambda_min(Re C), the accretivity bound of B on the range of D.
-
-        Computed once per multiplier: the certificate, the range
-        eigendecomposition and the contour path all read it here.
-        """
-        return float(np.linalg.eigvalsh(0.5 * (self.C + self.C.conj().T))[0])
 
     def compression_condition(self) -> float:
         return float(np.linalg.cond(self.C))

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -187,6 +188,9 @@ def test_dirichlet_poisson_modes(identity_system_32):
         u = sol.scalar_value(t)
         assert np.allclose(u, np.exp(-t) * np.cos(x), atol=1e-10)
     assert sol.diagnostics["boundary_value_error"] <= 1e-8
+    # the potential vector behind scalar_value is cached on the solution, not in diagnostics
+    assert sol.diagnostics["potential_residual"] <= 1e-8
+    json.dumps(sol.diagnostics)
 
 
 def test_dirichlet_zero(identity_system_32):
@@ -389,33 +393,35 @@ def test_range_eigen_data_null_part_is_exact(fresh_system):
 
 
 def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
-    calls = {"certificate": 0}
-    certificate = bvp.accretivity_estimate
+    shapes = {"eig": [], "eigvalsh": [], "eigh": []}
 
-    def counting_certificate(B):
-        calls["certificate"] += 1
-        return certificate(B)
+    def recording(name, inner):
+        def call(M, *args, **kwargs):
+            shapes[name].append(np.shape(M))
+            return inner(M, *args, **kwargs)
+        return call
 
-    eig_shapes = []
-    eig = np.linalg.eig
-
-    def recording_eig(M):
-        eig_shapes.append(np.shape(M))
-        return eig(M)
-
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
-    monkeypatch.setattr(bvp, "accretivity_estimate", counting_certificate)
+    monkeypatch.setattr(np.linalg, "eig", recording("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigh", recording("eigh", scipy.linalg.eigh))
     sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(23), 0.1))
     for T in _four_handles(sys_).values():
         fc.eigen_data(T)
+    h = random_field(g8x2, np.random.default_rng(0))
+    for T in (sys_.db, sys_.adjoint().bd):
+        fc.apply_calculus(fc.chi_plus(), T, h, path="contour")
     r = _range_dim(g8x2)
-    assert calls == {"certificate": 1}
-    assert eig_shapes == [(r, r)]
-    # a bare DB/BD pair on one multiplier shares its split and its eig too
+    # one certificate, kappa and the pencil solve of the angle, serves B and its adjoint
+    assert shapes["eigvalsh"].count((r, r)) == 1 and shapes["eigh"] == [(r, r)]
+    assert sys_.adjoint().report is sys_.report
+    assert shapes["eig"] == [(r, r)]
+    # a bare DB/BD pair on one multiplier shares its split, certificate and eig too
     db, bd = _bare_pair(sys_).values()
     fc.eigen_data(db)
     fc.eigen_data(bd)
-    assert eig_shapes == [(r, r), (r, r)]
+    fc.apply_calculus(fc.chi_plus(), bd, h, path="contour")
+    assert shapes["eig"] == [(r, r), (r, r)]
+    assert shapes["eigvalsh"].count((r, r)) == 2 and shapes["eigh"] == [(r, r)] * 2
     assert range_splitter(db) is range_splitter(bd)
 
 

@@ -17,7 +17,12 @@ from halfspace.calculus import (
     semigroup,
     verify_decay,
 )
-from halfspace.coefficients import perturbation_of_identity
+from halfspace.coefficients import (
+    NotAccretiveError,
+    TransformedB,
+    accretivity_estimate,
+    perturbation_of_identity,
+)
 from halfspace.grid import Field, GridError, GridSpec, TLadder, l2_norm, random_field
 import halfspace.operators as operators
 import halfspace.tent as tent
@@ -165,7 +170,8 @@ def _inside(contour, z):
 def test_contour_encloses_the_range_spectrum(grid, size):
     sys_ = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(3), size))
     bare = db_operator(sys_.B)
-    assert bare.accretivity_angle == 0.0
+    # both read the certificate cached on B, so a bare handle needs no angle handed to it
+    assert fc._spectral_contour(bare) == fc._spectral_contour(sys_.db)
     r = 2 * grid.system_size * (grid.points**grid.dim - 1)
     for T in (sys_.db, sys_.bd, bare, d_operator(grid)):
         contour = fc._spectral_contour(T)
@@ -175,6 +181,37 @@ def test_contour_encloses_the_range_spectrum(grid, size):
         assert np.abs(null).max() <= 1e-10 * np.abs(ranged).min()
         assert _inside(contour, ranged).all(), T.tag
         assert not _inside(contour, 0.0) and not _inside(contour, null).any()
+
+
+def test_bare_handle_contour_matches_eigen_path_on_a_wide_annulus():
+    # size 0.6 at 1D G=128: the widest annulus and sector of the fields tested here
+    grid = GridSpec(1, 128, 1)
+    B = hat_transform(perturbation_of_identity(grid, np.random.default_rng(7919), 0.6))
+    T = db_operator(B)
+    h = random_field(grid, np.random.default_rng(0))
+    for b in (fc.resolvent_power(4), fc.exp_abs(10.0), fc.z_exp_abs(), fc.sgn()):
+        u_eig = apply_calculus(b, T, h, path="eigen")
+        u_con = apply_calculus(b, T, h, path="contour")
+        assert l2_norm(u_con - u_eig) <= 1e-8 * l2_norm(h), b.name
+
+
+def test_non_accretive_multiplier_is_refused_before_any_factorization(monkeypatch):
+    grid = GridSpec(1, 16, 1)
+    eye = identity_coefficients(grid).values
+    h = random_field(grid, np.random.default_rng(0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate must refuse first")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    # -I fails with a zero skew part, exp(2i) I with a nonzero one
+    for values in (-eye, np.exp(2j) * eye):
+        B = TransformedB(grid, values)
+        with pytest.raises(NotAccretiveError):
+            eigen_data(db_operator(B))
+        with pytest.raises(NotAccretiveError):
+            apply_calculus(fc.sgn(), db_operator(B), h, path="contour")
 
 
 @pytest.mark.parametrize("points", [32, 128])
@@ -301,7 +338,6 @@ def _count_calls(monkeypatch, owner, name):
 def test_contour_factorizes_once_and_never_diagonalizes(perturbed_system_32, rng, monkeypatch):
     sys_ = perturbed_system_32
     T = db_operator(sys_.B)
-    T.accretivity_angle = sys_.report.omega
     h = random_field(sys_.grid, rng)
 
     def forbidden(*args, **kwargs):
@@ -618,21 +654,17 @@ def test_scaled_table_count_stays_at_the_limit(g32, rng):
     assert kept == list(np.linspace(0.1, 5.0, 50)[-fc.SCALED_TABLE_LIMIT:])
 
 
-def test_contour_fitted_once_per_angle(perturbed_system_32, monkeypatch):
+def test_contour_fitted_once_per_handle(perturbed_system_32, monkeypatch):
     sys_ = perturbed_system_32
     T = db_operator(sys_.B)
-    T.accretivity_angle = sys_.report.omega
     fits = _count_calls(monkeypatch, fc.ContourSpec, "enclosing")
     norms = _count_calls(monkeypatch, np.linalg, "norm")
     first = fc._spectral_contour(T)
     assert fc._spectral_contour(T) is first
     assert len(fits) == 1
-    sys_.B.sup_norm()
-    assert not norms  # the multiplier's sup norm is computed once, by the certificate
-    T.accretivity_angle = 0.5 * sys_.report.omega
-    refit = fc._spectral_contour(T)
-    assert len(fits) == 2 and refit != first
+    assert not norms  # sup|B| is read from the certificate, computed with the system
+    report = sys_.report
+    assert accretivity_estimate(sys_.B) is report
     k = T.grid.frequency_norms()
-    assert refit == ContourSpec.enclosing(range_splitter(T).kappa * k[k > 0].min(),
-                                          sys_.B.sup_norm() * k.max(), T.accretivity_angle)
-    assert fc._spectral_contour(T) is refit
+    assert first == ContourSpec.enclosing(report.kappa * k[k > 0].min(),
+                                          report.sup_norm * k.max(), report.omega)

@@ -6,6 +6,7 @@ from halfspace.calculus import apply_calculus, eigen_data
 from halfspace.coefficients import (
     _range_basis_fields,
     _range_symbol_product,
+    accretivity_estimate,
     hat_transform,
     identity_coefficients,
     perturbation_of_identity,
@@ -325,7 +326,7 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 
 DECLARED_STATE = {
-    "tag", "grid", "kind", "payload", "multiplier_matrix", "accretivity_angle",
+    "tag", "grid", "kind", "payload", "multiplier_matrix",
     "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_lu",
 }
 
@@ -333,7 +334,7 @@ DECLARED_STATE = {
 def test_handle_state_is_declared(g32, rng):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
     D, db, bd = d_operator(g32), db_operator(B), bd_operator(B)
-    assert D.multiplier_matrix is None and D.accretivity_angle == 0.0
+    assert D.multiplier_matrix is None
     assert db.multiplier_matrix is B and bd.multiplier_matrix is B
     assert b_operator(B).multiplier_matrix is B
     f = random_field(g32, rng)
@@ -343,8 +344,9 @@ def test_handle_state_is_declared(g32, rng):
         assert set(vars(T)) == DECLARED_STATE
     assert db._lu[0] == 0.5
     eigen_data(db)
-    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_sup_norm"}
+    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_report"}
     assert range_splitter(bd) is B._splitter and B._range_eigen is not None
+    assert B._report is accretivity_estimate(B)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
