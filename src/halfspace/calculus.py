@@ -42,7 +42,6 @@ import dataclasses
 import typing
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .coefficients import TransformedB, _range_symbol_product, accretivity_estimate
@@ -724,7 +723,11 @@ def semigroup(
 
 
 def _log_axis_integral(f, lo=-40.0, hi=40.0) -> float:
-    val, err = scipy.integrate.quad(f, lo, hi, limit=800, epsabs=1e-13, epsrel=1e-12)
+    # imported on first use: scipy.integrate also loads scipy.optimize,
+    # scipy.sparse and scipy.spatial, which no other path needs
+    from scipy.integrate import quad
+
+    val, err = quad(f, lo, hi, limit=800, epsabs=1e-13, epsrel=1e-12)
     return float(val)
 
 

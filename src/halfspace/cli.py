@@ -25,6 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .bvp import TraceMapError
 from .calculus import (
     bracket_exp_abs,
     calderon_pair,
@@ -32,7 +33,9 @@ from .calculus import (
     z_over_one_plus_z2,
 )
 from .coefficients import (
+    CoefficientError,
     CoefficientMatrix,
+    NotAccretiveError,
     block_diagonal_coefficients,
     identity_coefficients,
     perturbation_of_identity,
@@ -40,6 +43,7 @@ from .coefficients import (
 from .grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
 from .io import load_coefficients
 from .operators import (
+    OperatorError,
     d_operator,
     offdiag_distance_sweep,
     p_operator,
@@ -556,6 +560,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         recs = []
         for eps in (0.0, 0.05, 0.1, 0.2, 0.4):
             Ap = CoefficientMatrix(grid, A.values + eps * E)
+            operation = "solve_neumann"
             try:
                 system = bvp_mod.FirstOrderSystem(Ap)
                 sol = bvp_mod.solve_neumann(
@@ -563,11 +568,12 @@ def run_sweep(cfg: ExperimentConfig) -> list:
                 )
                 cond = sol.diagnostics["trace_condition"]
                 ok = True
-            except Exception:
+            except (TraceMapError, NotAccretiveError, OperatorError, CoefficientError) as exc:
+                # a refused perturbation; any other error is a fault and propagates
                 cond = float("inf")
                 ok = False
-            recs.append(record(f"trace_condition_eps_{eps:g}", cond, None, ok,
-                               "solve_neumann",
+                operation = f"solve_neumann: {type(exc).__name__}"
+            recs.append(record(f"trace_condition_eps_{eps:g}", cond, None, ok, operation,
                                "trace conditioning under coefficient perturbation"))
         return recs
     raise ValueError(f"unknown sweep variant {kind!r}")

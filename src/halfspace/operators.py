@@ -16,7 +16,6 @@ import dataclasses
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .coefficients import TransformedB, _compression, _range_basis_fields
 from .grid import (
@@ -311,6 +310,9 @@ def resolvent_solve(
             T._lu = (t, scipy.linalg.lu_factor(M))
         u = scipy.linalg.lu_solve(T._lu[1], rhs)
     else:
+        # imported on first use: only this branch needs scipy.sparse
+        from scipy.sparse.linalg import LinearOperator, gmres
+
         prec_symbol = _resolvent_of_D_symbol(grid, t)
 
         def matvec(x):
@@ -325,14 +327,14 @@ def resolvent_solve(
             out = prec_symbol.apply_spectral(vals)
             return ifft_values(out, grid).reshape(-1)
 
-        A = scipy.sparse.linalg.LinearOperator(
+        A = LinearOperator(
             (grid.dof, grid.dof), matvec=matvec, dtype=complex
         )
-        M = scipy.sparse.linalg.LinearOperator(
+        M = LinearOperator(
             (grid.dof, grid.dof), matvec=precvec, dtype=complex
         )
         history = []
-        u, info = scipy.sparse.linalg.gmres(
+        u, info = gmres(
             A,
             rhs,
             rtol=tol / 10,

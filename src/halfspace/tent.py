@@ -278,8 +278,9 @@ def nt_sharp(
     Measures boundary oscillation: the box RMS of exp(-t|T|) h - h, with
     an optional t^-alpha weight per box scale.
     """
-    increment = eigen_apply_scaled(T, UNIT_SEMIGROUP, ladder.t, h)
-    increment -= h.to_physical().values
+    hp = h.to_physical()
+    increment = eigen_apply_scaled(T, UNIT_SEMIGROUP, ladder.t, hp)
+    increment -= hp.values
     return _box_maximal(TentField(T.grid, ladder, increment), wp, alpha)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
+import halfspace.cli as cli_mod
 from halfspace.cli import (
     ExperimentConfig,
     build_parser,
@@ -252,3 +253,25 @@ def test_sweep_perturbation_records(tmp_path):
     doc = json.loads(out.read_text())
     names = [r["name"] for r in doc["records"]]
     assert any("eps_0.4" in n for n in names)
+
+
+def test_sweep_perturbation_records_refusal():
+    # -I is invertible but not accretive: every perturbation of it is refused
+    values = -np.eye(2)[None].repeat(16, axis=0)
+    cfg = ExperimentConfig("sweep", "perturbation", grid_points=16,
+                           coefficients={"source": "inline", "values_re": values.tolist()})
+    records = run_experiment(cfg)["records"]
+    assert len(records) == 5
+    for rec in records:
+        assert rec["pass"] is False
+        assert rec["value"] == float("inf")
+        assert rec["operation"] == "solve_neumann: NotAccretiveError"
+
+
+def test_sweep_perturbation_propagates_faults(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("library fault")
+
+    monkeypatch.setattr(cli_mod.bvp_mod, "solve_neumann", broken)
+    with pytest.raises(RuntimeError, match="library fault"):
+        run_experiment(ExperimentConfig("sweep", "perturbation", grid_points=16))

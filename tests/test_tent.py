@@ -247,6 +247,33 @@ def test_nt_sharp_projection_relation(perturbed_system_32, rng):
     assert np.abs(a - b).max() <= 1e-8 * max(np.abs(a).max(), 1e-300)
 
 
+def test_nt_sharp_converts_spectral_probe_once(perturbed_system_32, rng, monkeypatch):
+    import halfspace.grid as grid_mod
+    import halfspace.tent as tent_mod
+
+    grid = perturbed_system_32.grid
+    T = perturbed_system_32.bd
+    h = random_field(grid, rng).to_spectral()
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 2)
+    wp = WhitneyParams()
+    increment = fc.eigen_apply_scaled(T, fc.UNIT_SEMIGROUP, ladder.t, h)
+    increment -= h.to_physical().values
+    expected = tent_mod._box_maximal(TentField(grid, ladder, increment), wp, 0.0)
+
+    inverse = grid_mod.ifft_values
+    conversions = []
+
+    def counting(values, g):
+        if values is h.values:
+            conversions.append(1)
+        return inverse(values, g)
+
+    monkeypatch.setattr(grid_mod, "ifft_values", counting)
+    sharp = nt_sharp(h, T, ladder, wp)
+    assert len(conversions) == 1
+    assert np.array_equal(sharp, expected)
+
+
 def test_nt_sharp_alpha_weight_shifts_to_small_scales(g32):
     # single high mode: the weighted sup must move to the smallest scales,
     # verified against a direct sweep of the weighted box averages
