@@ -383,15 +383,6 @@ class BVPSolution:
         den = np.maximum(np.linalg.norm(target.reshape(rows), axis=1), 1e-300)
         return float(np.max(num / den, initial=0.0))
 
-    def equation_residual_at(self, t: float, rel_delta: float = 1e-4) -> float:
-        """Pointwise evolution residual with a tight centered difference."""
-        dt = rel_delta * t
-        fp = self.evaluate(t + dt).to_physical().values
-        fm = self.evaluate(t - dt).to_physical().values
-        ddt = (fp - fm) / (2 * dt)
-        Tf = self.system.db.apply(self.evaluate(t)).to_physical().values
-        return float(np.linalg.norm(ddt + Tf) / max(np.linalg.norm(Tf), 1e-300))
-
 
 def _solve_trace(system: FirstOrderSystem, datum_field: np.ndarray, slot: str, kind: str):
     """Least squares for h in the positive subspace with prescribed slot."""

@@ -22,8 +22,12 @@ maps the closed range of D into itself, and L^2 = N(DB) + R(D) with
 N(DB) = B^-1 N(D) once B is accretive there.  In the orthonormal range
 basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
 in closed form and C = Q^* B Q is the compression of the range split.
-One eig of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B
-(DB) B^-1 and, by duality, the adjoint system, with an exact null part.
+Q is kept per frequency, 2m channel vectors at each nonzero k, and never
+as a dof x r matrix: C is gathered from the FFT of B, the split applies
+Q^* as one FFT and a gather and Q as one inverse FFT, and V = Q W and
+Vinv, from M = W^-1 C^-1, are each one synthesis of r columns.  One eig
+of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B (DB) B^-1
+and, by duality, the adjoint system, with an exact null part.
 The multipliers D, P and D^+ take b in closed form per frequency, since
 S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
 h for every scale s comes from one evaluation of b and one eigenvector
@@ -44,7 +48,9 @@ import typing
 import numpy as np
 import scipy.linalg
 
-from .coefficients import TransformedB, _range_symbol_product, accretivity_estimate
+from .coefficients import (
+    TransformedB, _range_symbol_product, _range_synthesis, accretivity_estimate,
+)
 from .grid import Field, check_finite, ifft_values
 from .operators import (
     LinearOperatorHandle,
@@ -285,26 +291,6 @@ def custom(
     return HolomorphicFunctionSpec(name, evaluator, value_at_zero, (sigma, tau), bound)
 
 
-def verify_decay(
-    spec: HolomorphicFunctionSpec, mu: float, samples: int = 10000, seed: int = 0
-) -> float:
-    """Largest ratio |psi| / (C min(|z|^sigma, |z|^-tau)) on both rays.
-
-    A value <= 1 confirms the declared decay class at the sampled points.
-    """
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), samples))
-    angles = rng.uniform(-mu, mu, samples)
-    worst = 0.0
-    for half in (+1.0, -1.0):
-        z = half * r * np.exp(1j * angles)
-        vals = np.abs(spec(z))
-        sigma, tau = spec.decay
-        envelope = np.minimum(spec.origin_bound * r**sigma, spec.bound * r**-tau)
-        worst = max(worst, float((vals / envelope).max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # eigendecomposition path
 # ---------------------------------------------------------------------------
@@ -367,12 +353,12 @@ def _checked_condition(cond: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class _RangeEigen:
-    """D_r C = W diag(lam) W^-1 with the LU of W, shared by DB and BD on one B;
+    """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
     condition is cond(W) sup|B| / lambda_min(Re C)."""
 
     lam: np.ndarray
     W: np.ndarray
-    lu: tuple
+    M: np.ndarray
     condition: float
 
 
@@ -381,13 +367,16 @@ def _range_eigen(B: TransformedB, splitter) -> _RangeEigen:
 
     With Q the orthonormal range basis, D Q = Q D_r and Q^* D (I - Q Q^*) =
     0, so DB Q = Q D_r C with C = Q^* B Q.  Accretivity makes D_r C
-    invertible, so every one of its r eigenvalues is nonzero.
+    invertible, so every one of its r eigenvalues is nonzero.  M comes
+    from two LU solves on I_r, with the LU of W and that of C.
     """
     if B._range_eigen is None:
         report = accretivity_estimate(B)
         lam, W = np.linalg.eig(_range_symbol_product(B.grid, splitter.C))
+        Cinv = scipy.linalg.lu_solve(splitter.lu, np.eye(len(lam), dtype=complex))
+        M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(W), Cinv)
         B._range_eigen = _RangeEigen(
-            lam=lam, W=W, lu=scipy.linalg.lu_factor(W),
+            lam=lam, W=W, M=M,
             condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa,
         )
     return B._range_eigen
@@ -402,31 +391,33 @@ def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     """DB or BD from the factorization shared by every handle on its B.
 
-    The condition bounds use ||C^-1|| <= 1/kappa, kappa = lambda_min(Re C),
-    and ||B|| = sup|B|, the largest pointwise norm.  DB has V = Q W and
-    Vinv = W^-1 C^-1 Q^* B, so ||V|| ||Vinv|| <= cond(W) sup|B| / kappa.
-    BD = B (DB) B^-1 has V = B Q W S^-1 and Vinv = S W^-1 C^-1 Q^*, with S
-    the column norms of B Q W, so the bound gains the factor max S / min S;
-    each column is nonzero, as D maps it to a nonzero multiple of Q w.
+    With Q the orthonormal range basis, which is never formed, and M =
+    W^-1 C^-1 from the shared factorization: DB has V = Q W and Vinv = M Q^* B
+    = (B^* (Q M^*))^*; BD = B (DB) B^-1 has V = B Q W S^-1 and Vinv =
+    S M Q^* = S (Q M^*)^*, with S the column norms of B Q W.  Q W and
+    Q M^* are each one synthesis of r coefficient columns
+    (coefficients._range_synthesis).  The condition bounds use ||C^-1|| <=
+    1/kappa, kappa = lambda_min(Re C), and ||B|| = sup|B|, the largest
+    pointwise norm, so for DB ||V|| ||Vinv|| <= cond(W) sup|B| / kappa;
+    BD gains the factor max S / min S, and each column of B Q W is
+    nonzero, as D maps it to a nonzero multiple of Q w.  Any other tag is
+    refused before anything is built.
     """
-    splitter = range_splitter(T)
     if T.tag not in ("DB", "BD"):
         raise OperatorError(f"no range eigendecomposition for tag {T.tag}")
     B = T.multiplier_matrix
-    core = _range_eigen(B, splitter)
-    Q = splitter.Q
+    core = _range_eigen(B, range_splitter(T))
+    QW, QM = _range_synthesis(T.grid, core.W), _range_synthesis(T.grid, core.M.conj().T)
     if T.tag == "DB":
         cond = _checked_condition(core.condition)
-        V = Q @ core.W
-        QB = _pointwise_rows(B.adjoint_values(), Q).conj().T  # Q^* B = (B^* Q)^*
-        Vinv = scipy.linalg.lu_solve(core.lu, scipy.linalg.lu_solve(splitter.lu, QB))
+        V = QW
+        Vinv = _pointwise_rows(B.adjoint_values(), QM).conj().T
     else:
-        V = _pointwise_rows(B.values, Q @ core.W)
+        V = _pointwise_rows(B.values, QW)
         norms = np.linalg.norm(V, axis=0)
         cond = _checked_condition(core.condition * norms.max() / norms.min())
         V /= norms
-        Vinv = scipy.linalg.lu_solve(core.lu, scipy.linalg.lu_solve(splitter.lu, Q.conj().T))
-        Vinv *= norms[:, None]
+        Vinv = QM.conj().T * norms[:, None]
     return EigenData(lam=core.lam, V=V, Vinv=Vinv, condition=cond)
 
 

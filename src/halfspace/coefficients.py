@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, GridSpec, PHYSICAL, ifft_values
+from .grid import Field, GridSpec, PHYSICAL, cached_per_grid, fft_values, ifft_values
 
 __all__ = [
     "CoefficientMatrix",
@@ -95,10 +95,6 @@ class CoefficientMatrix(_PointwiseMatrix):
     def d(self) -> np.ndarray:
         return self._blocks()[3]
 
-    def a_condition(self) -> float:
-        """Worst condition number of the scalar-slot block over the grid."""
-        return float(np.linalg.cond(self.a).max())
-
     def adjoint(self) -> "CoefficientMatrix":
         return CoefficientMatrix(self.grid, self.adjoint_values())
 
@@ -170,42 +166,73 @@ class AccretivityReport:
             raise NotAccretiveError("B not accretive on range of D")
 
 
-def _range_basis_coefficients(grid: GridSpec):
+# elements of the (F, rows, N, N) gather of B-hat per row block of the compression
+_GATHER_BUDGET = 2**20
+
+
+@cached_per_grid
+def _range_basis_coefficients(grid: GridSpec) -> tuple:
     """Orthonormal spectral basis of the range of the symbol projection.
 
     For every nonzero frequency k: m scalar-slot unit vectors and m
-    tangential vectors aligned with k.  Returns (frequency index list,
-    channel-vector list) with one entry per basis element.
+    tangential vectors aligned with k.  Returns (nonzero, vectors,
+    differences): the flat indices of the F nonzero frequencies, the
+    (F, 2m, N) channel vectors, m scalar-slot then m tangential ones per
+    frequency, and the (F, F) flat index of k_a - k_b.  Basis element
+    (a, j) is the mode exp(i k_a x) v_{a,j} scaled to unit L^2 norm on the
+    grid, and the flattened (a, j) orders the r = 2mF rows of every
+    coefficient vector.  Read-only.
     """
     m = grid.system_size
     alpha = np.arange(m)
     freqs = grid.frequencies().reshape(-1, grid.dim)
     nonzero = np.flatnonzero(np.any(freqs != 0, axis=1))
     khat = freqs[nonzero] / np.linalg.norm(freqs[nonzero], axis=1, keepdims=True)
-    # per frequency: m scalar-slot vectors, then m tangential ones
     vectors = np.zeros((len(nonzero), 2, m, grid.channels), dtype=complex)
     vectors[:, 0, alpha, alpha] = 1.0
     tangential = m + m * np.arange(grid.dim)[:, None] + alpha
     vectors[:, 1, alpha, tangential] = khat[:, :, None]
-    return np.repeat(nonzero, 2 * m), vectors.reshape(-1, grid.channels)
+    index = np.unravel_index(nonzero, grid.shape)
+    differences = np.ravel_multi_index(
+        tuple((i[:, None] - i[None, :]) % grid.points for i in index), grid.shape
+    )
+    out = (nonzero, vectors.reshape(len(nonzero), 2 * m, grid.channels), differences)
+    for array in out:
+        array.setflags(write=False)
+    return out
 
 
-def _range_basis_fields(grid: GridSpec) -> np.ndarray:
-    """Orthonormal basis Q of the range of the projection, flattened physical.
+def _range_synthesis(grid: GridSpec, X: np.ndarray) -> np.ndarray:
+    """Q X for the orthonormal dof x r range basis Q, which is never formed.
 
-    Columns follow the order of _range_basis_coefficients; the result has
-    shape dof x r.
+    X has r rows, and the result has the same columns in the flattened
+    physical layout.  The coefficients of each column are scattered into
+    the spectral slots of their frequencies and transformed back once.
     """
-    positions, vectors = _range_basis_coefficients(grid)
-    r = len(positions)
-    gridsize = grid.points**grid.dim
-    basis = np.zeros((r, gridsize, grid.channels), dtype=complex)
-    basis[np.arange(r), positions, :] = vectors
-    basis = basis.reshape((r,) + grid.shape + (grid.channels,))
-    phys = ifft_values(basis, grid)
-    # the spectral basis is orthonormal in plain coefficient dots; the
-    # series-normalized inverse transform scales flat norms by G^(n/2)
-    return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)
+    nonzero, vectors, _ = _range_basis_coefficients(grid)
+    F, width, N = vectors.shape
+    columns = X.reshape(F, width, -1)
+    spec = np.zeros((columns.shape[-1], grid.points**grid.dim, N), dtype=complex)
+    spec[:, nonzero] = (vectors.transpose(0, 2, 1) @ columns).transpose(2, 0, 1)
+    phys = ifft_values(spec.reshape((-1,) + grid.shape + (N,)), grid)
+    # the inverse transform of a series coefficient has flat norm G^(n/2)
+    phys *= grid.points ** (-grid.dim / 2.0)
+    return phys.reshape(-1, grid.dof).T.reshape((grid.dof,) + X.shape[1:])
+
+
+def _range_analysis(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """Q^* v for v with dof rows in the flattened physical layout.
+
+    One transform of the columns and a gather of the nonzero frequencies;
+    the result has r rows.
+    """
+    nonzero, vectors, _ = _range_basis_coefficients(grid)
+    F, width, N = vectors.shape
+    columns = v.reshape(grid.dof, -1).T.reshape((-1,) + grid.shape + (N,))
+    hat = fft_values(columns, grid).reshape(-1, grid.points**grid.dim, N)
+    coef = vectors.conj() @ hat[:, nonzero].transpose(1, 2, 0)
+    coef *= grid.points ** (grid.dim / 2.0)
+    return coef.reshape((F * width,) + v.shape[1:])
 
 
 def _range_symbol_product(grid: GridSpec, X: np.ndarray) -> np.ndarray:
@@ -224,22 +251,29 @@ def _range_symbol_product(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     return out.reshape(X.shape)
 
 
-def _compression(B: TransformedB, Q: np.ndarray) -> np.ndarray:
-    """Q^* (B Q) for a dof x r basis Q in the flattened physical layout."""
-    grid = B.grid
-    cols = Q.reshape(grid.shape + (grid.channels, Q.shape[1]))
-    BQ = np.einsum("...ij,...jr->...ir", B.values, cols).reshape(Q.shape)
-    return Q.conj().T @ BQ
+def _range_compression(B: TransformedB) -> np.ndarray:
+    """The r x r compression C = Q^* B Q of the multiplier to the range.
 
-
-def compressed_quadratic_form(B: TransformedB) -> np.ndarray:
-    """Dense matrix C = Q^* (B Q) of the multiplier compressed to the range.
-
-    Q is the orthonormal dof x r basis of the range of the symbol
-    projection built by _range_basis_fields; entry (i, j) pairs basis
-    vector i with B applied to basis vector j.
+    With B-hat the forward-normalized transform of B over the grid,
+    C[(a,i),(b,j)] = v_{a,i}^* B-hat(k_a - k_b) v_{b,j}: a gather of
+    B-hat by the difference table, then two batched products with the
+    channel vectors, in row blocks of at most _GATHER_BUDGET gathered
+    elements.  No dof x r basis is formed.
     """
-    return _compression(B, _range_basis_fields(B.grid))
+    grid = B.grid
+    _, vectors, differences = _range_basis_coefficients(grid)
+    F, width, N = vectors.shape
+    Bhat = fft_values(B.values.reshape(grid.shape + (N * N,)), grid).reshape(-1, N, N)
+    left, right = vectors.conj(), vectors.transpose(0, 2, 1)
+    C = np.empty((F, width, F * width), dtype=complex)
+    rows = max(1, _GATHER_BUDGET // (F * N * N))
+    for start in range(0, F, rows):
+        block = slice(start, start + rows)
+        gathered = Bhat[differences[block].T]  # (F, rows, N, N): B-hat(k_a - k_b) at [b, a]
+        n = gathered.shape[1]
+        Bv = (gathered.reshape(F, n * N, N) @ right).reshape(F, n, N, width)
+        C[block] = left[block] @ Bv.transpose(1, 2, 0, 3).reshape(n, N, F * width)
+    return C.reshape(F * width, F * width)
 
 
 def _round_up_to_bisection_grid(angle: float) -> float:

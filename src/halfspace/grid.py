@@ -342,13 +342,3 @@ class TLadder:
     def default(cls, per_octave: int = 2) -> "TLadder":
         """Covers [2^-12, 2^8]: the spectral band [1, G/2] with margin."""
         return cls.logspaced(2.0**-12, 2.0**8, per_octave)
-
-    def restrict(self, t_min: float, t_max: float) -> "TLadder":
-        mask = (self.t >= t_min) & (self.t <= t_max)
-        t = self.t[mask]
-        u = np.log(t)
-        du = np.diff(u)
-        w = np.zeros_like(t)
-        w[:-1] += 0.5 * du
-        w[1:] += 0.5 * du
-        return TLadder(t=t, weights=w)

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .coefficients import TransformedB, _compression, _range_basis_fields
+from .coefficients import TransformedB, _range_analysis, _range_compression, _range_synthesis
 from .grid import (
     Field, GridSpec, PHYSICAL, SPECTRAL, cached_per_grid, fft_values, ifft_values,
 )
@@ -260,7 +260,7 @@ def check_dense_size(grid: GridSpec) -> None:
         raise OperatorError(
             f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
             f"matrix would take {gib:.2f} GiB; the contour calculus and the eigen path "
-            "of DB and BD need it or the dense range basis; beyond the limit only "
+            "of DB and BD need it or the dense r x r compression of B; beyond the limit only "
             "resolvent_solve (GMRES) and the eigen calculus of D, P and D^+ run"
         )
 
@@ -369,47 +369,43 @@ def resolvent_solve(
 class RangeSplitter:
     """Kernel/range decompositions for both compositions with one multiplier.
 
-    Solves the compressed quadratic form once per coefficient multiplier;
-    accretivity makes the compression invertible.  Keeps B's values, not
-    B, since B caches its splitter.  Refuses beyond the dense limit
-    before allocating the dof x r basis.
+    Holds the r x r compression C = Q^* B Q of B to the range of D, formed
+    by coefficients._range_compression from the transform of B, and its
+    LU; accretivity makes C invertible.  Q, the orthonormal range basis,
+    is never formed: Q c is one inverse transform of the coefficients c
+    scattered into their frequencies, and Q^* v one transform and a gather.
+    Keeps B's values, not B, since B caches its splitter.  Refuses beyond
+    the dense limit before allocating C.
     """
 
     def __init__(self, B: TransformedB):
         check_dense_size(B.grid)
         self.grid = B.grid
         self.values = B.values
-        self.Q = _range_basis_fields(B.grid)  # dof x r, orthonormal
-        self.C = _compression(B, self.Q)
+        self.C = _range_compression(B)
         self.lu = scipy.linalg.lu_factor(self.C)
-
-    def compression_condition(self) -> float:
-        return float(np.linalg.cond(self.C))
 
     def split_db(self, f: Field):
         """f = f_range + f_null for the multiplier-on-the-right composition.
 
-        f_range lies in the range of the projection; the multiplier maps
-        f_null into the kernel of the symbol.
+        f_range = Q C^-1 Q^* B f lies in the range of the projection; the
+        multiplier maps f_null into the kernel of the symbol.
         """
         vec = f.flat()
         Bf = np.einsum("...ij,...j->...i", self.values, f.to_physical().values)
-        rhs = self.Q.conj().T @ Bf.reshape(-1)
-        c = scipy.linalg.lu_solve(self.lu, rhs)
-        f_range = Field.from_flat(self.grid, self.Q @ c)
-        f_null = Field.from_flat(self.grid, vec - self.Q @ c)
-        return f_range, f_null
+        c = scipy.linalg.lu_solve(self.lu, _range_analysis(self.grid, Bf.reshape(-1)))
+        f_range = _range_synthesis(self.grid, c)
+        return Field.from_flat(self.grid, f_range), Field.from_flat(self.grid, vec - f_range)
 
     def split_bd(self, f: Field):
         """f = f_range + f_null for the multiplier-on-the-left composition.
 
-        f_range = B g with g in the range of the projection; f_null lies
-        in the kernel of the symbol.
+        f_range = B g with g = Q C^-1 Q^* f in the range of the projection;
+        f_null lies in the kernel of the symbol.
         """
         vec = f.flat()
-        rhs = self.Q.conj().T @ vec
-        c = scipy.linalg.lu_solve(self.lu, rhs)
-        g = (self.Q @ c).reshape(self.grid.shape + (self.grid.channels,))
+        c = scipy.linalg.lu_solve(self.lu, _range_analysis(self.grid, vec))
+        g = _range_synthesis(self.grid, c).reshape(self.grid.shape + (self.grid.channels,))
         f_range = Field.physical(
             self.grid, np.einsum("...ij,...j->...i", self.values, g)
         )

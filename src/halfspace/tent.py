@@ -87,13 +87,6 @@ class TentField:
         self.ladder = ladder
         self.values = values
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, ladder: TLadder, fn) -> "TentField":
-        """fn(t, coordinate arrays) -> channel array for one scale."""
-        coords = grid.coordinates()
-        vals = np.stack([np.asarray(fn(t, *coords), dtype=complex) for t in ladder.t])
-        return cls(grid, ladder, vals)
-
     def channel_square(self) -> np.ndarray:
         """|F(t, x)|^2 summed over channels, shape (K,) + grid_shape."""
         return (np.abs(self.values) ** 2).sum(axis=-1)
@@ -192,19 +185,6 @@ def tent_norm(F: TentField, p: float, wp: WhitneyParams = WhitneyParams()) -> fl
     if not (0 < p < np.inf):
         raise ValueError("p must be in (0, inf)")
     return lp_norm_grid(square_function(F, wp), F.grid, p)
-
-
-def spacetime_square_integral(F: TentField) -> float:
-    """Plain integral of |F|^2 dt dx / t over the sampled half-space."""
-    sq = F.channel_square()
-    per_scale = sq.reshape(len(F.ladder), -1).sum(axis=1) * F.grid.cell_volume
-    return float((F.ladder.weights * per_scale).sum())
-
-
-def tent_duality_pairing(F: TentField, G: TentField) -> complex:
-    """Space-time pairing of two tent fields with dt dx / t."""
-    prod = (F.values * np.conj(G.values)).sum(axis=tuple(range(1, F.values.ndim)))
-    return complex((F.ladder.weights * prod).sum() * F.grid.cell_volume)
 
 
 def _dyadic_radii(grid: GridSpec) -> np.ndarray:

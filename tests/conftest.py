@@ -51,3 +51,41 @@ def band_limited_scalar(grid, rng, decay=6.0):
     spec = np.fft.fftn(noise, axes=tuple(range(grid.dim)), norm="forward") * w[..., None]
     out = np.fft.ifftn(spec, axes=tuple(range(grid.dim)), norm="forward")
     return out[..., 0] if grid.system_size == 1 else out
+
+
+def loop_range_basis_coefficients(grid):
+    """Per-frequency reference: m scalar-slot then m tangential vectors per k != 0."""
+    m = grid.system_size
+    freqs = grid.frequencies().reshape(-1, grid.dim)
+    positions, vectors = [], []
+    for idx, k in enumerate(freqs):
+        if np.all(k == 0):
+            continue
+        khat = k / np.linalg.norm(k)
+        for alpha in range(m):
+            e = np.zeros(grid.channels, dtype=complex)
+            e[alpha] = 1.0
+            vectors.append(e)
+            positions.append(idx)
+        for alpha in range(m):
+            e = np.zeros(grid.channels, dtype=complex)
+            for j in range(grid.dim):
+                e[m + j * m + alpha] = khat[j]
+            vectors.append(e)
+            positions.append(idx)
+    return np.asarray(positions), np.asarray(vectors)
+
+
+def dense_range_basis(grid):
+    """The orthonormal range basis Q as a dense dof x r matrix, for tests only.
+
+    Column (k, v) of loop_range_basis_coefficients is the mode exp(i k x) v
+    on the flattened physical grid, scaled to unit norm.
+    """
+    positions, vectors = loop_range_basis_coefficients(grid)
+    r = len(positions)
+    spec = np.zeros((r, grid.points**grid.dim, grid.channels), dtype=complex)
+    spec[np.arange(r), positions] = vectors
+    spec = spec.reshape((r,) + grid.shape + (grid.channels,))
+    phys = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)), norm="forward")
+    return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)

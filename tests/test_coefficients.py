@@ -13,7 +13,9 @@ from halfspace.coefficients import (
     perturbation_of_identity,
 )
 from halfspace.grid import GridSpec, l2_norm, random_field
-from halfspace.operators import p_operator
+from halfspace.operators import assemble_dense, b_operator, p_operator, range_splitter
+
+from conftest import dense_range_basis, loop_range_basis_coefficients
 
 
 def block_identity_residual(A, B):
@@ -89,10 +91,13 @@ def sector_contains(C, phi, tol):
 
 
 def bisection_certificate(B):
-    """Reference (kappa, omega) by bisection of the sector-containment predicate."""
-    from halfspace.coefficients import compressed_quadratic_form
+    """Reference (kappa, omega) by bisection of the sector-containment predicate.
 
-    C = compressed_quadratic_form(B)
+    It searches the angle on the compression the certificate reads, so the
+    comparison is exact; test_range_maps_and_compression_match_dense_basis
+    checks that compression against Q^* B Q.
+    """
+    C = range_splitter(b_operator(B)).C
     kappa = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
     tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
     lo, hi = 0.0, np.pi / 2 - 1e-9
@@ -167,10 +172,15 @@ def test_quadratic_form_bounds_on_range(g32):
         assert abs(np.angle(form)) <= report.omega + 1e-9
 
 
+def a_condition(A):
+    """Worst condition number of the scalar-slot block over the grid."""
+    return float(np.linalg.cond(A.a).max())
+
+
 def test_sup_norm_and_condition(g32, rng):
     A = perturbation_of_identity(g32, rng, 0.25)
     assert A.sup_norm() <= 1.25 + 1e-12
-    assert A.a_condition() >= 1.0
+    assert a_condition(A) >= 1.0
     adj = A.adjoint()
     assert np.allclose(adj.values, np.conj(np.swapaxes(A.values, -1, -2)))
 
@@ -194,53 +204,57 @@ def test_hat_of_adjoint_parity_relation(g32, rng):
         assert abs(dual.kappa - primal.kappa) <= 1e-12 and dual.omega == primal.omega
 
 
-def loop_range_basis_coefficients(grid):
-    """Per-frequency reference: m scalar-slot then m tangential vectors per k != 0."""
-    m = grid.system_size
-    freqs = grid.frequencies().reshape(-1, grid.dim)
-    positions, vectors = [], []
-    for idx, k in enumerate(freqs):
-        if np.all(k == 0):
-            continue
-        khat = k / np.linalg.norm(k)
-        for alpha in range(m):
-            e = np.zeros(grid.channels, dtype=complex)
-            e[alpha] = 1.0
-            vectors.append(e)
-            positions.append(idx)
-        for alpha in range(m):
-            e = np.zeros(grid.channels, dtype=complex)
-            for j in range(grid.dim):
-                e[m + j * m + alpha] = khat[j]
-            vectors.append(e)
-            positions.append(idx)
-    return np.asarray(positions), np.asarray(vectors)
-
-
 @pytest.mark.parametrize(
     "grid", [GridSpec(dim=1, points=32, system_size=2), GridSpec(dim=2, points=8)]
 )
 def test_range_basis_coefficients_match_loop(grid):
     from halfspace.coefficients import _range_basis_coefficients
 
-    positions, vectors = _range_basis_coefficients(grid)
+    nonzero, vectors, differences = _range_basis_coefficients(grid)
     ref_positions, ref_vectors = loop_range_basis_coefficients(grid)
-    assert np.array_equal(positions, ref_positions)
-    assert np.array_equal(vectors, ref_vectors)
+    assert np.array_equal(np.repeat(nonzero, 2 * grid.system_size), ref_positions)
+    assert np.array_equal(vectors.reshape(-1, grid.channels), ref_vectors)
+    # differences holds the flat index of k_a - k_b
+    freqs = grid.frequencies().reshape(-1, grid.dim)
+    diff = freqs[nonzero][:, None] - freqs[nonzero][None, :]
+    assert np.array_equal(freqs[differences], (diff + grid.points // 2) % grid.points
+                          - grid.points // 2)
 
 
 def test_compression_is_range_basis_pairing(g8x2, rng):
-    from halfspace.coefficients import _range_basis_fields, compressed_quadratic_form
-    from halfspace.operators import assemble_dense, b_operator
-
     B = hat_transform(perturbation_of_identity(g8x2, rng, 0.2))
-    Q = _range_basis_fields(g8x2)
+    Q = dense_range_basis(g8x2)
     assert Q.shape == (g8x2.dof, 2 * (g8x2.points**2 - 1))
     assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() < 1e-13
     assert np.abs(assemble_dense(p_operator(g8x2)) @ Q - Q).max() < 1e-13
-    C = compressed_quadratic_form(B)
+    C = range_splitter(b_operator(B)).C
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() < 1e-13
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
+                                  GridSpec(2, 8, 2)], ids=str)
+def test_range_maps_and_compression_match_dense_basis(grid):
+    from halfspace.coefficients import _range_analysis, _range_synthesis
+
+    rng = np.random.default_rng(3)
+    Q = dense_range_basis(grid)
+    r = Q.shape[1]
+    X = rng.standard_normal((r, 5)) + 1j * rng.standard_normal((r, 5))
+    QX = _range_synthesis(grid, X)
+    assert QX.shape == (grid.dof, 5)
+    assert np.abs(QX - Q @ X).max() <= 1e-13
+    assert np.abs(_range_synthesis(grid, X[:, 0]) - Q @ X[:, 0]).max() <= 1e-13
+    assert np.abs(_range_analysis(grid, QX) - X).max() <= 1e-13
+    v = rng.standard_normal((grid.dof, 3)) + 1j * rng.standard_normal((grid.dof, 3))
+    Qv = _range_analysis(grid, v)
+    assert Qv.shape == (r, 3)
+    assert np.abs(Qv - Q.conj().T @ v).max() <= 1e-13
+    assert np.abs(_range_analysis(grid, v[:, 0]) - Qv[:, 0]).max() <= 1e-13
+    B = hat_transform(perturbation_of_identity(grid, rng, 0.3))
+    C = range_splitter(b_operator(B)).C
+    dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
+    assert np.abs(C - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
 def test_certificate_takes_no_dense_spectral_norm(g32, rng, monkeypatch):
@@ -288,18 +302,16 @@ def test_pencil_angle_matches_bisection(dim, points, size, seed, m):
 def test_pencil_angle_is_attained_and_bounds_the_range():
     import scipy.linalg
 
-    from halfspace.coefficients import _range_basis_fields, compressed_quadratic_form
-
     B = _benchmark_input(1, 32, 0.4, 1)
     grid = B.grid
     exact = accretivity_estimate(B).method["omega_exact"]
-    C = compressed_quadratic_form(B)
+    C = range_splitter(b_operator(B)).C
     herm, skew = 0.5 * (C + C.conj().T), -0.5j * (C - C.conj().T)
     mu, X = scipy.linalg.eigh(skew, herm)
     x = X[:, np.argmax(np.abs(mu))]
     assert abs(np.angle(x.conj() @ C @ x)) == pytest.approx(exact, abs=1e-12)
     # forms <u, Bu> of random range vectors u = Q y, evaluated pointwise in physical space
-    Q = _range_basis_fields(grid)
+    Q = dense_range_basis(grid)
     rng = np.random.default_rng(5)
     Y = rng.standard_normal((Q.shape[1], 1000)) + 1j * rng.standard_normal((Q.shape[1], 1000))
     U = Q @ Y

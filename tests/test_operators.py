@@ -4,7 +4,6 @@ import pytest
 import halfspace.calculus as fc
 from halfspace.calculus import apply_calculus, eigen_data
 from halfspace.coefficients import (
-    _range_basis_fields,
     _range_symbol_product,
     accretivity_estimate,
     hat_transform,
@@ -32,6 +31,8 @@ from halfspace.operators import (
     torus_mask_distance,
 )
 from halfspace import operators
+
+from conftest import dense_range_basis
 
 
 def single_mode_field(grid, k, channel_vector):
@@ -317,10 +318,14 @@ def test_null_of_bd_equals_null_of_d(g32, rng):
         assert l2_norm(fixed - null_d) <= 1e-10 * max(l2_norm(null_d), 1e-300)
 
 
+def compression_condition(splitter):
+    return float(np.linalg.cond(splitter.C))
+
+
 def test_projection_restricted_is_invertible(g32, rng):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
     splitter = range_splitter(bd_operator(B))
-    cond = splitter.compression_condition()
+    cond = compression_condition(splitter)
     assert np.isfinite(cond)
     assert cond < 100
 
@@ -366,10 +371,37 @@ def test_symbols_square_to_modulus_times_projection(grid):
 @pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
                                   GridSpec(2, 8, 2)], ids=str)
 def test_range_symbol_is_compressed_D(grid):
-    Q = _range_basis_fields(grid)
+    Q = dense_range_basis(grid)
     compressed = Q.conj().T @ d_operator(grid).dense_matrix() @ Q
     closed_form = _range_symbol_product(grid, np.eye(Q.shape[1]))
     assert np.abs(closed_form - compressed).max() <= 1e-13 * grid.points
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
+                                  GridSpec(2, 8, 2)], ids=str)
+def test_range_eigenvectors_match_dense_basis(grid):
+    # DB: V = Q W, Vinv = W^-1 C^-1 Q^* B; BD: V = B Q W S^-1, Vinv = S W^-1 C^-1 Q^*
+    B = hat_transform(perturbation_of_identity(grid, np.random.default_rng(9), 0.3))
+    Q = dense_range_basis(grid)
+    Bmat = assemble_dense(b_operator(B))
+    db, bd = eigen_data(db_operator(B)), eigen_data(bd_operator(B))
+    splitter, core = B._splitter, B._range_eigen
+    M = np.linalg.inv(core.W) @ np.linalg.inv(splitter.C)
+    assert np.abs(core.M - M).max() <= 1e-13 * np.abs(M).max()
+    BQW = Bmat @ Q @ core.W
+    S = np.linalg.norm(BQW, axis=0)
+    expected = [(db, Q @ core.W, M @ Q.conj().T @ Bmat),
+                (bd, BQW / S, S[:, None] * M @ Q.conj().T)]
+    r = Q.shape[1]
+    for ed, V, Vinv in expected:
+        assert np.abs(ed.V - V).max() <= 1e-13 * max(np.abs(V).max(), 1.0)
+        assert np.abs(ed.Vinv - Vinv).max() <= 1e-13 * max(np.abs(Vinv).max(), 1.0)
+        assert np.abs(ed.Vinv @ ed.V - np.eye(r)).max() <= 1e-13
+    # the split keeps no array with a dof-long axis: no dense basis
+    arrays = [v for v in vars(splitter).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(splitter).values() if isinstance(v, tuple) for a in v]
+    assert set(vars(splitter)) == {"grid", "values", "C", "lu"}
+    assert all(grid.dof not in np.shape(a) for a in arrays)
 
 
 def test_range_split_refuses_beyond_dense_limit():
@@ -386,8 +418,9 @@ def test_d_contour_builds_no_compression(g32, rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("D needs no compression")
 
-    monkeypatch.setattr(operators, "_range_basis_fields", forbidden)
-    monkeypatch.setattr(operators, "_compression", forbidden)
+    for name in ("_range_compression", "_range_analysis", "_range_synthesis"):
+        monkeypatch.setattr(operators, name, forbidden)
+    monkeypatch.setattr(fc, "_range_synthesis", forbidden)
     T = d_operator(g32)
     f = random_field(g32, rng)
     # the contour path splits D as P f + (f - P f): 1 on the range and the
@@ -404,13 +437,15 @@ def test_range_split_refuses_other_symbols(g32, rng):
     for T in (d_operator(g32), p_operator(g32), inverse_d_operator(g32)):
         with pytest.raises(OperatorError, match="no range split"):
             range_splitter(T)
-        with pytest.raises(OperatorError, match="no range split"):
+        with pytest.raises(OperatorError, match="no range eigendecomposition"):
             eigen_data(T)
         assert T._eigen is None and T._dense is None
-    # B alone has a range split but no range eigendecomposition
+    # B alone has a range split but no range eigendecomposition, and the
+    # refusal comes before any split is built and cached on B
     B = b_operator(hat_transform(perturbation_of_identity(g32, rng, 0.2)))
     with pytest.raises(OperatorError, match="no range eigendecomposition"):
         eigen_data(B)
+    assert B.multiplier_matrix._splitter is None and B._eigen is None
 
 
 # ---------------------------------------------------------------------------
