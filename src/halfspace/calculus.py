@@ -13,8 +13,9 @@ and infinity, so no decay of the function is needed.  The contour path
 factorizes the dense operator once into a complex Schur form M = Z R Z^*
 with Z unitary and R upper triangular, cached on the handle, and solves
 every shifted resolvent at the nodes by triangular back substitution;
-it never sees eigenvectors.  The two paths are kept separate so that
-each can check the other.
+it never sees eigenvectors and splits no field: it sums b - b(0) and
+adds b(0) h.  The two paths are kept separate so that each can check
+the other.
 
 The eigen path keeps only the range part of an operator, T = V diag(lam)
 Vinv on its range, so b(T) h = b(0) h + V (b(lam) - b(0)) Vinv h.  DB
@@ -43,6 +44,7 @@ does not.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 import numpy as np
@@ -56,7 +58,6 @@ from .operators import (
     LinearOperatorHandle,
     OperatorError,
     check_dense_size,
-    p_operator,
     range_splitter,
 )
 
@@ -568,13 +569,19 @@ class ContourSpec:
         return cls(lo=float(mid - width), hi=float(mid + width), height=float(f[k] * np.sinh(u)))
 
     def nodes(self):
-        """(points, weights) of both curves; the weights absorb 1/(2 pi i)."""
+        """Rows (points, weights) of both curves, read-only; the weights absorb 1/(2 pi i)."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self):
         theta = 2 * np.pi * np.arange(_NODES_PER_CURVE) / _NODES_PER_CURVE
         half = 0.5 * (self.hi - self.lo)
         s = 0.5 * (self.lo + self.hi) + half * np.cos(theta) + 1j * self.height * np.sin(theta)
         w = (self.height * np.cos(theta) + 1j * half * np.sin(theta)) / _NODES_PER_CURVE
         lam = np.exp(s)
-        return np.concatenate([lam, -lam]), np.concatenate([w, w])
+        table = np.array([np.concatenate([lam, -lam]), np.concatenate([w, w])])
+        table.setflags(write=False)
+        return table
 
 
 # Elements of the (dof x nodes) work array of the batched back substitution.
@@ -614,51 +621,45 @@ def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
     DB Q = Q D_r C with |D_r C c| >= k_min kappa |c| and ||D_r C|| <= k_max
     sup|B|.  kappa, omega and sup|B| are read from the certificate cached
     on B, so a bare handle gets the same curves as a system's.  A
-    multiplier's range spectrum is +-sigma(k), sigma > 0.
+    multiplier's range spectrum is +-sigma(k), sigma > 0.  Any other handle
+    is refused before the certificate is read.
     """
     if T._contour is None:
         if T.kind == "multiplier":
             sigma = _range_modulus(T)
             T._contour = ContourSpec.enclosing(sigma[sigma > 0].min(), sigma.max(), 0.0)
-        else:
+        elif T.tag in ("DB", "BD"):
             report = accretivity_estimate(T.multiplier_matrix)
             k = T.grid.frequency_norms()
             T._contour = ContourSpec.enclosing(report.kappa * k[k > 0].min(),
                                                report.sup_norm * k.max(), report.omega)
+        else:
+            raise OperatorError(f"no contour calculus for tag {T.tag}")
     return T._contour
 
 
 def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field) -> Field:
-    """Trapezoid sum of b(lambda) (I - T/lambda)^{-1} h over both curves.
+    """b(T) h = b(0) h + trapezoid sum of (b(lambda) - b(0)) (I - T/lambda)^{-1} h.
 
-    Applied on the range component only; the null component receives the
-    value at the origin exactly; a multiplier splits as P h + (h - P h).
-    The curves of _spectral_contour need no decay of b at 0 or infinity,
-    so every b holomorphic on the open half-planes is computable.  With
-    the cached Schur form M = Z R Z^*, each node's resolvent is
-    Z (I - R/lambda)^{-1} Z^* h, a triangular shifted solve; the nodes are
-    solved together in chunks.  Refuses beyond the dense limit before any
-    large allocation.
+    Summed over both curves on the whole field, with no range split: on
+    the null space each resolvent is the identity and the sum tends to the
+    integral of (b(lambda) - b(0)) / lambda, 0 as neither curve winds
+    around 0; on the range it is b(T) h - b(0) h.  With the cached Schur
+    form M = Z R Z^*, each node's resolvent is Z (I - R/lambda)^{-1} Z^* h,
+    a triangular shifted solve; the nodes are solved together in chunks.
+    Refuses beyond the dense limit before any large allocation, and any
+    handle but a multiplier, DB or BD before the certificate.
     """
     check_dense_size(T.grid)
-    if T.kind == "multiplier":
-        h_range = p_operator(T.grid).apply(h)
-        h_null = h - h_range
-    else:
-        h_range, h_null = range_splitter(T).split(T, h)
     lam, w = _spectral_contour(T).nodes()
-    vals = b(lam) * w
+    vals = (b(lam) - b.value_at_zero) * w
     R, Z = schur_data(T)
-    g = Z.conj().T @ h_range.flat()
-    acc = np.zeros_like(g)
+    flat = h.flat()
+    g = Z.conj().T @ flat
     chunk = max(1, _NODE_WORK_BUDGET // len(g))
-    for start in range(0, len(lam), chunk):
-        nodes = slice(start, start + chunk)
-        acc += _shifted_triangular_solves(R, g, 1.0 / lam[nodes]) @ vals[nodes]
-    out = Field.from_flat(T.grid, Z @ acc)
-    if b.value_at_zero != 0:
-        out = out + b.value_at_zero * h_null
-    return out
+    acc = sum(_shifted_triangular_solves(R, g, 1.0 / lam[i:i + chunk]) @ vals[i:i + chunk]
+              for i in range(0, len(lam), chunk))
+    return Field.from_flat(T.grid, Z @ acc + b.value_at_zero * flat)
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +704,7 @@ def semigroup(
         return h.copy()
     if path == "eigen":
         return Field.physical(T.grid, eigen_apply_scaled(T, UNIT_SEMIGROUP, [t], h)[0])
-    if path == "contour":
-        return _contour_apply(T, exp_abs(t), h)
-    raise ValueError(f"unknown path {path!r}")
+    return apply_calculus(exp_abs(t), T, h, path)
 
 
 # ---------------------------------------------------------------------------

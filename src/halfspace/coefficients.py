@@ -175,12 +175,11 @@ def _range_basis_coefficients(grid: GridSpec) -> tuple:
     """Orthonormal spectral basis of the range of the symbol projection.
 
     For every nonzero frequency k: m scalar-slot unit vectors and m
-    tangential vectors aligned with k.  Returns (nonzero, vectors,
-    differences): the flat indices of the F nonzero frequencies, the
-    (F, 2m, N) channel vectors, m scalar-slot then m tangential ones per
-    frequency, and the (F, F) flat index of k_a - k_b.  Basis element
-    (a, j) is the mode exp(i k_a x) v_{a,j} scaled to unit L^2 norm on the
-    grid, and the flattened (a, j) orders the r = 2mF rows of every
+    tangential vectors aligned with k.  Returns (nonzero, vectors): the
+    flat indices of the F nonzero frequencies and the (F, 2m, N) channel
+    vectors, m scalar-slot then m tangential ones per frequency.  Basis
+    element (a, j) is the mode exp(i k_a x) v_{a,j} scaled to unit L^2 norm
+    on the grid, and the flattened (a, j) orders the r = 2mF rows of every
     coefficient vector.  Read-only.
     """
     m = grid.system_size
@@ -192,11 +191,7 @@ def _range_basis_coefficients(grid: GridSpec) -> tuple:
     vectors[:, 0, alpha, alpha] = 1.0
     tangential = m + m * np.arange(grid.dim)[:, None] + alpha
     vectors[:, 1, alpha, tangential] = khat[:, :, None]
-    index = np.unravel_index(nonzero, grid.shape)
-    differences = np.ravel_multi_index(
-        tuple((i[:, None] - i[None, :]) % grid.points for i in index), grid.shape
-    )
-    out = (nonzero, vectors.reshape(len(nonzero), 2 * m, grid.channels), differences)
+    out = (nonzero, vectors.reshape(len(nonzero), 2 * m, grid.channels))
     for array in out:
         array.setflags(write=False)
     return out
@@ -209,7 +204,7 @@ def _range_synthesis(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     physical layout.  The coefficients of each column are scattered into
     the spectral slots of their frequencies and transformed back once.
     """
-    nonzero, vectors, _ = _range_basis_coefficients(grid)
+    nonzero, vectors = _range_basis_coefficients(grid)
     F, width, N = vectors.shape
     columns = X.reshape(F, width, -1)
     spec = np.zeros((columns.shape[-1], grid.points**grid.dim, N), dtype=complex)
@@ -226,7 +221,7 @@ def _range_analysis(grid: GridSpec, v: np.ndarray) -> np.ndarray:
     One transform of the columns and a gather of the nonzero frequencies;
     the result has r rows.
     """
-    nonzero, vectors, _ = _range_basis_coefficients(grid)
+    nonzero, vectors = _range_basis_coefficients(grid)
     F, width, N = vectors.shape
     columns = v.reshape(grid.dof, -1).T.reshape((-1,) + grid.shape + (N,))
     hat = fft_values(columns, grid).reshape(-1, grid.points**grid.dim, N)
@@ -256,20 +251,26 @@ def _range_compression(B: TransformedB) -> np.ndarray:
 
     With B-hat the forward-normalized transform of B over the grid,
     C[(a,i),(b,j)] = v_{a,i}^* B-hat(k_a - k_b) v_{b,j}: a gather of
-    B-hat by the difference table, then two batched products with the
-    channel vectors, in row blocks of at most _GATHER_BUDGET gathered
-    elements.  No dof x r basis is formed.
+    B-hat at the flat index of k_a - k_b, then two batched products with
+    the channel vectors, in row blocks of at most _GATHER_BUDGET gathered
+    elements.  Each block's (F, rows) index table is built from the
+    per-axis frequency indices and dropped with the block.  No dof x r
+    basis is formed.
     """
     grid = B.grid
-    _, vectors, differences = _range_basis_coefficients(grid)
+    nonzero, vectors = _range_basis_coefficients(grid)
     F, width, N = vectors.shape
+    index = np.unravel_index(nonzero, grid.shape)
     Bhat = fft_values(B.values.reshape(grid.shape + (N * N,)), grid).reshape(-1, N, N)
     left, right = vectors.conj(), vectors.transpose(0, 2, 1)
     C = np.empty((F, width, F * width), dtype=complex)
     rows = max(1, _GATHER_BUDGET // (F * N * N))
     for start in range(0, F, rows):
         block = slice(start, start + rows)
-        gathered = Bhat[differences[block].T]  # (F, rows, N, N): B-hat(k_a - k_b) at [b, a]
+        differences = np.ravel_multi_index(  # [b, a]: the flat index of k_a - k_b
+            tuple((i[None, block] - i[:, None]) % grid.points for i in index), grid.shape
+        )
+        gathered = Bhat[differences]  # (F, rows, N, N)
         n = gathered.shape[1]
         Bv = (gathered.reshape(F, n * N, N) @ right).reshape(F, n, N, width)
         C[block] = left[block] @ Bv.transpose(1, 2, 0, 3).reshape(n, N, F * width)

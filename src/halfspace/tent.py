@@ -78,7 +78,8 @@ class TentField:
     """
 
     def __init__(self, grid: GridSpec, ladder: TLadder, values: np.ndarray):
-        values = np.array(values, dtype=complex)
+        # C order keeps the channel axis contiguous for the float view
+        values = np.array(values, dtype=complex, order="C")
         expected = (len(ladder),) + grid.shape + (grid.channels,)
         if values.shape != expected:
             raise ValueError(f"tent field shape {values.shape}, expected {expected}")
@@ -88,8 +89,12 @@ class TentField:
         self.values = values
 
     def channel_square(self) -> np.ndarray:
-        """|F(t, x)|^2 summed over channels, shape (K,) + grid_shape."""
-        return (np.abs(self.values) ** 2).sum(axis=-1)
+        """|F(t, x)|^2 summed over channels, shape (K,) + grid_shape.
+
+        One real reduction over the interleaved real and imaginary parts.
+        """
+        parts = self.values.view(float)
+        return np.einsum("...i,...i->...", parts, parts)
 
     @functools.cached_property
     def square_spectrum(self) -> np.ndarray:
@@ -221,16 +226,32 @@ def carleson_norm(F: TentField, alpha: float = 0.0) -> float:
     return float(np.sqrt(max(mass.max(), 0.0)))
 
 
+# (ladder, c0) pairs whose box window weights stay cached; a table is K x K
+BOX_WINDOW_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=BOX_WINDOW_CACHE_SIZE)
+def _box_window(t: tuple, weights: tuple, c0: float) -> np.ndarray:
+    """Row j: the normalized dt weights of the ladder window (t_j / c0, c0 t_j).
+
+    The window holds t_j itself as c0 > 1.  Read-only, as it is shared by
+    every later call on the same ladder and c0.
+    """
+    t = np.asarray(t)
+    window = (t > t[:, None] / c0) & (t < t[:, None] * c0)
+    W = window * (np.asarray(weights) * t)
+    W /= W.sum(axis=1, keepdims=True)
+    W.setflags(write=False)
+    return W
+
+
 def _box_maximal(F: TentField, wp: WhitneyParams, alpha: float) -> np.ndarray:
     """nt_maximal with the box mean square at scale t weighted by t^(-2 alpha)."""
     grid = F.grid
     t = F.ladder.t
-    # row j: normalized dt weights of the window (t_j / c0, c0 t_j), which
-    # holds t_j itself as c0 > 1; the box mean at t_j is the ball mean of
-    # the window-weighted sum of |F|^2, as the ball radius depends on j only
-    window = (t > t[:, None] / wp.c0) & (t < t[:, None] * wp.c0)
-    W = window * (F.ladder.weights * t)
-    W /= W.sum(axis=1, keepdims=True)
+    # the box mean at t_j is the ball mean of the window-weighted sum of
+    # |F|^2, as the ball radius depends on j only
+    W = _box_window(tuple(t.tolist()), tuple(F.ladder.weights.tolist()), wp.c0)
     means, _ = _spectral_ball_means(_along_ladder(W, F.square_spectrum), grid, wp.c1 * t)
     weighted = t.reshape((-1,) + (1,) * grid.dim) ** (-2.0 * alpha) * means
     return np.sqrt(np.maximum(weighted.max(axis=0), 0.0))
@@ -280,7 +301,8 @@ def quadratic_norm(
     if not psi.is_psi_class:
         raise ValueError("quadratic norm requires Psi-class decay")
     stack = eigen_apply_scaled(T, psi, ladder.t, h)
-    norms2 = (np.abs(stack) ** 2).reshape(len(ladder), -1).sum(axis=1) * T.grid.cell_volume
+    parts = np.ascontiguousarray(stack).reshape(len(ladder), -1).view(float)
+    norms2 = np.einsum("ij,ij->i", parts, parts) * T.grid.cell_volume
     total = float((ladder.weights * norms2).sum())
     if total > 0:
         per_octave = np.log(2.0)

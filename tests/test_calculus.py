@@ -369,6 +369,63 @@ def test_contour_chunking_matches_single_chunk(perturbed_system_32, rng, monkeyp
     assert l2_norm(whole - chunked) <= 1e-12 * l2_norm(whole)
 
 
+@pytest.mark.parametrize("tag", ["DB", "BD", "P"])
+@pytest.mark.parametrize("factory", [lambda: fc.resolvent_power(4), lambda: fc.exp_abs(0.5)],
+                         ids=["b0=0", "b0=1"])
+def test_contour_gives_value_at_origin_on_null_fields(perturbed_system_32, rng, tag, factory):
+    # the whole-field sum of (b - b(0)) vanishes on the null space, so the
+    # contour path returns b(0) h_null with no range split
+    sys_ = perturbed_system_32
+    h = random_field(sys_.grid, rng)
+    if tag == "P":
+        T = p_operator(sys_.grid)
+        h_null = h - T.apply(h)
+    else:
+        T = {"DB": sys_.db, "BD": sys_.bd}[tag]
+        h_null = range_splitter(T).split(T, h)[1]
+    b = factory()
+    out = apply_calculus(b, T, h_null, path="contour")
+    assert l2_norm(out - b.value_at_zero * h_null) <= 1e-12 * l2_norm(h_null)
+
+
+def test_contour_apply_runs_no_range_split(rng, monkeypatch):
+    import halfspace.coefficients as coefficients
+
+    grid = GridSpec(1, 32, 1)
+    B = hat_transform(perturbation_of_identity(grid, np.random.default_rng(3), 0.15))
+    accretivity_estimate(B)  # the certificate, cached on B, builds the compression
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the contour path must not split the field")
+
+    monkeypatch.setattr(operators.RangeSplitter, "split", forbidden)
+    for owner in (coefficients, operators, fc):
+        for name in ("_range_analysis", "_range_synthesis"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, forbidden)
+    h = random_field(grid, rng)
+    for T in (db_operator(B), operators.bd_operator(B)):
+        apply_calculus(fc.resolvent_power(4), T, h, path="contour")
+        semigroup(T, 0.5, h, path="contour")
+
+
+def test_contour_refuses_other_tags_before_certificate_and_schur(perturbed_system_32, rng,
+                                                                 monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the tag must be refused first")
+
+    T = operators.b_operator(hat_transform(perturbation_of_identity(
+        perturbed_system_32.grid, np.random.default_rng(4), 0.15)))
+    monkeypatch.setattr(fc, "accretivity_estimate", forbidden)
+    monkeypatch.setattr(scipy.linalg, "schur", forbidden)
+    h = random_field(T.grid, rng)
+    with pytest.raises(OperatorError, match="tag B$"):
+        apply_calculus(fc.resolvent_power(4), T, h, path="contour")
+    with pytest.raises(OperatorError, match="tag B$"):
+        semigroup(T, 0.5, h, path="contour")
+    assert T._contour is None and T._schur is None
+
+
 @pytest.mark.parametrize(
     "run",
     [

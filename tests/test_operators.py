@@ -423,8 +423,8 @@ def test_d_contour_builds_no_compression(g32, rng, monkeypatch):
     monkeypatch.setattr(fc, "_range_synthesis", forbidden)
     T = d_operator(g32)
     f = random_field(g32, rng)
-    # the contour path splits D as P f + (f - P f): 1 on the range and the
-    # value at the origin, here 0 and 2, on the null space
+    # the contour path gives 1 on the range and the value at the origin,
+    # here 0 and 2, on the null space, with no split of f
     Pf = p_operator(g32).apply(f)
     both = fc.custom(0.0, 0.0, lambda z: np.ones_like(z), 2.0, name="one-on-range")
     out = apply_calculus(both, T, f, path="contour")

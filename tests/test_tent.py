@@ -607,3 +607,39 @@ def test_ball_kernel_cache_is_bounded(g32):
         kernels[0, 0] = 0.0
     with pytest.raises(ValueError):
         counts[0] = 0
+
+
+def test_box_window_is_built_once_per_ladder_and_c0(g32, rng):
+    from halfspace.tent import BOX_WINDOW_CACHE_SIZE, _box_window
+
+    assert 0 < BOX_WINDOW_CACHE_SIZE < 1000
+    assert _box_window.cache_info().maxsize == BOX_WINDOW_CACHE_SIZE
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 3)
+    F = _random_tent_field(g32, ladder, rng)
+    wp = WhitneyParams(c0=2.5)
+    _box_window.cache_clear()
+    first = nt_maximal(F, wp)
+    second = nt_maximal(F, wp)
+    info = _box_window.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(first, second)
+    np.testing.assert_allclose(first, direct_box_maximal(F, wp), rtol=1e-10, atol=0)
+    # the cached table is the direct construction of the normalized dt window
+    t = ladder.t
+    direct = ((t > t[:, None] / wp.c0) & (t < t[:, None] * wp.c0)) * (ladder.weights * t)
+    direct /= direct.sum(axis=1, keepdims=True)
+    W = _box_window(tuple(t.tolist()), tuple(ladder.weights.tolist()), wp.c0)
+    assert np.array_equal(W, direct)
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+
+
+def test_channel_square_of_a_non_contiguous_stack(g32, rng):
+    ladder = TLadder.logspaced(0.25, 4.0, 2)
+    shape = (g32.channels,) + g32.shape + (len(ladder),)
+    vals = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T  # reversed axes
+    assert not vals.flags.c_contiguous
+    F = TentField(g32, ladder, vals)
+    assert F.values.flags.c_contiguous
+    expected = (np.abs(vals) ** 2).sum(axis=-1)
+    np.testing.assert_allclose(F.channel_square(), expected, rtol=1e-14, atol=0)
