@@ -22,13 +22,14 @@ Vinv on its range, so b(T) h = b(0) h + V (b(lam) - b(0)) Vinv h.  DB
 maps the closed range of D into itself, and L^2 = N(DB) + R(D) with
 N(DB) = B^-1 N(D) once B is accretive there.  In the orthonormal range
 basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
-in closed form and C = Q^* B Q is the compression of the range split.
-Q is kept per frequency, 2m channel vectors at each nonzero k, and never
-as a dof x r matrix: C is gathered from the FFT of B, the split applies
-Q^* as one FFT and a gather and Q as one inverse FFT, and V = Q W and
-Vinv, from M = W^-1 C^-1, are each one synthesis of r columns.  One eig
-of D_r C, of size r = 2m(G^n - 1), therefore serves DB, BD = B (DB) B^-1
-and, by duality, the adjoint system, with an exact null part.
+in closed form and C = Q^* B Q is the compression that B owns
+(TransformedB.compression).  Q is kept per frequency, 2m channel vectors
+at each nonzero k, and never as a dof x r matrix: C is gathered from the
+FFT of B, and V = Q W and Vinv, from M = W^-1 C^-1, are each one
+synthesis of r columns, one inverse FFT.  One eig of D_r C
+(TransformedB.range_eigen), of size r = 2m(G^n - 1), therefore serves DB,
+BD = B (DB) B^-1 and, by duality, the adjoint system, with an exact null
+part.
 The multipliers D, P and D^+ take b in closed form per frequency, since
 S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
 h for every scale s comes from one evaluation of b and one eigenvector
@@ -50,16 +51,9 @@ import typing
 import numpy as np
 import scipy.linalg
 
-from .coefficients import (
-    TransformedB, _range_symbol_product, _range_synthesis, accretivity_estimate,
-)
-from .grid import Field, check_finite, ifft_values
-from .operators import (
-    LinearOperatorHandle,
-    OperatorError,
-    check_dense_size,
-    range_splitter,
-)
+from .coefficients import _range_synthesis, accretivity_estimate
+from .grid import Field, OperatorError, check_dense_size, check_finite, ifft_values
+from .operators import LinearOperatorHandle
 
 __all__ = [
     "HolomorphicFunctionSpec",
@@ -352,37 +346,6 @@ def _checked_condition(cond: float) -> float:
     return cond
 
 
-@dataclasses.dataclass(frozen=True)
-class _RangeEigen:
-    """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
-    condition is cond(W) sup|B| / lambda_min(Re C)."""
-
-    lam: np.ndarray
-    W: np.ndarray
-    M: np.ndarray
-    condition: float
-
-
-def _range_eigen(B: TransformedB, splitter) -> _RangeEigen:
-    """The r x r eigendecomposition of DB on the range of D, cached on B.
-
-    With Q the orthonormal range basis, D Q = Q D_r and Q^* D (I - Q Q^*) =
-    0, so DB Q = Q D_r C with C = Q^* B Q.  Accretivity makes D_r C
-    invertible, so every one of its r eigenvalues is nonzero.  M comes
-    from two LU solves on I_r, with the LU of W and that of C.
-    """
-    if B._range_eigen is None:
-        report = accretivity_estimate(B)
-        lam, W = np.linalg.eig(_range_symbol_product(B.grid, splitter.C))
-        Cinv = scipy.linalg.lu_solve(splitter.lu, np.eye(len(lam), dtype=complex))
-        M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(W), Cinv)
-        B._range_eigen = _RangeEigen(
-            lam=lam, W=W, M=M,
-            condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa,
-        )
-    return B._range_eigen
-
-
 def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Per-grid-point matrices applied to X along its flattened physical rows."""
     shape = mats.shape[:-1] + (X.shape[1],)
@@ -390,10 +353,10 @@ def _pointwise_rows(mats: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
-    """DB or BD from the factorization shared by every handle on its B.
+    """DB or BD from the factorization B.range_eigen, shared by every handle on B.
 
     With Q the orthonormal range basis, which is never formed, and M =
-    W^-1 C^-1 from the shared factorization: DB has V = Q W and Vinv = M Q^* B
+    W^-1 C^-1 from that factorization: DB has V = Q W and Vinv = M Q^* B
     = (B^* (Q M^*))^*; BD = B (DB) B^-1 has V = B Q W S^-1 and Vinv =
     S M Q^* = S (Q M^*)^*, with S the column norms of B Q W.  Q W and
     Q M^* are each one synthesis of r coefficient columns
@@ -407,7 +370,7 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     if T.tag not in ("DB", "BD"):
         raise OperatorError(f"no range eigendecomposition for tag {T.tag}")
     B = T.multiplier_matrix
-    core = _range_eigen(B, range_splitter(T))
+    core = B.range_eigen
     QW, QM = _range_synthesis(T.grid, core.W), _range_synthesis(T.grid, core.M.conj().T)
     if T.tag == "DB":
         cond = _checked_condition(core.condition)
@@ -584,10 +547,6 @@ class ContourSpec:
         return table
 
 
-# Elements of the (dof x nodes) work array of the batched back substitution.
-_NODE_WORK_BUDGET = 2**21
-
-
 def schur_data(T: LinearOperatorHandle) -> tuple:
     """Complex Schur form (R, Z) of the operator, M = Z R Z^*, cached on the handle.
 
@@ -646,7 +605,8 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     integral of (b(lambda) - b(0)) / lambda, 0 as neither curve winds
     around 0; on the range it is b(T) h - b(0) h.  With the cached Schur
     form M = Z R Z^*, each node's resolvent is Z (I - R/lambda)^{-1} Z^* h,
-    a triangular shifted solve; the nodes are solved together in chunks.
+    a triangular shifted solve; all nodes are solved together, a dof x
+    nodes work array within the dense limit.
     Refuses beyond the dense limit before any large allocation, and any
     handle but a multiplier, DB or BD before the certificate.
     """
@@ -655,10 +615,7 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     vals = (b(lam) - b.value_at_zero) * w
     R, Z = schur_data(T)
     flat = h.flat()
-    g = Z.conj().T @ flat
-    chunk = max(1, _NODE_WORK_BUDGET // len(g))
-    acc = sum(_shifted_triangular_solves(R, g, 1.0 / lam[i:i + chunk]) @ vals[i:i + chunk]
-              for i in range(0, len(lam), chunk))
+    acc = _shifted_triangular_solves(R, Z.conj().T @ flat, 1.0 / lam) @ vals
     return Field.from_flat(T.grid, Z @ acc + b.value_at_zero * flat)
 
 

@@ -516,7 +516,7 @@ def run_oracle(cfg: ExperimentConfig) -> list:
             raise ValueError("the one-d oracle needs dim=1")
         system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
         # counted from a dense eig with its own null threshold, independent
-        # of the range split that eigen_data builds its null part from
+        # of the range eigendecomposition that eigen_data builds its null part from
         lam = np.abs(np.linalg.eigvals(system.db.dense_matrix()))
         null_dim = int((lam < 1e-10 * lam.max()).sum())
         expected = 2 * grid.system_size

@@ -11,11 +11,15 @@ the a block to be invertible pointwise.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 
 import numpy as np
 import scipy.linalg
 
-from .grid import Field, GridSpec, PHYSICAL, cached_per_grid, fft_values, ifft_values
+from .grid import (
+    PHYSICAL, Field, GridSpec, cached_per_grid, check_dense_size, fft_values, ifft_values,
+)
 
 __all__ = [
     "CoefficientMatrix",
@@ -99,24 +103,66 @@ class CoefficientMatrix(_PointwiseMatrix):
         return CoefficientMatrix(self.grid, self.adjoint_values())
 
 
+class _Compression(typing.NamedTuple):
+    """The r x r compression C = Q^* B Q of B to the range of D, and its LU."""
+
+    C: np.ndarray
+    lu: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class _RangeEigen:
+    """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
+    condition is cond(W) sup|B| / lambda_min(Re C)."""
+
+    lam: np.ndarray
+    W: np.ndarray
+    M: np.ndarray
+    condition: float
+
+
 class TransformedB(_PointwiseMatrix):
     """Pointwise multiplier B(x) obtained from coefficients A(x).
 
-    B owns what every DB and BD handle on it shares, each built lazily:
-    its range split (operators.range_splitter), its accretivity
-    certificate with kappa, omega and sup|B| (accretivity_estimate), and
-    the eigendecomposition of DB restricted to the range of D
-    (calculus.eigen_data).
+    B owns what every B, DB and BD handle on it shares, each built once, on
+    first use: the compression C of B to the range of D with its LU
+    (compression), the accretivity certificate with kappa, omega and
+    sup|B| that accretivity_estimate reads from C and keeps in _report, and
+    the r x r eigendecomposition of DB on the range of D (range_eigen).
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         super().__init__(grid, values)
-        self._splitter = None
-        self._range_eigen = None
         self._report = None
 
     def adjoint(self) -> "TransformedB":
         return TransformedB(self.grid, self.adjoint_values())
+
+    @functools.cached_property
+    def compression(self) -> _Compression:
+        """C = Q^* B Q by _range_compression, and its LU; accretivity makes C
+        invertible.  Refuses beyond the dense limit before allocating."""
+        check_dense_size(self.grid)
+        C = _range_compression(self)
+        return _Compression(C, scipy.linalg.lu_factor(C))
+
+    @functools.cached_property
+    def range_eigen(self) -> _RangeEigen:
+        """The r x r eigendecomposition of DB on the range of D.
+
+        With Q the orthonormal range basis, D Q = Q D_r and Q^* D (I - Q Q^*) =
+        0, so DB Q = Q D_r C.  Accretivity makes D_r C invertible, so every
+        one of its r eigenvalues is nonzero; the certificate runs first and
+        raises NotAccretiveError before any eig.  M comes from two LU solves
+        on I_r, with the LU of W and that of C.
+        """
+        report = accretivity_estimate(self)
+        C, lu = self.compression
+        lam, W = np.linalg.eig(_range_symbol_product(self.grid, C))
+        Cinv = scipy.linalg.lu_solve(lu, np.eye(len(lam), dtype=complex))
+        M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(W), Cinv)
+        return _RangeEigen(lam=lam, W=W, M=M,
+                           condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa)
 
 
 def hat_transform(A: CoefficientMatrix) -> TransformedB:
@@ -215,21 +261,6 @@ def _range_synthesis(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     return phys.reshape(-1, grid.dof).T.reshape((grid.dof,) + X.shape[1:])
 
 
-def _range_analysis(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    """Q^* v for v with dof rows in the flattened physical layout.
-
-    One transform of the columns and a gather of the nonzero frequencies;
-    the result has r rows.
-    """
-    nonzero, vectors = _range_basis_coefficients(grid)
-    F, width, N = vectors.shape
-    columns = v.reshape(grid.dof, -1).T.reshape((-1,) + grid.shape + (N,))
-    hat = fft_values(columns, grid).reshape(-1, grid.points**grid.dim, N)
-    coef = vectors.conj() @ hat[:, nonzero].transpose(1, 2, 0)
-    coef *= grid.points ** (grid.dim / 2.0)
-    return coef.reshape((F * width,) + v.shape[1:])
-
-
 def _range_symbol_product(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     """D_r X for the symbol compressed to its range, D_r = Q^* D Q.
 
@@ -294,10 +325,10 @@ def accretivity_estimate(B: TransformedB) -> AccretivityReport:
 
     Computed once per multiplier; every later call, and every consumer (the
     range eigendecomposition, the contour fit, a FirstOrderSystem and its
-    adjoint), reads the same report.  C comes from the range split cached
-    on B, so the certificate refuses beyond the dense limit as the split
-    does.  kappa is the smallest eigenvalue of the Hermitian part H of the
-    compression C = H + iK; NotAccretiveError is raised unless it is
+    adjoint), reads the same report.  C is B.compression, so the
+    certificate refuses beyond the dense limit before allocating, as the
+    compression does.  kappa is the smallest eigenvalue of the Hermitian
+    part H of C = H + iK; NotAccretiveError is raised unless it is
     positive.  As H > 0, the numerical range of C lies in the sector
     |arg z| <= phi exactly when |<Kx,x>| <= tan(phi) <Hx,x> for every x,
     so the exact angle is arctan max|mu| over the eigenvalues mu of the
@@ -308,10 +339,7 @@ def accretivity_estimate(B: TransformedB) -> AccretivityReport:
     """
     if B._report is not None:
         return B._report
-    # operators imports this module, so the shared range split is imported here
-    from .operators import b_operator, range_splitter
-
-    C = range_splitter(b_operator(B)).C
+    C = B.compression.C
     herm = 0.5 * (C + C.conj().T)
     kappa = float(np.linalg.eigvalsh(herm)[0])
     if not kappa > 0:  # the pencil below needs H > 0

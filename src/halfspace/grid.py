@@ -17,7 +17,10 @@ are the complex pair; the ball means of the tent functionals use the
 real pair rfftn / irfftn of the same module.
 
 Tables that depend on the grid alone (frequencies, their norms, torus
-distances) are built once per GridSpec and shared read-only.
+distances) are built once per GridSpec and shared read-only.  Every dense
+object of the package, a dof x dof matrix or the r x r compression of a
+multiplier, is refused beyond DENSE_LIMIT by check_dense_size before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -122,6 +125,30 @@ class GridSpec:
         d1 = np.minimum(d1, TWO_PI - d1)
         axes = np.meshgrid(*([d1] * self.dim), indexing="ij")
         return np.sqrt(sum(a**2 for a in axes))
+
+
+# degrees of freedom above which no dense dof x dof or r x r object is built
+DENSE_LIMIT = 8192
+
+
+class OperatorError(RuntimeError):
+    pass
+
+
+def check_dense_size(grid: GridSpec) -> None:
+    """Raise OperatorError, before allocating, when grid.dof exceeds the dense limit.
+
+    The message states the dof and the memory of one dense complex matrix.
+    """
+    dim = grid.dof
+    if dim > DENSE_LIMIT:
+        gib = dim * dim * np.dtype(complex).itemsize / 2**30
+        raise OperatorError(
+            f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
+            f"matrix would take {gib:.2f} GiB; the contour calculus and the eigen path "
+            "of DB and BD need it or the dense r x r compression of B; beyond the limit only "
+            "resolvent_solve (GMRES) and the eigen calculus of D, P and D^+ run"
+        )
 
 
 PHYSICAL = "physical"

@@ -17,9 +17,10 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
-from .coefficients import TransformedB, _range_analysis, _range_compression, _range_synthesis
+from .coefficients import TransformedB
 from .grid import (
-    Field, GridSpec, PHYSICAL, SPECTRAL, cached_per_grid, fft_values, ifft_values,
+    DENSE_LIMIT, PHYSICAL, SPECTRAL, Field, GridSpec, OperatorError, cached_per_grid,
+    check_dense_size, fft_values, ifft_values,
 )
 
 __all__ = [
@@ -39,13 +40,6 @@ __all__ = [
     "offdiag_probe",
     "DENSE_LIMIT",
 ]
-
-DENSE_LIMIT = 8192
-
-
-class OperatorError(RuntimeError):
-    pass
-
 
 class IterationError(OperatorError):
     """Krylov iteration failed; carries the residual history."""
@@ -249,22 +243,6 @@ def bd_operator(B: TransformedB) -> LinearOperatorHandle:
     return LinearOperatorHandle("BD", B.grid, "compose", parts, B)
 
 
-def check_dense_size(grid: GridSpec) -> None:
-    """Raise OperatorError, before allocating, when grid.dof exceeds the dense limit.
-
-    The message states the dof and the memory of one dense complex matrix.
-    """
-    dim = grid.dof
-    if dim > DENSE_LIMIT:
-        gib = dim * dim * np.dtype(complex).itemsize / 2**30
-        raise OperatorError(
-            f"dense assembly of size {dim} exceeds limit {DENSE_LIMIT}: one dense "
-            f"matrix would take {gib:.2f} GiB; the contour calculus and the eigen path "
-            "of DB and BD need it or the dense r x r compression of B; beyond the limit only "
-            "resolvent_solve (GMRES) and the eigen calculus of D, P and D^+ run"
-        )
-
-
 def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """Matrix of T in the flattened physical basis.
 
@@ -292,12 +270,16 @@ def resolvent_solve(
 ) -> Field:
     """Solve (I + i t T) u = f.
 
-    Dense LU below the size limit, cached on the handle for the last t,
-    otherwise restarted GMRES with the exact multiplier resolvent of the
-    self-adjoint part as preconditioner.
+    method "dense" factorizes I + i t T, with the LU cached on the handle
+    for the last t; "gmres" runs restarted GMRES with the exact multiplier
+    resolvent of the self-adjoint part as preconditioner; "auto" takes the
+    first below the size limit and the second beyond it.  Any other method
+    raises ValueError before anything is built.
     The returned field satisfies the residual bound tol * |f| or an
     IterationError carries the residual history.
     """
+    if method not in ("auto", "dense", "gmres"):
+        raise ValueError(f"unknown resolvent method {method!r}")
     if t == 0:
         return f.copy()
     grid = T.grid
@@ -361,74 +343,14 @@ def resolvent_solve(
     return out
 
 
-# ---------------------------------------------------------------------------
-# kernel / range machinery through the compressed quadratic form
-# ---------------------------------------------------------------------------
-
-
-class RangeSplitter:
-    """Kernel/range decompositions for both compositions with one multiplier.
-
-    Holds the r x r compression C = Q^* B Q of B to the range of D, formed
-    by coefficients._range_compression from the transform of B, and its
-    LU; accretivity makes C invertible.  Q, the orthonormal range basis,
-    is never formed: Q c is one inverse transform of the coefficients c
-    scattered into their frequencies, and Q^* v one transform and a gather.
-    Keeps B's values, not B, since B caches its splitter.  Refuses beyond
-    the dense limit before allocating C.
-    """
-
-    def __init__(self, B: TransformedB):
-        check_dense_size(B.grid)
-        self.grid = B.grid
-        self.values = B.values
-        self.C = _range_compression(B)
-        self.lu = scipy.linalg.lu_factor(self.C)
-
-    def split_db(self, f: Field):
-        """f = f_range + f_null for the multiplier-on-the-right composition.
-
-        f_range = Q C^-1 Q^* B f lies in the range of the projection; the
-        multiplier maps f_null into the kernel of the symbol.
-        """
-        vec = f.flat()
-        Bf = np.einsum("...ij,...j->...i", self.values, f.to_physical().values)
-        c = scipy.linalg.lu_solve(self.lu, _range_analysis(self.grid, Bf.reshape(-1)))
-        f_range = _range_synthesis(self.grid, c)
-        return Field.from_flat(self.grid, f_range), Field.from_flat(self.grid, vec - f_range)
-
-    def split_bd(self, f: Field):
-        """f = f_range + f_null for the multiplier-on-the-left composition.
-
-        f_range = B g with g = Q C^-1 Q^* f in the range of the projection;
-        f_null lies in the kernel of the symbol.
-        """
-        vec = f.flat()
-        c = scipy.linalg.lu_solve(self.lu, _range_analysis(self.grid, vec))
-        g = _range_synthesis(self.grid, c).reshape(self.grid.shape + (self.grid.channels,))
-        f_range = Field.physical(
-            self.grid, np.einsum("...ij,...j->...i", self.values, g)
-        )
-        f_null = Field.from_flat(self.grid, vec - f_range.values.reshape(-1))
-        return f_range, f_null
-
-    def split(self, T: LinearOperatorHandle, f: Field):
-        if T.tag == "DB":
-            return self.split_db(f)
-        if T.tag == "BD":
-            return self.split_bd(f)
-        raise OperatorError(f"no range split for tag {T.tag}")
-
-
 def range_splitter(T: LinearOperatorHandle):
-    """The compression of B for DB and BD, cached on B and so shared by every
-    handle on it; a multiplier, whose range part is P f, is refused."""
+    """The compression (C, lu) of B to the range of D for B, DB and BD: the
+    one B.compression, shared by every handle on B.  A multiplier, whose
+    range part is P f, is refused."""
     B = T.multiplier_matrix
     if B is None:
         raise OperatorError(f"no range split for tag {T.tag}")
-    if B._splitter is None:
-        B._splitter = RangeSplitter(B)
-    return B._splitter
+    return B.compression
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import pytest
 
 from halfspace import GridSpec, identity_coefficients, perturbation_of_identity
 from halfspace.bvp import FirstOrderSystem
+from halfspace.grid import Field
+from halfspace.operators import assemble_dense, b_operator
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +91,24 @@ def dense_range_basis(grid):
     spec = spec.reshape((r,) + grid.shape + (grid.channels,))
     phys = np.fft.ifftn(spec, axes=tuple(range(1, grid.dim + 1)), norm="forward")
     return phys.reshape(r, -1).T * grid.points ** (-grid.dim / 2.0)
+
+
+def range_null_split(T, f):
+    """Reference split f = f_range + f_null along the range and the null space of DB or BD.
+
+    From the dense basis Q and a dense C = Q^* B Q, so it shares nothing
+    with the gathered compression: DB has f_range = Q C^-1 Q^* B f in the
+    range of D, and BD has f_range = B Q C^-1 Q^* f; f_null = f - f_range
+    lies in the null space of T.
+    """
+    Q = dense_range_basis(T.grid)
+    Bmat = assemble_dense(b_operator(T.multiplier_matrix))
+    C = Q.conj().T @ Bmat @ Q
+    v = f.flat()
+    if T.tag == "DB":
+        fr = Q @ np.linalg.solve(C, Q.conj().T @ (Bmat @ v))
+    elif T.tag == "BD":
+        fr = Bmat @ (Q @ np.linalg.solve(C, Q.conj().T @ v))
+    else:
+        raise ValueError(f"no reference split for tag {T.tag}")
+    return Field.from_flat(T.grid, fr), Field.from_flat(T.grid, v - fr)

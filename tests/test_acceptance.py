@@ -23,10 +23,9 @@ from halfspace.operators import (
     d_operator,
     offdiag_distance_sweep,
     p_operator,
-    range_splitter,
 )
 
-from conftest import band_limited_scalar
+from conftest import band_limited_scalar, range_null_split
 
 
 def report(k: int, ok: bool, desc: str, value: float, bound: float) -> None:
@@ -122,7 +121,7 @@ def test_criterion_04_spectral_identities(system_perturbed_64, system_perturbed_
         T = system.db
         # chi+ + chi- equals the projection onto the closed range
         total = apply_calculus(fc.chi_plus(), T, h) + apply_calculus(fc.chi_minus(), T, h)
-        fr, _ = range_splitter(T).split(T, h)
+        fr, _ = range_null_split(T, h)
         worst = max(worst, l2_norm(total - fr) / l2_norm(h))
         # for the self-adjoint symbol the range projection is the multiplier
         D = d_operator(grid)

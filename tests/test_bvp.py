@@ -363,7 +363,7 @@ def _range_dim(grid):
 
 def test_derived_eigen_data_matches_dense_eig(fresh_system):
     # the reference diagonalizes the dense matrix here and never sees the
-    # range split, so it witnesses the split independently
+    # compression of B, so it witnesses the range eigendecomposition independently
     grid = fresh_system.grid
     h = random_field(grid, np.random.default_rng(22))
     for name, T in {**_four_handles(fresh_system), **_bare_pair(fresh_system)}.items():
@@ -425,7 +425,7 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
     assert shapes["eigvalsh"].count((r, r)) == 1 and shapes["eigh"] == [(r, r)]
     assert sys_.adjoint().report is sys_.report
     assert shapes["eig"] == [(r, r)]
-    # a bare DB/BD pair on one multiplier shares its split, certificate and eig too
+    # a bare DB/BD pair on one multiplier shares its compression, certificate and eig too
     db, bd = _bare_pair(sys_).values()
     fc.eigen_data(db)
     fc.eigen_data(bd)

@@ -33,8 +33,9 @@ from halfspace.operators import (
     db_operator,
     inverse_d_operator,
     p_operator,
-    range_splitter,
 )
+
+from conftest import range_null_split
 
 
 def single_mode_field(grid, k, channel_vector):
@@ -72,7 +73,7 @@ def test_chi_sum_is_range_projection_in_general(perturbed_system_32, rng):
     grid = perturbed_system_32.grid
     h = random_field(grid, rng)
     total = apply_calculus(fc.chi_plus(), T, h) + apply_calculus(fc.chi_minus(), T, h)
-    fr, _ = range_splitter(T).split(T, h)
+    fr, _ = range_null_split(T, h)
     assert l2_norm(total - fr) < 1e-8 * l2_norm(h)
 
 
@@ -90,7 +91,7 @@ def test_sgn_squared_is_range_projection(perturbed_system_32, rng):
     T = perturbed_system_32.db
     h = random_field(perturbed_system_32.grid, rng)
     sq = apply_calculus(fc.sgn(), T, apply_calculus(fc.sgn(), T, h))
-    fr, _ = range_splitter(T).split(T, h)
+    fr, _ = range_null_split(T, h)
     assert l2_norm(sq - fr) < 1e-8 * l2_norm(h)
 
 
@@ -351,22 +352,9 @@ def test_contour_factorizes_once_and_never_diagonalizes(perturbed_system_32, rng
     semigroup(T, 0.5, h, path="contour")
     assert len(schur_calls) == 1
     assert T._eigen is None
-    assert solves and all(
-        R.shape[0] * len(mu) <= fc._NODE_WORK_BUDGET for R, g, mu in solves
-    )
-
-
-def test_contour_chunking_matches_single_chunk(perturbed_system_32, rng, monkeypatch):
-    T = perturbed_system_32.db
-    h = random_field(perturbed_system_32.grid, rng)
-    b = fc.resolvent_power(4)
-    whole = apply_calculus(b, T, h, path="contour")
-    monkeypatch.setattr(fc, "_NODE_WORK_BUDGET", 100 * T.grid.dof)
-    solves = _count_calls(monkeypatch, fc, "_shifted_triangular_solves")
-    chunked = apply_calculus(b, T, h, path="contour")
-    assert len(solves) > 1
-    assert all(len(mu) <= 100 for R, g, mu in solves)
-    assert l2_norm(whole - chunked) <= 1e-12 * l2_norm(whole)
+    # one batched back substitution per apply, over all nodes of both curves
+    assert len(solves) == 3
+    assert all(len(mu) == 2 * fc._NODES_PER_CURVE == 256 for R, g, mu in solves)
 
 
 @pytest.mark.parametrize("tag", ["DB", "BD", "P"])
@@ -382,7 +370,7 @@ def test_contour_gives_value_at_origin_on_null_fields(perturbed_system_32, rng, 
         h_null = h - T.apply(h)
     else:
         T = {"DB": sys_.db, "BD": sys_.bd}[tag]
-        h_null = range_splitter(T).split(T, h)[1]
+        h_null = range_null_split(T, h)[1]
     b = factory()
     out = apply_calculus(b, T, h_null, path="contour")
     assert l2_norm(out - b.value_at_zero * h_null) <= 1e-12 * l2_norm(h_null)
@@ -396,13 +384,10 @@ def test_contour_apply_runs_no_range_split(rng, monkeypatch):
     accretivity_estimate(B)  # the certificate, cached on B, builds the compression
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the contour path must not split the field")
+        raise AssertionError("the contour path must not map through the range basis")
 
-    monkeypatch.setattr(operators.RangeSplitter, "split", forbidden)
-    for owner in (coefficients, operators, fc):
-        for name in ("_range_analysis", "_range_synthesis"):
-            if hasattr(owner, name):
-                monkeypatch.setattr(owner, name, forbidden)
+    for owner in (coefficients, fc):
+        monkeypatch.setattr(owner, "_range_synthesis", forbidden)
     h = random_field(grid, rng)
     for T in (db_operator(B), operators.bd_operator(B)):
         apply_calculus(fc.resolvent_power(4), T, h, path="contour")
@@ -449,7 +434,7 @@ def test_calculus_refuses_beyond_dense_limit(run):
         tracemalloc.stop()
     # the range basis alone would take 1.5 GiB and the dense matrix 2.25 GiB
     assert peak < 16 * 2**20
-    assert T._dense is None and B._splitter is None
+    assert T._dense is None and "compression" not in vars(B)
 
 
 def test_multiplier_calculus_runs_beyond_dense_limit():

@@ -6,6 +6,7 @@ from halfspace.coefficients import (
     CoefficientMatrix,
     NotAccretiveError,
     TransformedB,
+    _range_synthesis,
     accretivity_estimate,
     block_diagonal_coefficients,
     hat_transform,
@@ -13,7 +14,7 @@ from halfspace.coefficients import (
     perturbation_of_identity,
 )
 from halfspace.grid import GridSpec, l2_norm, random_field
-from halfspace.operators import assemble_dense, b_operator, p_operator, range_splitter
+from halfspace.operators import assemble_dense, b_operator, p_operator
 
 from conftest import dense_range_basis, loop_range_basis_coefficients
 
@@ -97,7 +98,7 @@ def bisection_certificate(B):
     comparison is exact; test_range_maps_and_compression_match_dense_basis
     checks that compression against Q^* B Q.
     """
-    C = range_splitter(b_operator(B)).C
+    C = B.compression.C
     kappa = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
     tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
     lo, hi = 0.0, np.pi / 2 - 1e-9
@@ -222,7 +223,7 @@ def test_compression_is_range_basis_pairing(g8x2, rng):
     assert Q.shape == (g8x2.dof, 2 * (g8x2.points**2 - 1))
     assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() < 1e-13
     assert np.abs(assemble_dense(p_operator(g8x2)) @ Q - Q).max() < 1e-13
-    C = range_splitter(b_operator(B)).C
+    C = B.compression.C
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() < 1e-13
 
@@ -230,8 +231,6 @@ def test_compression_is_range_basis_pairing(g8x2, rng):
 @pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
                                   GridSpec(2, 8, 2)], ids=str)
 def test_range_maps_and_compression_match_dense_basis(grid):
-    from halfspace.coefficients import _range_analysis, _range_synthesis
-
     rng = np.random.default_rng(3)
     Q = dense_range_basis(grid)
     r = Q.shape[1]
@@ -240,14 +239,8 @@ def test_range_maps_and_compression_match_dense_basis(grid):
     assert QX.shape == (grid.dof, 5)
     assert np.abs(QX - Q @ X).max() <= 1e-13
     assert np.abs(_range_synthesis(grid, X[:, 0]) - Q @ X[:, 0]).max() <= 1e-13
-    assert np.abs(_range_analysis(grid, QX) - X).max() <= 1e-13
-    v = rng.standard_normal((grid.dof, 3)) + 1j * rng.standard_normal((grid.dof, 3))
-    Qv = _range_analysis(grid, v)
-    assert Qv.shape == (r, 3)
-    assert np.abs(Qv - Q.conj().T @ v).max() <= 1e-13
-    assert np.abs(_range_analysis(grid, v[:, 0]) - Qv[:, 0]).max() <= 1e-13
     B = hat_transform(perturbation_of_identity(grid, rng, 0.3))
-    C = range_splitter(b_operator(B)).C
+    C = B.compression.C
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -300,7 +293,7 @@ def test_pencil_angle_is_attained_and_bounds_the_range():
     B = _benchmark_input(1, 32, 0.4, 1)
     grid = B.grid
     exact = accretivity_estimate(B).method["omega_exact"]
-    C = range_splitter(b_operator(B)).C
+    C = B.compression.C
     herm, skew = 0.5 * (C + C.conj().T), -0.5j * (C - C.conj().T)
     mu, X = scipy.linalg.eigh(skew, herm)
     x = X[:, np.argmax(np.abs(mu))]

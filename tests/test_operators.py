@@ -10,6 +10,7 @@ from halfspace.coefficients import (
     identity_coefficients,
     perturbation_of_identity,
 )
+from halfspace import grid as grid_module
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     DENSE_LIMIT,
@@ -30,9 +31,9 @@ from halfspace.operators import (
     resolvent_solve,
     torus_mask_distance,
 )
-from halfspace import operators
+from halfspace import coefficients, operators
 
-from conftest import dense_range_basis
+from conftest import dense_range_basis, range_null_split
 
 
 def single_mode_field(grid, k, channel_vector):
@@ -220,6 +221,16 @@ def test_resolvent_gmres_matches_dense(g32, rng):
     assert l2_norm(dense - krylov) < 1e-8 * l2_norm(f)
 
 
+@pytest.mark.parametrize("method", ["Dense", "gmers", ""])
+def test_resolvent_refuses_unknown_method_before_solving(g32, rng, method):
+    T = db_operator(hat_transform(perturbation_of_identity(g32, rng, 0.15)))
+    f = random_field(g32, rng)
+    for t in (0.4, 0.0):
+        with pytest.raises(ValueError, match=f"unknown resolvent method {method!r}"):
+            resolvent_solve(T, t, f, method=method)
+    assert T._lu is None and T._dense is None
+
+
 def test_resolvent_residual_certified(g32, rng):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.1))
     T = db_operator(B)
@@ -284,6 +295,13 @@ def test_dense_size_limit():
     assert DENSE_LIMIT == 8192
 
 
+def test_dense_limit_has_one_owner():
+    # grid owns the limit, so that coefficients can refuse with it; operators re-exports it
+    assert operators.OperatorError is grid_module.OperatorError
+    assert operators.DENSE_LIMIT is grid_module.DENSE_LIMIT
+    assert operators.check_dense_size is grid_module.check_dense_size
+
+
 def test_one_d_kernel_only_at_zero_mode(g32, rng):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
     M = assemble_dense(db_operator(B))
@@ -301,7 +319,7 @@ def test_range_null_split_db(g32, rng):
     B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
     T = db_operator(B)
     f = random_field(g32, rng)
-    fr, fn = range_splitter(T).split(T, f)
+    fr, fn = range_null_split(T, f)
     assert l2_norm(fr + fn - f) < 1e-9 * l2_norm(f)
     assert l2_norm(T.apply(fn)) < 1e-9 * l2_norm(f)
     Pfr = p_operator(g32).apply(fr)
@@ -334,6 +352,8 @@ DECLARED_STATE = {
     "tag", "grid", "kind", "payload", "multiplier_matrix",
     "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_lu",
 }
+# TransformedB keeps its values, the certificate and its two cached properties
+B_STATE = {"grid", "values", "_report", "compression", "range_eigen"}
 
 
 def test_handle_state_is_declared(g32, rng):
@@ -343,15 +363,44 @@ def test_handle_state_is_declared(g32, rng):
     assert db.multiplier_matrix is B and bd.multiplier_matrix is B
     assert b_operator(B).multiplier_matrix is B
     f = random_field(g32, rng)
-    range_splitter(db).split(db, f)
+    range_splitter(db)
     resolvent_solve(db, 0.5, f, method="dense")
     for T in (D, db, bd, p_operator(g32)):
         assert set(vars(T)) == DECLARED_STATE
     assert db._lu[0] == 0.5
     eigen_data(db)
-    assert set(vars(B)) == {"grid", "values", "_splitter", "_range_eigen", "_report"}
-    assert range_splitter(bd) is B._splitter and B._range_eigen is not None
+    assert set(vars(B)) == B_STATE
+    assert range_splitter(bd) is B.compression
     assert B._report is accretivity_estimate(B)
+
+
+def test_transformed_b_owns_compression_and_range_eigen(g32, rng, monkeypatch):
+    compressions = []
+    eigs = []
+    compress, eig = coefficients._range_compression, np.linalg.eig
+
+    def counted_compression(B):
+        compressions.append(B)
+        return compress(B)
+
+    def counted_eig(M):
+        eigs.append(M.shape)
+        return eig(M)
+
+    monkeypatch.setattr(coefficients, "_range_compression", counted_compression)
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    B = hat_transform(perturbation_of_identity(g32, rng, 0.2))
+    db, bd = db_operator(B), bd_operator(B)
+    accretivity_estimate(B)
+    eigen_data(db)
+    eigen_data(bd)
+    apply_calculus(fc.resolvent_power(4), db, random_field(g32, rng), path="contour")
+    assert range_splitter(b_operator(B)) is B.compression
+    assert range_splitter(db) is range_splitter(bd) is B.compression
+    assert compressions == [B]
+    r = 2 * (g32.points - 1)
+    assert eigs == [(r, r)]
+    assert set(vars(B)) == B_STATE
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2),
@@ -385,8 +434,8 @@ def test_range_eigenvectors_match_dense_basis(grid):
     Q = dense_range_basis(grid)
     Bmat = assemble_dense(b_operator(B))
     db, bd = eigen_data(db_operator(B)), eigen_data(bd_operator(B))
-    splitter, core = B._splitter, B._range_eigen
-    M = np.linalg.inv(core.W) @ np.linalg.inv(splitter.C)
+    compression, core = B.compression, B.range_eigen
+    M = np.linalg.inv(core.W) @ np.linalg.inv(compression.C)
     assert np.abs(core.M - M).max() <= 1e-13 * np.abs(M).max()
     BQW = Bmat @ Q @ core.W
     S = np.linalg.norm(BQW, axis=0)
@@ -397,29 +446,31 @@ def test_range_eigenvectors_match_dense_basis(grid):
         assert np.abs(ed.V - V).max() <= 1e-13 * max(np.abs(V).max(), 1.0)
         assert np.abs(ed.Vinv - Vinv).max() <= 1e-13 * max(np.abs(Vinv).max(), 1.0)
         assert np.abs(ed.Vinv @ ed.V - np.eye(r)).max() <= 1e-13
-    # the split keeps no array with a dof-long axis: no dense basis
-    arrays = [v for v in vars(splitter).values() if isinstance(v, np.ndarray)]
-    arrays += [a for v in vars(splitter).values() if isinstance(v, tuple) for a in v]
-    assert set(vars(splitter)) == {"grid", "values", "C", "lu"}
+    # the compression and the factorization keep no array with a dof-long
+    # axis: no dense basis
+    C, (lu, piv) = compression
+    assert compression._fields == ("C", "lu")
+    arrays = [C, lu, piv] + [v for v in vars(core).values() if isinstance(v, np.ndarray)]
     assert all(grid.dof not in np.shape(a) for a in arrays)
 
 
 def test_range_split_refuses_beyond_dense_limit():
     grid = GridSpec(dim=2, points=64, system_size=1)  # dof 12288 > limit
     B = hat_transform(identity_coefficients(grid))
-    with pytest.raises(OperatorError, match="size 12288 exceeds"):
-        range_splitter(db_operator(B))
-    with pytest.raises(OperatorError, match="size 12288 exceeds"):
-        eigen_data(bd_operator(B))
-    assert B._splitter is None
+    refusals = [lambda: B.compression, lambda: accretivity_estimate(B),
+                lambda: range_splitter(db_operator(B)), lambda: eigen_data(bd_operator(B))]
+    for refused in refusals:
+        with pytest.raises(OperatorError, match="size 12288 exceeds"):
+            refused()
+    assert "compression" not in vars(B) and B._report is None
 
 
 def test_d_contour_builds_no_compression(g32, rng, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("D needs no compression")
 
-    for name in ("_range_compression", "_range_analysis", "_range_synthesis"):
-        monkeypatch.setattr(operators, name, forbidden)
+    for name in ("_range_compression", "_range_synthesis"):
+        monkeypatch.setattr(coefficients, name, forbidden)
     monkeypatch.setattr(fc, "_range_synthesis", forbidden)
     T = d_operator(g32)
     f = random_field(g32, rng)
@@ -440,12 +491,12 @@ def test_range_split_refuses_other_symbols(g32, rng):
         with pytest.raises(OperatorError, match="no range eigendecomposition"):
             eigen_data(T)
         assert T._eigen is None and T._dense is None
-    # B alone has a range split but no range eigendecomposition, and the
-    # refusal comes before any split is built and cached on B
+    # B alone has a compression but no range eigendecomposition, and the
+    # refusal comes before any compression is built and cached on B
     B = b_operator(hat_transform(perturbation_of_identity(g32, rng, 0.2)))
     with pytest.raises(OperatorError, match="no range eigendecomposition"):
         eigen_data(B)
-    assert B.multiplier_matrix._splitter is None and B._eigen is None
+    assert "compression" not in vars(B.multiplier_matrix) and B._eigen is None
 
 
 # ---------------------------------------------------------------------------
