@@ -558,17 +558,32 @@ def schur_data(T: LinearOperatorHandle) -> tuple:
     return T._schur
 
 
-def _shifted_triangular_solves(R: np.ndarray, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Columns y_k = (I - mu_k R)^{-1} g for upper-triangular R, as (dof, nodes).
+def _shifted_triangular_solves(R: np.ndarray, g: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Columns z_k = (lambda_k - R)^{-1} g for upper-triangular R, as (dof, nodes).
 
-    Back substitution over the rows, each row updating all nodes at once.
+    inv[i, k] = 1 / (lambda_k - R_ii) is the diagonal of each resolvent.
+    Back substitution over the rows, each row updating all nodes at once:
+    z_i = inv_i (g_i + R[i, i+1:] z[i+1:]).  (I - R/lambda_k)^{-1} g is
+    lambda_k z_k, so a caller folds lambda_k into its quadrature weights.
     """
-    dim = R.shape[0]
-    Y = np.empty((dim, len(mu)), dtype=complex)
-    for i in range(dim - 1, -1, -1):
-        upper = R[i, i + 1 :] @ Y[i + 1 :]
-        Y[i] = (g[i] + mu * upper) / (1.0 - mu * R[i, i])
-    return Y
+    Zs = g[:, None] * inv
+    for i in range(R.shape[0] - 2, -1, -1):
+        Zs[i] += inv[i] * (R[i, i + 1 :] @ Zs[i + 1 :])
+    return Zs
+
+
+def _resolvent_diagonal(T: LinearOperatorHandle) -> np.ndarray:
+    """The read-only (dof, nodes) table 1 / (lambda_k - R_ii), built once per handle.
+
+    It depends only on the Schur form and the contour nodes of T.
+    """
+    if T._resolvent_diagonal is None:
+        R, _ = schur_data(T)
+        lam, _ = _spectral_contour(T).nodes()
+        inv = 1.0 / (lam - R.diagonal()[:, None])
+        inv.setflags(write=False)
+        T._resolvent_diagonal = inv
+    return T._resolvent_diagonal
 
 
 def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
@@ -604,18 +619,22 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     the null space each resolvent is the identity and the sum tends to the
     integral of (b(lambda) - b(0)) / lambda, 0 as neither curve winds
     around 0; on the range it is b(T) h - b(0) h.  With the cached Schur
-    form M = Z R Z^*, each node's resolvent is Z (I - R/lambda)^{-1} Z^* h,
-    a triangular shifted solve; all nodes are solved together, a dof x
-    nodes work array within the dense limit.
+    form M = Z R Z^*, each node's term Z (I - R/lambda)^{-1} Z^* h is
+    lambda Z (lambda - R)^{-1} Z^* h: a triangular solve in resolvent form,
+    with lambda folded into the weights lambda (b(lambda) - b(0)) w.  All
+    nodes are solved together against the handle's cached table of
+    resolvent diagonals, a dof x nodes work array within the dense limit;
+    Z^* h is formed without copying Z.
     Refuses beyond the dense limit before any large allocation, and any
     handle but a multiplier, DB or BD before the certificate.
     """
     check_dense_size(T.grid)
     lam, w = _spectral_contour(T).nodes()
-    vals = (b(lam) - b.value_at_zero) * w
+    vals = lam * (b(lam) - b.value_at_zero) * w
     R, Z = schur_data(T)
     flat = h.flat()
-    acc = _shifted_triangular_solves(R, Z.conj().T @ flat, 1.0 / lam) @ vals
+    g = (Z.T @ flat.conj()).conj()
+    acc = _shifted_triangular_solves(R, g, _resolvent_diagonal(T)) @ vals
     return Field.from_flat(T.grid, Z @ acc + b.value_at_zero * flat)
 
 

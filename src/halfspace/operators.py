@@ -165,6 +165,8 @@ class LinearOperatorHandle:
                            owns the accretivity certificate the calculus reads
       _dense, _eigen, _schur, _contour  - lazily built caches, _contour the
                                           ContourSpec of the contour path
+      _resolvent_diagonal  - the contour path's (dof, nodes) table
+                             1 / (lambda_k - R_ii) from _schur and _contour
       _lu  - (t, LU of I + i t T) of the last dense resolvent_solve,
              replaced when t changes
       _eigen_source  - callable deriving _eigen from a similar operator's
@@ -183,6 +185,7 @@ class LinearOperatorHandle:
         self._eigen_source = None
         self._schur = None
         self._contour = None
+        self._resolvent_diagonal = None
         self._lu = None
 
     def __repr__(self):

@@ -220,7 +220,7 @@ def test_contour_apply_solves_at_most_256_nodes(points, rng, monkeypatch):
     sys_ = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(5), 0.15))
     solves = _count_calls(monkeypatch, fc, "_shifted_triangular_solves")
     apply_calculus(fc.resolvent_power(4), sys_.db, random_field(grid, rng), path="contour")
-    assert 0 < sum(len(mu) for R, g, mu in solves) <= 256
+    assert 0 < sum(inv.shape[1] for R, g, inv in solves) <= 256
 
 
 def test_semigroup_single_mode(g32):
@@ -354,7 +354,41 @@ def test_contour_factorizes_once_and_never_diagonalizes(perturbed_system_32, rng
     assert T._eigen is None
     # one batched back substitution per apply, over all nodes of both curves
     assert len(solves) == 3
-    assert all(len(mu) == 2 * fc._NODES_PER_CURVE == 256 for R, g, mu in solves)
+    assert all(inv.shape == (T.grid.dof, 2 * fc._NODES_PER_CURVE) == (64, 256)
+               for R, g, inv in solves)
+    # the table of resolvent diagonals is built on the first apply and shared
+    table = T._resolvent_diagonal
+    assert all(inv is table for R, g, inv in solves) and not table.flags.writeable
+
+
+@pytest.mark.parametrize("dof", [1, 2, 64, 150])
+def test_shifted_triangular_solves_match_dense_solves(dof):
+    rng = np.random.default_rng(dof)
+    R = np.triu(rng.standard_normal((dof, dof)) + 1j * rng.standard_normal((dof, dof)))
+    g = rng.standard_normal(dof) + 1j * rng.standard_normal(dof)
+    lam = fc.ContourSpec(lo=-1.0, hi=2.0, height=1.0).nodes()[0][::16]
+    inv = 1.0 / (lam - R.diagonal()[:, None])
+    out = fc._shifted_triangular_solves(R, g, inv)
+    assert out.shape == (dof, len(lam))
+    for k, shift in enumerate(lam):
+        ref = np.linalg.solve(shift * np.eye(dof) - R, g)
+        assert np.linalg.norm(out[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_repeated_contour_apply_does_not_copy_the_schur_basis(rng):
+    grid = GridSpec(2, 16, 1)  # dof 768
+    T = db_operator(hat_transform(perturbation_of_identity(grid, np.random.default_rng(3), 0.15)))
+    h = random_field(grid, rng)
+    b = fc.resolvent_power(4)
+    apply_calculus(b, T, h, path="contour")  # the Schur form and the diagonal table
+    tracemalloc.start()
+    try:
+        apply_calculus(b, T, h, path="contour")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dof x dof complex array is 9.4 MB; Z^* h must not copy Z
+    assert peak < 0.5 * grid.dof**2 * 16
 
 
 @pytest.mark.parametrize("tag", ["DB", "BD", "P"])

@@ -350,7 +350,8 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 DECLARED_STATE = {
     "tag", "grid", "kind", "payload", "multiplier_matrix",
-    "_dense", "_eigen", "_eigen_source", "_schur", "_contour", "_lu",
+    "_dense", "_eigen", "_eigen_source", "_schur", "_contour",
+    "_resolvent_diagonal", "_lu",
 }
 # TransformedB keeps its values, the certificate and its two cached properties
 B_STATE = {"grid", "values", "_report", "compression", "range_eigen"}
@@ -369,6 +370,9 @@ def test_handle_state_is_declared(g32, rng):
         assert set(vars(T)) == DECLARED_STATE
     assert db._lu[0] == 0.5
     eigen_data(db)
+    apply_calculus(fc.resolvent_power(4), bd, f, path="contour")
+    assert set(vars(bd)) == DECLARED_STATE
+    assert bd._resolvent_diagonal.shape == (g32.dof, 2 * fc._NODES_PER_CURVE)
     assert set(vars(B)) == B_STATE
     assert range_splitter(bd) is B.compression
     assert B._report is accretivity_estimate(B)
