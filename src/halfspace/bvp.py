@@ -38,7 +38,7 @@ from .operators import (
     inverse_d_operator,
     p_operator,
 )
-from .tent import TentField, tent_norm
+from .tent import unit_ball_volume
 
 __all__ = [
     "FirstOrderSystem",
@@ -472,11 +472,11 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
         grid, u0 - _squeeze_channels(f)
     ) / max(_scalar_l2(grid, f), 1e-300)
     if ladder is not None:
-        flows = fc.eigen_apply_scaled(system.db, fc.UNIT_SEMIGROUP, ladder.t, sol.h)
-        t = ladder.t.reshape((-1,) + (1,) * (flows.ndim - 1))
-        sol.diagnostics["tent_norm_t_grad"] = tent_norm(
-            TentField(grid, ladder, flows * t), 2.0
-        )
+        # the T^2 norm of t exp(-t|DB|) h, aperture one: the cone cross-section
+        # times the ladder energy with weights w t^2 (tent.tent_norm at p = 2)
+        energy = fc.eigen_ladder_energy(system.db, fc.UNIT_SEMIGROUP, ladder.t,
+                                        ladder.weights * ladder.t**2, sol.h)
+        sol.diagnostics["tent_norm_t_grad"] = float(np.sqrt(unit_ball_volume(grid.dim) * energy))
     return sol
 
 
@@ -508,11 +508,14 @@ def _resolve_side(t: float, side) -> int:
     raise DatumError("layer potentials at t = 0 need side='+' or side='-'")
 
 
+@functools.lru_cache
 def _decaying_extension_spec(t: float, sgn: int) -> fc.HolomorphicFunctionSpec:
     """exp(-t z) on the spectral half selected by sgn.
 
     For t of the matching sign this decays into the corresponding
-    half-space; at t = 0 it is the one-sided boundary limit.
+    half-space; at t = 0 it is the one-sided boundary limit.  One spec
+    object per (t, sgn), so that repeated layer potentials find the scaled
+    tables that the eigendecompositions keep per spec object.
     """
     if sgn > 0:
         return fc.custom(

@@ -33,7 +33,9 @@ part.
 The multipliers D, P and D^+ take b in closed form per frequency, since
 S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
 h for every scale s comes from one evaluation of b and one eigenvector
-or symbol product, as one array.
+or symbol product, as one array.  A ladder energy sum_s w_s ||b(s T)
+h||^2 needs no such array: it is a Hermitian form in the range
+coordinates Vinv h, cached per eigendecomposition.
 
 Functions are described by a small spec carrying an evaluator, the value
 at the origin used on the null space, and the decay class on the sector,
@@ -52,7 +54,9 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import _range_synthesis, accretivity_estimate
-from .grid import Field, OperatorError, check_dense_size, check_finite, ifft_values
+from .grid import (
+    Field, GridError, OperatorError, check_dense_size, check_finite, ifft_values,
+)
 from .operators import LinearOperatorHandle
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "ContourSpec",
     "apply_calculus",
     "eigen_apply_scaled",
+    "eigen_ladder_energy",
     "semigroup",
     "calderon_pair",
     "bracket",
@@ -291,9 +296,24 @@ def custom(
 # ---------------------------------------------------------------------------
 
 EIG_CONDITION_LIMIT = 1e8
-# (spec, scales) tables kept per eigendecomposition; a table is S x r, and a
-# job reuses a few, such as the unit semigroup on its ladder
+# (spec, scales) tables and (spec, scales, weights) ladder forms kept per
+# eigendecomposition; a table is S x r and a form r x r, and a job reuses a
+# few, such as the unit semigroup on its ladder
 SCALED_TABLE_LIMIT = 8
+
+
+class LadderForm(typing.NamedTuple):
+    """The Hermitian forms of ladder energies in range coordinates c = Vinv h.
+
+    One per row w of the weights: hermitian is G o K with G = V^* V and
+    K_ij = sum_s w_s conj(v_si) v_sj, v_s = b(s lam); range_weights is
+    sum_s w_s v_s and weight_sum sum_s w_s, which the null part reads when
+    b(0) != 0.
+    """
+
+    hermitian: np.ndarray
+    range_weights: np.ndarray
+    weight_sum: np.ndarray
 
 
 @dataclasses.dataclass
@@ -317,23 +337,60 @@ class EigenData:
     def radius(self) -> float:
         return float(np.abs(self.lam).max(initial=0.0))
 
-    def scaled_table(self, b: HolomorphicFunctionSpec, scales: np.ndarray) -> np.ndarray:
-        """b(s lam) - b(0) for every scale s, shape (S, r), read-only.
+    def _cached(self, key: tuple, b: HolomorphicFunctionSpec, build):
+        """The entry of key, built on a miss, in the least-recently-used table cache.
 
-        Cached per spec object and scales, at most SCALED_TABLE_LIMIT of
-        them, the least recently used leaving first.  The entry holds b, so
-        the id in its key cannot pass to another spec while it is kept.
+        At most SCALED_TABLE_LIMIT entries stay, tables and forms together.
+        An entry holds b, so the id in its key cannot pass to another spec
+        while it is kept.
         """
-        key = (id(b), scales.tobytes())
         entry = self._tables.pop(key, None)
         if entry is None:
-            table = b(self.lam * scales[:, None]) - b.value_at_zero
-            table.setflags(write=False)
-            entry = (b, table)
+            entry = (b, build())
             if len(self._tables) >= SCALED_TABLE_LIMIT:
                 del self._tables[next(iter(self._tables))]
         self._tables[key] = entry
         return entry[1]
+
+    def scaled_table(self, b: HolomorphicFunctionSpec, scales: np.ndarray) -> np.ndarray:
+        """b(s lam) - b(0) for every scale s, shape (S, r), read-only.
+
+        Cached per spec object and scales.
+        """
+
+        def build():
+            table = b(self.lam * scales[:, None]) - b.value_at_zero
+            table.setflags(write=False)
+            return table
+
+        return self._cached((id(b), scales.tobytes()), b, build)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """V^* V, r x r Hermitian, read-only; built once, at r^2 dof complex operations."""
+        G = self.V.conj().T @ self.V
+        G.setflags(write=False)
+        return G
+
+    def ladder_form(self, b: HolomorphicFunctionSpec, scales: np.ndarray,
+                    weights: np.ndarray) -> LadderForm:
+        """The forms of h -> sum_s w_s ||b(s T) h||^2 on the range coordinates.
+
+        weights has shape (S,) or (W, S), one form per row.  Cached per spec
+        object, scales and weights beside the scaled tables, and built from
+        the scaled table of b and scales.
+        """
+
+        def build():
+            values = self.scaled_table(b, scales) + b.value_at_zero
+            K = values.conj().T @ (weights[..., None] * values)
+            form = LadderForm(self.gram * K, weights @ values, weights.sum(axis=-1))
+            for part in form:
+                part.setflags(write=False)
+            return form
+
+        key = (id(b), scales.tobytes(), weights.shape, weights.tobytes())
+        return self._cached(key, b, build)
 
 
 def _checked_condition(cond: float) -> float:
@@ -469,6 +526,53 @@ def eigen_apply_scaled(
         out = (ed.V @ (vals * (ed.Vinv @ flat)).T).T + b.value_at_zero * flat
     check_finite(out)
     return out.reshape(scales.shape + T.grid.shape + (T.grid.channels,))
+
+
+def eigen_ladder_energy(
+    T: LinearOperatorHandle, b: HolomorphicFunctionSpec, scales, weights, h: Field
+):
+    """sum_s w_s ||b(s T) h||^2, the squared L^2 norms over the torus, weighted.
+
+    weights of shape (S,) give one energy, and of shape (W, S) an array of
+    W, one per row.  Such an energy is a Hermitian form in h.  With c =
+    Vinv h and n = h - V c the null part, b(s T) h = b(0) n + V (b(s lam) o
+    c), so the range terms sum to c^* (G o K) c, the form of
+    EigenData.ladder_form; when b(0) != 0 the null part adds |b(0)|^2
+    (sum_s w_s) ||n||^2 and the cross term 2 Re conj(b(0)) <n, V (u o c)>,
+    u = sum_s w_s b(s lam), each formed explicitly, so that no term cancels
+    another.  Per call this costs one Vinv product and W r x r forms, plus
+    two V products when b(0) != 0, against the S r dof of the stack that
+    eigen_apply_scaled builds.  The first call per eigendecomposition
+    builds the Gram matrix G = V^* V, r^2 dof operations, and each (b,
+    scales, weights) its forms, W S r^2; each is r^2 complex values (67 MB
+    at 2D G=32, r = 2046), and the forms share the bounded cache of the
+    scaled tables.  A multiplier sums the squared norms of its closed-form
+    stack.  Raises ValueError for a nonpositive scale and GridError for a
+    non-finite energy.
+    """
+    scales = np.asarray(scales, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if (scales <= 0).any():
+        raise ValueError("scale must be positive")
+    if T.kind == "multiplier":
+        stack = _multiplier_apply_scaled(T, b, scales, h).reshape(len(scales), -1)
+        energy = weights @ np.einsum("ij,ij->i", stack.conj(), stack).real
+    else:
+        ed = eigen_data(T)
+        form = ed.ladder_form(b, scales, weights)
+        flat = h.flat()
+        c = ed.Vinv @ flat
+        energy = ((form.hermitian @ c) @ c.conj()).real
+        b0 = b.value_at_zero
+        if b0 != 0:
+            n = flat - ed.V @ c
+            cross = n.conj() @ (ed.V @ (form.range_weights * c).T)
+            energy += (abs(b0) ** 2 * form.weight_sum * np.vdot(n, n).real
+                       + 2 * (np.conj(b0) * cross).real)
+    if not np.isfinite(energy).all():
+        raise GridError("non-finite ladder energy")
+    # the forms are positive semidefinite; roundoff may leave a tiny negative value
+    return T.grid.cell_volume * np.maximum(energy, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,10 @@ class ExperimentConfig:
     tolerance_scale: float = 1.0
     out: str | None = None
 
+    def __post_init__(self):
+        if (self.experiment, self.variant) == ("oracle", "one-d") and self.grid_dim != 1:
+            raise ValueError("the one-d oracle needs dim=1")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -512,8 +516,6 @@ def run_oracle(cfg: ExperimentConfig) -> list:
                   "modulus of the composition matches the quadratic form", scale),
         ]
     if kind == "one-d":
-        if grid.dim != 1:
-            raise ValueError("the one-d oracle needs dim=1")
         system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
         # counted from a dense eig with its own null threshold, independent
         # of the range eigendecomposition that eigen_data builds its null part from

@@ -1,10 +1,10 @@
 """Tent-space functionals on the discrete half-space over the torus.
 
 A sampled function on the half-space is one array with a leading
-ladder axis, shape (K,) + grid_shape + (N,).  The semigroup and
-quadratic functionals sample the calculus of one base function along
-the whole ladder, b(t T) h for every scale t, with one evaluation and
-one eigenvector product.
+ladder axis, shape (K,) + grid_shape + (N,).  The semigroup
+functionals sample the calculus of one base function along the whole
+ladder, b(t T) h for every scale t, with one evaluation and one
+eigenvector product.
 
 Cones and boxes use the torus metric; balls are sets of grid points
 within a torus distance, and averages over them are plain means over
@@ -26,6 +26,16 @@ transform their indicators once.  The box windows in t are summed before
 the ball mean, which is linear in the field, so the box functionals need
 one ball mean per ladder scale, not one per scale and window point.
 
+At exponent two the square functions are energies and need neither
+ball means nor transforms.  Summed over the grid, the mean over the ball
+around x of a layer is the sum of that layer, since torus balls of one
+radius hold equal point counts and are symmetric, so the T^2 norm squared
+is the cone cross-section constant times sum_t w_t ||F(t, .)||^2
+(tent_norm at p = 2).  The quadratic estimate sum_t w_t ||psi(t T) h||^2
+is a Hermitian form in h: quadratic_norm reads it, and its edge share,
+from forms that the eigendecomposition caches per psi, ladder and
+weights (calculus.eigen_ladder_energy), with no (K, dof) stack.
+
 Scales below the grid spacing degenerate to single-point balls; scales
 outside the ladder contribute nothing, and the share of the boundary
 octaves is reported as the truncation diagnostic.
@@ -40,7 +50,9 @@ import warnings
 import numpy as np
 import scipy.fft
 
-from .calculus import UNIT_SEMIGROUP, HolomorphicFunctionSpec, eigen_apply_scaled
+from .calculus import (
+    UNIT_SEMIGROUP, HolomorphicFunctionSpec, eigen_apply_scaled, eigen_ladder_energy,
+)
 from .grid import Field, GridSpec, TLadder, lp_norm_grid
 from .operators import LinearOperatorHandle
 
@@ -186,9 +198,18 @@ def square_function(F: TentField, wp: WhitneyParams = WhitneyParams()) -> np.nda
 
 
 def tent_norm(F: TentField, p: float, wp: WhitneyParams = WhitneyParams()) -> float:
-    """L^p norm of the conical square function, 0 < p < infinity."""
+    """L^p norm of the conical square function, 0 < p < infinity.
+
+    At p = 2 it is the ladder energy of F, with no square function formed
+    (see the module docstring).
+    """
     if not (0 < p < np.inf):
         raise ValueError("p must be in (0, inf)")
+    if p == 2:
+        parts = F.values.reshape(len(F.ladder), -1).view(float)
+        energy = F.ladder.weights @ np.einsum("ij,ij->i", parts, parts)
+        cross_section = unit_ball_volume(F.grid.dim) * wp.aperture**F.grid.dim
+        return float(np.sqrt(cross_section * F.grid.cell_volume * energy))
     return lp_norm_grid(square_function(F, wp), F.grid, p)
 
 
@@ -296,21 +317,20 @@ def quadratic_norm(
 
     Approximates the scale-invariant square function energy.  Warns when
     the two boundary octaves carry more than warn_share of the total,
-    with a tail estimate from the decay class of psi.
+    with a tail estimate from the decay class of psi.  Both energies come
+    from forms cached per psi object, so repeated calls should pass the
+    same spec.
     """
     if not psi.is_psi_class:
         raise ValueError("quadratic norm requires Psi-class decay")
-    stack = eigen_apply_scaled(T, psi, ladder.t, h)
-    parts = np.ascontiguousarray(stack).reshape(len(ladder), -1).view(float)
-    norms2 = np.einsum("ij,ij->i", parts, parts) * T.grid.cell_volume
-    total = float((ladder.weights * norms2).sum())
+    per_octave = np.log(2.0)
+    edge = ladder.weights.copy()
+    u = np.log(ladder.t)
+    inner_mask = (u > u[0] + per_octave) & (u < u[-1] - per_octave)
+    edge[inner_mask] = 0.0
+    total, edge_total = eigen_ladder_energy(T, psi, ladder.t, np.stack([ladder.weights, edge]), h)
     if total > 0:
-        per_octave = np.log(2.0)
-        edge = ladder.weights.copy()
-        u = np.log(ladder.t)
-        inner_mask = (u > u[0] + per_octave) & (u < u[-1] - per_octave)
-        edge[inner_mask] = 0.0
-        share = float((edge * norms2).sum()) / total
+        share = edge_total / total
         if share > warn_share:
             sigma, tau = psi.decay
             tail = (
@@ -322,4 +342,4 @@ def quadratic_norm(
                 f"scalar tail estimate {tail:.3e}",
                 stacklevel=2,
             )
-    return total
+    return float(total)

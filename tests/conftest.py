@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import halfspace.calculus as fc
+import halfspace.tent as tent
 from halfspace import GridSpec, identity_coefficients, perturbation_of_identity
 from halfspace.bvp import FirstOrderSystem
 from halfspace.grid import Field
@@ -42,6 +44,21 @@ def perturbed_system_32(g32):
 def perturbed_system_2d(g8x2):
     rng = np.random.default_rng(11)
     return FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+
+
+def count_ladder_work(monkeypatch):
+    """Lists of the eigen_apply_scaled calls, made no-ops, and of the ladder forms built."""
+    applies, forms = [], []
+    for module in (fc, tent):
+        monkeypatch.setattr(module, "eigen_apply_scaled", lambda *args: applies.append(args))
+    form = fc.LadderForm
+
+    def counted(*args):
+        forms.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(fc, "LadderForm", counted)
+    return applies, forms
 
 
 def band_limited_scalar(grid, rng, decay=6.0):

@@ -53,7 +53,7 @@ from halfspace.tent import (
     tent_norm,
 )
 
-from conftest import band_limited_scalar
+from conftest import band_limited_scalar, count_ladder_work
 
 
 def scalar_norm(grid, f):
@@ -219,6 +219,44 @@ def test_dirichlet_tent_diagnostic(perturbed_system_32):
     fields = [(sol.evaluate(t) * t).values for t in ladder.t]
     reference = tent_norm(TentField(grid, ladder, np.stack(fields)), 2.0)
     assert sol.diagnostics["tent_norm_t_grad"] == pytest.approx(reference, rel=1e-12)
+
+
+def test_repeated_dirichlet_diagnostic_reads_its_form(g8x2, monkeypatch):
+    rng = np.random.default_rng(48)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    f = band_limited_scalar(g8x2, rng)
+    applies, forms = count_ladder_work(monkeypatch)
+    first = solve_dirichlet(sys_, f, ladder=ladder).diagnostics["tent_norm_t_grad"]
+    assert len(forms) == 1
+    for _ in range(3):
+        sol = solve_dirichlet(sys_, f, ladder=ladder)
+        assert sol.diagnostics["tent_norm_t_grad"] == first
+    assert len(forms) == 1
+    assert not applies
+
+
+def test_representation_checks_evaluate_the_extension_once_per_handle(g8x2, monkeypatch):
+    rng = np.random.default_rng(49)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+    sol = solve_dirichlet(sys_, band_limited_scalar(g8x2, rng))
+    extension = bvp._decaying_extension_spec(1.0, +1)
+    assert bvp._decaying_extension_spec(1.0, +1) is extension
+    evaluations = []
+    call = fc.HolomorphicFunctionSpec.__call__
+
+    def counted(self, z):
+        if self is extension:
+            evaluations.append(z.shape)
+        return call(self, z)
+
+    monkeypatch.setattr(fc.HolomorphicFunctionSpec, "__call__", counted)
+    residuals = [boundary_layer_representation_check(sys_, sol) for _ in range(5)]
+    assert len(evaluations) == 2  # one table on DB, one on BD
+    assert len(set(residuals)) == 1
+    for T in (sys_.db, sys_.bd):
+        entries = fc.eigen_data(T)._tables.values()
+        assert sum(spec is extension for spec, _ in entries) == 1
 
 
 def test_factored_map_matches_lstsq():

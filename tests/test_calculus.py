@@ -669,6 +669,66 @@ def test_eigen_apply_scaled_refuses_nonpositive_scales(perturbed_system_32, rng,
         fc.eigen_apply_scaled(T, fc.exp_abs(1.0), scales, random_field(T.grid, rng))
 
 
+def _stack_energy(T, b, scales, weights, h):
+    """sum_s w_s ||b(s T) h||^2 from the stack of eigen_apply_scaled."""
+    stack = fc.eigen_apply_scaled(T, b, scales, h).reshape(len(scales), -1)
+    return T.grid.cell_volume * float(weights @ (np.abs(stack) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("system", ["perturbed_system_32", "perturbed_system_2d"])
+@pytest.mark.parametrize("handle", ["db", "bd", "adjoint-db", "d"])
+@pytest.mark.parametrize("spec", ["z/(1+z^2)", "unit semigroup"])
+def test_eigen_ladder_energy_matches_stack(system, handle, spec, request, rng):
+    sys_ = request.getfixturevalue(system)
+    T = {"db": sys_.db, "bd": sys_.bd, "adjoint-db": sys_.adjoint().db,
+         "d": d_operator(sys_.grid)}[handle]
+    b = {"z/(1+z^2)": fc.z_over_one_plus_z2(), "unit semigroup": fc.UNIT_SEMIGROUP}[spec]
+    ladder = TLadder.default()
+    # a field with a null part, and weights that are not the ladder's alone
+    h = random_field(T.grid, rng)
+    rows = np.stack([ladder.weights, ladder.weights * ladder.t**2])
+    refs = [_stack_energy(T, b, ladder.t, weights, h) for weights in rows]
+    for _ in range(2):  # the first call builds the forms, the second reads them
+        for weights, ref in zip(rows, refs):
+            energy = fc.eigen_ladder_energy(T, b, ladder.t, weights, h)
+            assert np.ndim(energy) == 0
+            assert abs(energy - ref) <= 1e-12 * ref
+        energies = fc.eigen_ladder_energy(T, b, ladder.t, rows, h)
+        assert energies.shape == (2,)
+        assert np.all(np.abs(energies - refs) <= 1e-12 * np.asarray(refs))
+
+
+def test_eigen_ladder_energy_refuses_bad_input(perturbed_system_32, rng):
+    T = perturbed_system_32.db
+    h = random_field(T.grid, rng)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        fc.eigen_ladder_energy(T, fc.UNIT_SEMIGROUP, [1.0, 0.0], [1.0, 1.0], h)
+    b = fc.custom(0.0, 0.0, lambda z: np.full_like(z, np.nan), name="nan")
+    with pytest.raises(GridError, match="non-finite"):
+        fc.eigen_ladder_energy(T, b, [1.0], [1.0], h)
+
+
+def test_ladder_forms_share_the_table_cache(g32, rng):
+    sys_ = FirstOrderSystem(perturbation_of_identity(g32, np.random.default_rng(9), 0.15))
+    T = sys_.db
+    ed = eigen_data(T)
+    h = random_field(g32, rng)
+    ladder = TLadder.default()
+    fc.eigen_ladder_energy(T, fc.UNIT_SEMIGROUP, ladder.t, ladder.weights, h)
+    r = len(ed.lam)
+    assert ed.gram.shape == (r, r) and not ed.gram.flags.writeable
+    table_key = (id(fc.UNIT_SEMIGROUP), ladder.t.tobytes())
+    form_key = table_key + (ladder.weights.shape, ladder.weights.tobytes())
+    assert list(ed._tables) == [table_key, form_key]
+    form = ed._tables[form_key][1]
+    assert form.hermitian.shape == (r, r) and not form.hermitian.flags.writeable
+    # other weights are another form on the same table; the entries stay bounded
+    for c in range(2 * fc.SCALED_TABLE_LIMIT):
+        fc.eigen_ladder_energy(T, fc.UNIT_SEMIGROUP, ladder.t, ladder.weights * (c + 2), h)
+        assert len(ed._tables) <= fc.SCALED_TABLE_LIMIT
+    assert form_key not in ed._tables
+
+
 def _uncached_scaled(ed, b, scales, h):
     """eigen_apply_scaled's formula with a table evaluated here, not taken from the cache."""
     flat = h.flat()

@@ -208,6 +208,16 @@ def test_main_pass_exit_zero(tmp_path):
     assert doc["environment"]["scipy"] == scipy.__version__
 
 
+def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["oracle", "one-d", "--dim", "2", "--grid", "8", "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="dim=1"):
+        ExperimentConfig(experiment="oracle", variant="one-d", grid_dim=2)
+
+
 def test_main_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"

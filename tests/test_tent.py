@@ -18,6 +18,8 @@ from halfspace.tent import (
     unit_ball_volume,
 )
 
+from conftest import count_ladder_work
+
 
 def tent_from_function(grid, ladder, fn):
     """TentField of fn(t, coordinate arrays) -> channel array, one per scale."""
@@ -133,6 +135,19 @@ def test_tent_p2_fubini(g32, rng):
     lhs = tent_norm(F, 2.0) ** 2
     rhs = unit_ball_volume(1) * spacetime_square_integral(F)
     assert abs(lhs - rhs) <= 0.01 * rhs
+
+
+@pytest.mark.parametrize("grid", [GridSpec(dim=1, points=32), GridSpec(dim=2, points=8)],
+                         ids=["g32", "g8x2"])
+def test_tent_norm_p2_is_the_ladder_energy(grid, rng):
+    # sum over x of a ball mean is the sum of the values: no square function needed
+    ladder = TLadder.logspaced(2.0**-5, 2.0**3, 2)
+    shape = (len(ladder),) + grid.shape + (grid.channels,)
+    F = TentField(grid, ladder, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for aperture in (1.0, 2.0):
+        wp = WhitneyParams(aperture=aperture)
+        ref = lp_norm_grid(square_function(F, wp), grid, 2)
+        assert tent_norm(F, 2.0, wp) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_tent_norm_scaling(g32, rng):
@@ -491,8 +506,9 @@ def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch
 
     functionals = (
         ("nt_maximal", lambda F: nt_maximal(F)),
-        ("tent_norm", lambda F: tent_norm(F, 2.0)),
-        ("tent_norm wide", lambda F: tent_norm(F, 2.0, WhitneyParams(aperture=2.0))),
+        ("tent_norm", lambda F: tent_norm(F, 1.0)),
+        ("tent_norm wide", lambda F: tent_norm(F, 1.0, WhitneyParams(aperture=2.0))),
+        ("tent_norm p=2", lambda F: tent_norm(F, 2.0)),
         ("carleson_norm", lambda F: carleson_norm(F, 0.5)),
     )
 
@@ -512,7 +528,8 @@ def test_tent_functionals_fft_count_independent_of_ladder(g8x2, rng, monkeypatch
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
     assert (len(short), len(long)) == (9, 41)
     # one forward transform for the field, one inverse transform per functional
-    expected = (1, {name: 1 for name, _ in functionals})
+    # but the p = 2 tent norm, which sums the layers' squared norms
+    expected = (1, {name: int(name != "tent_norm p=2") for name, _ in functionals})
     assert count(short) == expected
     assert count(long) == expected
 
@@ -561,6 +578,21 @@ def test_ladder_functionals_build_no_field_per_scale(perturbed_system_32, rng, m
     short, long = TLadder.logspaced(2.0**-2, 2.0**2, 2), TLadder.default()
     assert (len(short), len(long)) == (9, 41)
     assert count(short) == count(long)
+
+
+def test_repeated_quadratic_norm_reads_its_forms(perturbed_system_2d, rng, monkeypatch):
+    T = perturbed_system_2d.db
+    psi = fc.z_over_one_plus_z2()
+    ladder = TLadder.default()
+    h = p_operator(T.grid).apply(random_field(T.grid, rng))
+    applies, forms = count_ladder_work(monkeypatch)
+    first = quadratic_norm(T, psi, h, ladder, warn_share=1.0)
+    assert len(forms) == 1  # one entry: the forms of the total and of the edge share
+    assert forms[0][0].shape[0] == 2
+    for _ in range(3):
+        assert quadratic_norm(T, psi, h, ladder, warn_share=1.0) == first
+    assert len(forms) == 1
+    assert not applies
 
 
 def complex_fft_ball_averages(stack, grid, radii):
