@@ -141,6 +141,9 @@ class HolomorphicFunctionSpec:
         )
 
 
+# The constructors without arguments return one spec object each, so the
+# tables and ladder forms cached per spec object serve every caller.
+@functools.cache
 def chi_plus() -> HolomorphicFunctionSpec:
     """Indicator of the right half-sector."""
     return HolomorphicFunctionSpec(
@@ -148,12 +151,14 @@ def chi_plus() -> HolomorphicFunctionSpec:
     )
 
 
+@functools.cache
 def chi_minus() -> HolomorphicFunctionSpec:
     return HolomorphicFunctionSpec(
         "chi-", lambda z: (z.real < 0).astype(complex), 0.0, (0.0, 0.0)
     )
 
 
+@functools.cache
 def sgn() -> HolomorphicFunctionSpec:
     """chi+ minus chi-, a bounded involution on the range."""
     return HolomorphicFunctionSpec(
@@ -161,6 +166,7 @@ def sgn() -> HolomorphicFunctionSpec:
     )
 
 
+@functools.cache
 def one() -> HolomorphicFunctionSpec:
     return HolomorphicFunctionSpec("one", lambda z: np.ones_like(z), 1.0, (0.0, 0.0))
 
@@ -188,6 +194,7 @@ def exp_abs(t: float) -> HolomorphicFunctionSpec:
 UNIT_SEMIGROUP = exp_abs(1.0)
 
 
+@functools.cache
 def abs_value() -> HolomorphicFunctionSpec:
     """[z]: the sectorial modulus; unbounded."""
     return HolomorphicFunctionSpec("[z]", bracket, 0.0, (1.0, -1.0))
@@ -219,6 +226,7 @@ def bracket_exp_abs(scale: float = 1.0) -> HolomorphicFunctionSpec:
     return base if scale == 1.0 else base.scaled(scale)
 
 
+@functools.cache
 def z_over_one_plus_z2() -> HolomorphicFunctionSpec:
     """z (1 + z^2)^(-1): the basic quadratic-estimate kernel."""
     return HolomorphicFunctionSpec(
@@ -248,6 +256,7 @@ def resolvent_power(M: int, t: float = 1.0) -> HolomorphicFunctionSpec:
     )
 
 
+@functools.cache
 def theta() -> HolomorphicFunctionSpec:
     """exp(-[z] - [z]^-1); decays faster than any power at 0 and infinity."""
 
@@ -635,12 +644,9 @@ class ContourSpec:
         width = f[k] * np.cosh(u)
         return cls(lo=float(mid - width), hi=float(mid + width), height=float(f[k] * np.sinh(u)))
 
+    @functools.cached_property
     def nodes(self):
         """Rows (points, weights) of both curves, read-only; the weights absorb 1/(2 pi i)."""
-        return self._nodes
-
-    @functools.cached_property
-    def _nodes(self):
         theta = 2 * np.pi * np.arange(_NODES_PER_CURVE) / _NODES_PER_CURVE
         half = 0.5 * (self.hi - self.lo)
         s = 0.5 * (self.lo + self.hi) + half * np.cos(theta) + 1j * self.height * np.sin(theta)
@@ -683,7 +689,7 @@ def _resolvent_diagonal(T: LinearOperatorHandle) -> np.ndarray:
     """
     if T._resolvent_diagonal is None:
         R, _ = schur_data(T)
-        lam, _ = _spectral_contour(T).nodes()
+        lam, _ = _spectral_contour(T).nodes
         inv = 1.0 / (lam - R.diagonal()[:, None])
         inv.setflags(write=False)
         T._resolvent_diagonal = inv
@@ -733,7 +739,7 @@ def _contour_apply(T: LinearOperatorHandle, b: HolomorphicFunctionSpec, h: Field
     handle but a multiplier, DB or BD before the certificate.
     """
     check_dense_size(T.grid)
-    lam, w = _spectral_contour(T).nodes()
+    lam, w = _spectral_contour(T).nodes
     vals = lam * (b(lam) - b.value_at_zero) * w
     R, Z = schur_data(T)
     flat = h.flat()

@@ -1,9 +1,16 @@
 """Command-line experiment runner.
 
-Runs one named experiment per invocation, writes a JSON report of
-check records (name, value, bound, pass) and exits nonzero when any
-check fails.  Configuration comes from a JSON file plus flag overrides;
-identical configuration and seed reproduce identical numeric records.
+Runs one named experiment per invocation and writes a JSON report of
+check records (name, value, bound, pass).  EXPERIMENTS maps each
+experiment to its variants and each variant to its runner; a
+configuration without a variant runs the first one listed.
+Configuration comes from a JSON file plus flag overrides and is checked
+before any work: the experiment and variant against EXPERIMENTS, the
+grid, the coefficient source, and the ladder and Whitney parameters,
+whose unknown keys are refused.  The exit status is 0 when every check
+passes, 1 when a check fails, and 2 for a configuration error, with no
+report written.  Identical configuration and seed reproduce identical
+numeric records.
 
 The HALFSPACE_THREADS environment variable sets the worker threads used
 for independent probe loops; by default they fill the cores that BLAS
@@ -52,24 +59,24 @@ from . import bvp as bvp_mod
 from . import calculus as fc
 from . import tent as tent_mod
 
-EXPERIMENTS = (
-    "accretivity",
-    "quadratic",
-    "calderon",
-    "nt-max",
-    "nt-sharp",
-    "offdiag",
-    "bvp",
-    "layers",
-    "oracle",
-    "sweep",
-)
+# the ladder a configuration's "ladder" keys override
+LADDER = {"t_min": 2.0**-12, "t_max": 2.0**8, "per_octave": 2}
 
-VARIANTS = {
-    "bvp": ("regularity", "neumann", "dirichlet"),
-    "layers": ("jump", "duality", "representation"),
-    "oracle": ("laplacian", "block", "one-d"),
-    "sweep": ("aperture", "perturbation"),
+# coefficient source -> builder(spec, grid, rng), spec being the configuration's
+# "coefficients" object
+COEFFICIENT_SOURCES = {
+    "identity": lambda spec, grid, rng: identity_coefficients(grid),
+    "perturbation": lambda spec, grid, rng: perturbation_of_identity(
+        grid, rng, spec.get("size", 0.1)
+    ),
+    "file": lambda spec, grid, rng: load_coefficients(spec["path"], grid),
+    "inline": lambda spec, grid, rng: CoefficientMatrix(
+        grid, np.asarray(spec["values_re"], dtype=float)
+        + 1j * np.asarray(spec.get("values_im", 0.0), dtype=float)
+    ),
+    "block": lambda spec, grid, rng: block_diagonal_coefficients(
+        grid, 1.0, 1.0 + spec.get("contrast", 0.5) * np.cos(grid.coordinates()[0])
+    ),
 }
 
 
@@ -102,11 +109,9 @@ class ExperimentConfig:
     grid_points: int = 32
     system_size: int = 1
     coefficients: dict = dataclasses.field(default_factory=lambda: {"source": "identity"})
-    ladder: dict = dataclasses.field(
-        default_factory=lambda: {"t_min": 2.0**-12, "t_max": 2.0**8, "per_octave": 2}
-    )
+    ladder: dict = dataclasses.field(default_factory=lambda: dict(LADDER))
     whitney: dict = dataclasses.field(
-        default_factory=lambda: {"c0": 2.0, "c1": 1.0, "aperture": 1.0}
+        default_factory=lambda: dataclasses.asdict(tent_mod.WhitneyParams())
     )
     seed: int = 0
     probes: int = 8
@@ -114,8 +119,20 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        """Check the configuration before any work; a missing variant is the first listed."""
+        variants = EXPERIMENTS[self.experiment]
+        if self.variant is None:
+            self.variant = next(iter(variants))
+        if self.variant not in variants:
+            raise ValueError(f"{self.experiment} has no variant {self.variant!r}")
         if (self.experiment, self.variant) == ("oracle", "one-d") and self.grid_dim != 1:
             raise ValueError("the one-d oracle needs dim=1")
+        source = self.coefficients.get("source", "identity")
+        if source not in COEFFICIENT_SOURCES:
+            raise ValueError(f"unknown coefficient source {source!r}")
+        self.grid()
+        self.make_ladder()
+        self.make_whitney()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -131,19 +148,11 @@ class ExperimentConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.grid_dim, self.grid_points, self.system_size)
 
-    def make_ladder(self) -> TLadder:
-        return TLadder.logspaced(
-            self.ladder.get("t_min", 2.0**-12),
-            self.ladder.get("t_max", 2.0**8),
-            self.ladder.get("per_octave", 2),
-        )
+    def make_ladder(self, **override) -> TLadder:
+        return TLadder.logspaced(**{**LADDER, **self.ladder, **override})
 
     def make_whitney(self) -> tent_mod.WhitneyParams:
-        return tent_mod.WhitneyParams(
-            c0=self.whitney.get("c0", 2.0),
-            c1=self.whitney.get("c1", 1.0),
-            aperture=self.whitney.get("aperture", 1.0),
-        )
+        return tent_mod.WhitneyParams(**self.whitney)
 
 
 def record(name, value, bound, passed, operation, anchor) -> dict:
@@ -162,27 +171,13 @@ def upper(name, value, bound, operation, anchor, scale=1.0) -> dict:
     return record(name, value, b, value <= b, operation, anchor)
 
 
-def build_coefficients(cfg: ExperimentConfig, grid: GridSpec, rng) -> CoefficientMatrix:
-    src = cfg.coefficients.get("source", "identity")
-    if src == "identity":
-        return identity_coefficients(grid)
-    if src == "perturbation":
-        return perturbation_of_identity(grid, rng, cfg.coefficients.get("size", 0.1))
-    if src == "file":
-        return load_coefficients(cfg.coefficients["path"], grid)
-    if src == "inline":
-        values = np.asarray(cfg.coefficients["values_re"], dtype=float) + 1j * np.asarray(
-            cfg.coefficients.get(
-                "values_im", np.zeros_like(np.asarray(cfg.coefficients["values_re"]))
-            ),
-            dtype=float,
-        )
-        return CoefficientMatrix(grid, values)
-    if src == "block":
-        x = grid.coordinates()[0]
-        d = 1.0 + cfg.coefficients.get("contrast", 0.5) * np.cos(x)
-        return block_diagonal_coefficients(grid, 1.0, d)
-    raise ValueError(f"unknown coefficient source {src!r}")
+def build_coefficients(spec: dict, grid: GridSpec, rng) -> CoefficientMatrix:
+    return COEFFICIENT_SOURCES[spec.get("source", "identity")](spec, grid, rng)
+
+
+def _system(cfg: ExperimentConfig, grid: GridSpec, rng) -> bvp_mod.FirstOrderSystem:
+    """The system of the configured coefficients, whose draws come first from rng."""
+    return bvp_mod.FirstOrderSystem(build_coefficients(cfg.coefficients, grid, rng))
 
 
 def random_scalar_datum(grid: GridSpec, rng, decay: float = 6.0) -> np.ndarray:
@@ -203,18 +198,16 @@ def range_probe(grid: GridSpec, rng) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations
+# experiment implementations: runner(cfg, grid, rng) -> records, where
+# grid = cfg.grid() and rng = np.random.default_rng(cfg.seed)
 # ---------------------------------------------------------------------------
 
 
-def run_accretivity(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    system = bvp_mod.FirstOrderSystem(A)
+def run_accretivity(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
     rep = system.report
-    blockid = _block_identity_residual(A, system.B)
-    recs = [
+    blockid = _block_identity_residual(system.A, system.B)
+    return [
         record("kappa_positive", rep.kappa, 0.0, rep.kappa > 0,
                "accretivity_estimate", "lower accretivity bound on the symbol range"),
         record("omega_below_half_pi", rep.omega, np.pi / 2, rep.omega < np.pi / 2,
@@ -227,7 +220,6 @@ def run_accretivity(cfg: ExperimentConfig) -> list:
         record("pointwise_accretive", 1.0 if rep.pointwise_accretive else 0.0, None,
                True, "accretivity_estimate", "pointwise accretivity flag"),
     ]
-    return recs
 
 
 def _block_identity_residual(A: CoefficientMatrix, B) -> float:
@@ -251,10 +243,8 @@ def _block_identity_residual(A: CoefficientMatrix, B) -> float:
     )
 
 
-def run_quadratic(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    system = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng))
+def run_quadratic(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
     rep = system.report
     ladder = cfg.make_ladder()
     psi = z_over_one_plus_z2()
@@ -284,10 +274,8 @@ def run_quadratic(cfg: ExperimentConfig) -> list:
     return recs
 
 
-def run_calderon(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    system = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng))
+def run_calderon(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
     psi = bracket_exp_abs()
     phi = calderon_pair(psi)
     recs = []
@@ -298,9 +286,7 @@ def run_calderon(cfg: ExperimentConfig) -> list:
                       "scale-mean of the pair is one on both half-axes",
                       cfg.tolerance_scale))
     T = system.db
-    ladder = TLadder.logspaced(
-        cfg.ladder.get("t_min", 2.0**-12), cfg.ladder.get("t_max", 2.0**8), 8
-    )
+    ladder = cfg.make_ladder(per_octave=8)
     worst_op = 0.0
     for _ in range(max(2, cfg.probes // 4)):
         h = range_probe(grid, rng)
@@ -314,10 +300,8 @@ def run_calderon(cfg: ExperimentConfig) -> list:
     return recs
 
 
-def run_nt_max(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).db
+def run_nt_max(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    T = _system(cfg, grid, rng).db
     ladder = cfg.make_ladder()
     wp = cfg.make_whitney()
     ratios = []
@@ -335,10 +319,8 @@ def run_nt_max(cfg: ExperimentConfig) -> list:
     ]
 
 
-def run_nt_sharp(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).bd
+def run_nt_sharp(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    T = _system(cfg, grid, rng).bd
     ladder = cfg.make_ladder()
     wp = cfg.make_whitney()
     h = random_field(grid, rng)
@@ -359,10 +341,8 @@ def run_nt_sharp(cfg: ExperimentConfig) -> list:
     ]
 
 
-def run_offdiag(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    T = bvp_mod.FirstOrderSystem(build_coefficients(cfg, grid, rng)).db
+def run_offdiag(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    T = _system(cfg, grid, rng).db
     t = 0.7
     est = offdiag_distance_sweep(
         T, t, np.geomspace(0.4 * t, 4 * t, 6), trials=max(4, cfg.probes // 2), rng=rng
@@ -375,22 +355,17 @@ def run_offdiag(cfg: ExperimentConfig) -> list:
     ]
 
 
-def run_bvp(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    A = build_coefficients(cfg, grid, rng)
-    system = bvp_mod.FirstOrderSystem(A)
+def run_bvp(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
     datum = random_scalar_datum(grid, rng)
     ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
-    kind = cfg.variant or "regularity"
+    kind = cfg.variant
     if kind == "regularity":
         sol = bvp_mod.solve_regularity(system, bvp_mod.tangential_gradient(grid, datum))
     elif kind == "neumann":
         sol = bvp_mod.solve_neumann(system, datum)
-    elif kind == "dirichlet":
-        sol = bvp_mod.solve_dirichlet(system, datum, ladder=ladder)
     else:
-        raise ValueError(f"unknown bvp variant {kind!r}")
+        sol = bvp_mod.solve_dirichlet(system, datum, ladder=ladder)
     recs = [
         upper("trace_residual", sol.diagnostics["trace_residual"], 1e-8,
               f"solve_{kind}", "prescribed trace is met on the spectral subspace",
@@ -426,172 +401,170 @@ def _jump_residuals(args):
     return float(r1), float(r2)
 
 
-def run_layers(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    kind = cfg.variant or "jump"
-    scale = cfg.tolerance_scale
-    if kind == "jump":
-        seeds = rng.integers(0, 2**63 - 1, max(3, cfg.probes // 2))
-        jobs = [(grid, int(s), 0.2) for s in seeds]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers()) as ex:
-            results = list(ex.map(_jump_residuals, jobs))
-        worst_s = max(r[0] for r in results)
-        worst_d = max(r[1] for r in results)
-        return [
-            upper("single_layer_jump", worst_s, 1e-8, "grad_single_layer",
-                  "conormal jump equals the density", scale),
-            upper("double_layer_jump", worst_d, 1e-8, "double_layer",
-                  "value jump equals minus the density", scale),
-        ]
-    A = build_coefficients(cfg, grid, rng)
-    system = bvp_mod.FirstOrderSystem(A)
+def run_layers_jump(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    seeds = rng.integers(0, 2**63 - 1, max(3, cfg.probes // 2))
+    jobs = [(grid, int(s), 0.2) for s in seeds]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers()) as ex:
+        results = list(ex.map(_jump_residuals, jobs))
+    worst_s = max(r[0] for r in results)
+    worst_d = max(r[1] for r in results)
+    return [
+        upper("single_layer_jump", worst_s, 1e-8, "grad_single_layer",
+              "conormal jump equals the density", cfg.tolerance_scale),
+        upper("double_layer_jump", worst_d, 1e-8, "double_layer",
+              "value jump equals minus the density", cfg.tolerance_scale),
+    ]
+
+
+def run_layers_duality(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
     f = random_scalar_datum(grid, rng)
     g = random_scalar_datum(grid, rng)
-    if kind == "duality":
-        worst_s = worst_d = 0.0
-        for t in (0.1, 0.3, 1.0):
-            rs, rd = bvp_mod.layer_duality_check(system, t, f, g)
-            worst_s, worst_d = max(worst_s, rs), max(worst_d, rd)
-        return [
-            upper("single_layer_duality", worst_s, 1e-6, "layer_duality_check",
-                  "adjoint-system pairing of the single layer", scale),
-            upper("double_layer_duality", worst_d, 1e-6, "layer_duality_check",
-                  "double layer pairs with the adjoint conormal", scale),
-        ]
-    if kind == "representation":
+    worst_s = worst_d = 0.0
+    for t in (0.1, 0.3, 1.0):
+        rs, rd = bvp_mod.layer_duality_check(system, t, f, g)
+        worst_s, worst_d = max(worst_s, rs), max(worst_d, rd)
+    return [
+        upper("single_layer_duality", worst_s, 1e-6, "layer_duality_check",
+              "adjoint-system pairing of the single layer", cfg.tolerance_scale),
+        upper("double_layer_duality", worst_d, 1e-6, "layer_duality_check",
+              "double layer pairs with the adjoint conormal", cfg.tolerance_scale),
+    ]
+
+
+def run_layers_representation(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = _system(cfg, grid, rng)
+    sol = bvp_mod.solve_dirichlet(system, random_scalar_datum(grid, rng))
+    res = bvp_mod.boundary_layer_representation_check(system, sol)
+    return [
+        upper("representation_residual", res, 1e-6,
+              "boundary_layer_representation_check",
+              "interior value equals single minus double layer", cfg.tolerance_scale),
+    ]
+
+
+def run_oracle_laplacian(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = bvp_mod.FirstOrderSystem(identity_coefficients(grid))
+    x = grid.coordinates()[0]
+    worst_mode = 0.0
+    worst_dtn = 0.0
+    for k in (1, 2, 3):
+        f = np.cos(k * x)
         sol = bvp_mod.solve_dirichlet(system, f)
-        res = bvp_mod.boundary_layer_representation_check(system, sol)
-        return [
-            upper("representation_residual", res, 1e-6,
-                  "boundary_layer_representation_check",
-                  "interior value equals single minus double layer", scale),
-        ]
-    raise ValueError(f"unknown layers variant {kind!r}")
-
-
-def run_oracle(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    grid = cfg.grid()
-    kind = cfg.variant or "laplacian"
-    scale = cfg.tolerance_scale
-    if kind == "laplacian":
-        system = bvp_mod.FirstOrderSystem(identity_coefficients(grid))
-        x = grid.coordinates()[0]
-        worst_mode = 0.0
-        worst_dtn = 0.0
-        for k in (1, 2, 3):
-            f = np.cos(k * x) if grid.dim == 1 else np.cos(k * grid.coordinates()[0])
-            sol = bvp_mod.solve_dirichlet(system, f)
-            for t in (0.25, 1.0):
-                u = sol.scalar_value(t)
-                exact = np.exp(-k * t) * f
-                worst_mode = max(
-                    worst_mode, np.linalg.norm(u - exact) / np.linalg.norm(exact)
-                )
-            dtn = bvp_mod.dirichlet_to_neumann(system, f)
-            worst_dtn = max(
-                worst_dtn, np.linalg.norm(dtn + k * f) / np.linalg.norm(k * f)
+        for t in (0.25, 1.0):
+            u = sol.scalar_value(t)
+            exact = np.exp(-k * t) * f
+            worst_mode = max(
+                worst_mode, np.linalg.norm(u - exact) / np.linalg.norm(exact)
             )
-        return [
-            upper("poisson_modes", worst_mode, 1e-8, "solve_dirichlet",
-                  "flat-coefficient decay per mode", scale),
-            upper("dtn_symbol", worst_dtn, 1e-8, "dirichlet_to_neumann",
-                  "boundary map symbol is minus the frequency modulus", scale),
-        ]
-    if kind == "block":
-        cfg2 = dataclasses.replace(cfg, coefficients={"source": "block", "contrast": 0.5})
-        A = build_coefficients(cfg2, grid, rng)
-        system = bvp_mod.FirstOrderSystem(A)
-        u = random_scalar_datum(grid, rng)
-        h = bvp_mod.embed_scalar(grid, u)
-        habs = fc.apply_calculus(fc.abs_value(), system.db, h, path="eigen")
-        lhs = l2_norm(habs) ** 2
-        grad = bvp_mod._as_tangential_data(grid, bvp_mod.tangential_gradient(grid, u))
-        d_field = np.einsum("...ij,...j->...i", A.d, grad)
-        rhs = float(np.real(grid.cell_volume * np.vdot(grad, d_field)))
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        return [
-            upper("square_root_energy", rel, 1e-6, "apply_calculus",
-                  "modulus of the composition matches the quadratic form", scale),
-        ]
-    if kind == "one-d":
-        system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
-        # counted from a dense eig with its own null threshold, independent
-        # of the range eigendecomposition that eigen_data builds its null part from
-        lam = np.abs(np.linalg.eigvals(system.db.dense_matrix()))
-        null_dim = int((lam < 1e-10 * lam.max()).sum())
-        expected = 2 * grid.system_size
-        return [
-            record("kernel_dimension", null_dim, expected, null_dim == expected,
-                   "assemble_dense + eigendecomposition",
-                   "one-dimensional symbol is invertible off the zero mode"),
-        ]
-    raise ValueError(f"unknown oracle variant {kind!r}")
+        dtn = bvp_mod.dirichlet_to_neumann(system, f)
+        worst_dtn = max(
+            worst_dtn, np.linalg.norm(dtn + k * f) / np.linalg.norm(k * f)
+        )
+    return [
+        upper("poisson_modes", worst_mode, 1e-8, "solve_dirichlet",
+              "flat-coefficient decay per mode", cfg.tolerance_scale),
+        upper("dtn_symbol", worst_dtn, 1e-8, "dirichlet_to_neumann",
+              "boundary map symbol is minus the frequency modulus", cfg.tolerance_scale),
+    ]
 
 
-def run_sweep(cfg: ExperimentConfig) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    kind = cfg.variant or "aperture"
-    if kind == "aperture":
-        recs = []
-        ratios = {}
-        for points in (cfg.grid_points, 2 * cfg.grid_points):
-            grid = GridSpec(cfg.grid_dim, points, cfg.system_size)
-            rng_g = np.random.default_rng(cfg.seed)
-            h = range_probe(grid, rng_g)
-            T = d_operator(grid)
-            ladder = cfg.make_ladder()
-            F = tent_mod.semigroup_tent_field(T, h, ladder)
-            n1 = tent_mod.tent_norm(F, 2.0, tent_mod.WhitneyParams(aperture=1.0))
-            n2 = tent_mod.tent_norm(F, 2.0, tent_mod.WhitneyParams(aperture=2.0))
-            ratios[points] = n2 / n1
-            recs.append(record(f"aperture_ratio_G{points}", n2 / n1, None, True,
-                               "tent_norm", "change of aperture at exponent two"))
-        drift = abs(ratios[2 * cfg.grid_points] - ratios[cfg.grid_points]) / ratios[
-            cfg.grid_points
-        ]
-        recs.append(upper("refinement_drift", drift, 0.10, "tent_norm",
-                          "aperture ratio is stable under grid refinement",
-                          cfg.tolerance_scale))
-        return recs
-    if kind == "perturbation":
-        grid = cfg.grid()
-        A = build_coefficients(cfg, grid, rng)
-        E = perturbation_of_identity(grid, rng, 1.0).values - np.eye(grid.channels)
-        recs = []
-        for eps in (0.0, 0.05, 0.1, 0.2, 0.4):
-            Ap = CoefficientMatrix(grid, A.values + eps * E)
-            operation = "solve_neumann"
-            try:
-                system = bvp_mod.FirstOrderSystem(Ap)
-                sol = bvp_mod.solve_neumann(
-                    system, random_scalar_datum(grid, np.random.default_rng(cfg.seed))
-                )
-                cond = sol.diagnostics["trace_condition"]
-                ok = True
-            except (TraceMapError, NotAccretiveError, OperatorError, CoefficientError) as exc:
-                # a refused perturbation; any other error is a fault and propagates
-                cond = float("inf")
-                ok = False
-                operation = f"solve_neumann: {type(exc).__name__}"
-            recs.append(record(f"trace_condition_eps_{eps:g}", cond, None, ok, operation,
-                               "trace conditioning under coefficient perturbation"))
-        return recs
-    raise ValueError(f"unknown sweep variant {kind!r}")
+def run_oracle_block(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    A = build_coefficients({"source": "block", "contrast": 0.5}, grid, rng)
+    system = bvp_mod.FirstOrderSystem(A)
+    u = random_scalar_datum(grid, rng)
+    h = bvp_mod.embed_scalar(grid, u)
+    habs = fc.apply_calculus(fc.abs_value(), system.db, h, path="eigen")
+    lhs = l2_norm(habs) ** 2
+    grad = bvp_mod._as_tangential_data(grid, bvp_mod.tangential_gradient(grid, u))
+    d_field = np.einsum("...ij,...j->...i", A.d, grad)
+    rhs = float(np.real(grid.cell_volume * np.vdot(grad, d_field)))
+    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return [
+        upper("square_root_energy", rel, 1e-6, "apply_calculus",
+              "modulus of the composition matches the quadratic form", cfg.tolerance_scale),
+    ]
 
 
-RUNNERS = {
-    "accretivity": run_accretivity,
-    "quadratic": run_quadratic,
-    "calderon": run_calderon,
-    "nt-max": run_nt_max,
-    "nt-sharp": run_nt_sharp,
-    "offdiag": run_offdiag,
-    "bvp": run_bvp,
-    "layers": run_layers,
-    "oracle": run_oracle,
-    "sweep": run_sweep,
+def run_oracle_one_d(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    system = bvp_mod.FirstOrderSystem(perturbation_of_identity(grid, rng, 0.15))
+    # counted from a dense eig with its own null threshold, independent
+    # of the range eigendecomposition that eigen_data builds its null part from
+    lam = np.abs(np.linalg.eigvals(system.db.dense_matrix()))
+    null_dim = int((lam < 1e-10 * lam.max()).sum())
+    expected = 2 * grid.system_size
+    return [
+        record("kernel_dimension", null_dim, expected, null_dim == expected,
+               "assemble_dense + eigendecomposition",
+               "one-dimensional symbol is invertible off the zero mode"),
+    ]
+
+
+def run_sweep_aperture(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    recs = []
+    ratios = []
+    ladder = cfg.make_ladder()
+    for points in (cfg.grid_points, 2 * cfg.grid_points):
+        g = GridSpec(cfg.grid_dim, points, cfg.system_size)
+        h = range_probe(g, np.random.default_rng(cfg.seed))
+        F = tent_mod.semigroup_tent_field(d_operator(g), h, ladder)
+        n1 = tent_mod.tent_norm(F, 2.0, tent_mod.WhitneyParams(aperture=1.0))
+        n2 = tent_mod.tent_norm(F, 2.0, tent_mod.WhitneyParams(aperture=2.0))
+        ratios.append(n2 / n1)
+        recs.append(record(f"aperture_ratio_G{points}", n2 / n1, None, True,
+                           "tent_norm", "change of aperture at exponent two"))
+    drift = abs(ratios[1] - ratios[0]) / ratios[0]
+    recs.append(upper("refinement_drift", drift, 0.10, "tent_norm",
+                      "aperture ratio is stable under grid refinement",
+                      cfg.tolerance_scale))
+    return recs
+
+
+def run_sweep_perturbation(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    A = build_coefficients(cfg.coefficients, grid, rng)
+    E = perturbation_of_identity(grid, rng, 1.0).values - np.eye(grid.channels)
+    recs = []
+    for eps in (0.0, 0.05, 0.1, 0.2, 0.4):
+        Ap = CoefficientMatrix(grid, A.values + eps * E)
+        operation = "solve_neumann"
+        try:
+            system = bvp_mod.FirstOrderSystem(Ap)
+            sol = bvp_mod.solve_neumann(
+                system, random_scalar_datum(grid, np.random.default_rng(cfg.seed))
+            )
+            cond = sol.diagnostics["trace_condition"]
+            ok = True
+        except (TraceMapError, NotAccretiveError, OperatorError, CoefficientError) as exc:
+            # a refused perturbation; any other error is a fault and propagates
+            cond = float("inf")
+            ok = False
+            operation = f"solve_neumann: {type(exc).__name__}"
+        recs.append(record(f"trace_condition_eps_{eps:g}", cond, None, ok, operation,
+                           "trace conditioning under coefficient perturbation"))
+    return recs
+
+
+# experiment -> {variant: runner}, the first variant being the default; an
+# experiment without variants maps None to its runner
+EXPERIMENTS = {
+    "accretivity": {None: run_accretivity},
+    "quadratic": {None: run_quadratic},
+    "calderon": {None: run_calderon},
+    "nt-max": {None: run_nt_max},
+    "nt-sharp": {None: run_nt_sharp},
+    "offdiag": {None: run_offdiag},
+    "bvp": {"regularity": run_bvp, "neumann": run_bvp, "dirichlet": run_bvp},
+    "layers": {
+        "jump": run_layers_jump,
+        "duality": run_layers_duality,
+        "representation": run_layers_representation,
+    },
+    "oracle": {
+        "laplacian": run_oracle_laplacian,
+        "block": run_oracle_block,
+        "one-d": run_oracle_one_d,
+    },
+    "sweep": {"aperture": run_sweep_aperture, "perturbation": run_sweep_perturbation},
 }
 
 
@@ -611,7 +584,8 @@ def environment_fingerprint() -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    records = RUNNERS[cfg.experiment](cfg)
+    runner = EXPERIMENTS[cfg.experiment][cfg.variant]
+    records = runner(cfg, cfg.grid(), np.random.default_rng(cfg.seed))
     return {
         "experiment": cfg.experiment
         + (f" {cfg.variant}" if cfg.variant else ""),
@@ -654,10 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="run a named verification experiment and write a JSON report",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, variants in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        if name in VARIANTS:
-            p.add_argument("variant", choices=VARIANTS[name])
+        if None not in variants:
+            p.add_argument("variant", choices=tuple(variants))
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="report path (default: report.json)")
         p.add_argument("--seed", type=int, help="probe seed")
@@ -679,7 +653,7 @@ def main(argv=None) -> int:
             doc[key] = val
     try:
         cfg = ExperimentConfig.from_dict(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_experiment(cfg)

@@ -318,8 +318,9 @@ def quadratic_norm(
     Approximates the scale-invariant square function energy.  Warns when
     the two boundary octaves carry more than warn_share of the total,
     with a tail estimate from the decay class of psi.  Both energies come
-    from forms cached per psi object, so repeated calls should pass the
-    same spec.
+    from forms cached per psi object, so repeated calls should pass one
+    spec object; each zero-argument constructor, such as
+    z_over_one_plus_z2, returns the same one.
     """
     if not psi.is_psi_class:
         raise ValueError("quadratic norm requires Psi-class decay")

@@ -366,7 +366,7 @@ def test_shifted_triangular_solves_match_dense_solves(dof):
     rng = np.random.default_rng(dof)
     R = np.triu(rng.standard_normal((dof, dof)) + 1j * rng.standard_normal((dof, dof)))
     g = rng.standard_normal(dof) + 1j * rng.standard_normal(dof)
-    lam = fc.ContourSpec(lo=-1.0, hi=2.0, height=1.0).nodes()[0][::16]
+    lam = fc.ContourSpec(lo=-1.0, hi=2.0, height=1.0).nodes[0][::16]
     inv = 1.0 / (lam - R.diagonal()[:, None])
     out = fc._shifted_triangular_solves(R, g, inv)
     assert out.shape == (dof, len(lam))
@@ -593,7 +593,7 @@ def test_contour_weights_reproduce_scalar_rationals():
     # the quadrature on both curves must reproduce b(a) for points a
     # inside either of them, for rational b and for chi+
     contour = ContourSpec.enclosing(0.5, 4.0, 0.2)
-    lam, w = contour.nodes()
+    lam, w = contour.nodes
     points = (1.0, 2.0, -3.0, 1.5 * np.exp(0.15j), -0.7 * np.exp(-0.1j), 0.6 * np.exp(0.18j))
     for b in (fc.resolvent_power(3), fc.z_over_one_plus_z2(), fc.chi_plus()):
         for a in points:

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from halfspace.cli import EXPERIMENTS, VARIANTS, ExperimentConfig, run_experiment
+from halfspace.cli import EXPERIMENTS, ExperimentConfig, run_experiment
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli_1d_g32.json"
 
@@ -28,7 +28,7 @@ CASES = [
     (coef, experiment, variant)
     for coef in COEFFICIENTS
     for experiment in EXPERIMENTS
-    for variant in VARIANTS.get(experiment, (None,))
+    for variant in EXPERIMENTS[experiment]
 ]
 
 REL_TOL = 1e-9

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import scipy
 
 import halfspace.cli as cli_mod
 from halfspace.cli import (
+    EXPERIMENTS,
     ExperimentConfig,
     build_parser,
     main,
@@ -218,6 +220,52 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         ExperimentConfig(experiment="oracle", variant="one-d", grid_dim=2)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"grid_points": 12},
+        {"grid_dim": 3},
+        {"coefficients": {"source": "bogus"}},
+        {"variant": "bogus"},
+        {"whitney": {"apertur": 2}},
+        {"ladder": {"tmin": 0.5}},
+        {"ladder": {"t_min": 0}},
+    ],
+    ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
+         "ladder-key", "ladder-t-min"],
+)
+def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, doc):
+    def runner(*args):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setitem(EXPERIMENTS["nt-max"], None, runner)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["nt-max", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [{"ladder": {"per_octave": 4}}, {"whitney": {"aperture": 2.0}}],
+                         ids=["ladder", "whitney"])
+def test_main_runs_partial_ladder_and_whitney(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["nt-max", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {
+        **ExperimentConfig("nt-max").to_dict(), **doc, "out": str(out)
+    }
+
+
+def test_missing_variant_is_the_first_listed():
+    assert ExperimentConfig("bvp").variant == "regularity"
+    assert run_experiment(ExperimentConfig("oracle"))["experiment"] == "oracle laplacian"
+    assert ExperimentConfig("quadratic").variant is None
+
+
 def test_main_config_file(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "rep.json"
@@ -243,6 +291,11 @@ def test_parser_variants():
     assert args.variant == "neumann"
     with pytest.raises(SystemExit):
         parser.parse_args(["bvp", "bogus"])
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(EXPERIMENTS)
+    for name, variants in EXPERIMENTS.items():
+        choices = [a.choices for a in sub.choices[name]._actions if a.dest == "variant"]
+        assert choices == ([] if None in variants else [tuple(variants)])
 
 
 def test_console_entry_point(tmp_path):

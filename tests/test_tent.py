@@ -3,6 +3,8 @@ import pytest
 import scipy.fft
 
 import halfspace.calculus as fc
+from halfspace.bvp import FirstOrderSystem
+from halfspace.coefficients import perturbation_of_identity
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
 from halfspace.operators import bd_operator, d_operator, p_operator
 from halfspace.tent import (
@@ -591,6 +593,20 @@ def test_repeated_quadratic_norm_reads_its_forms(perturbed_system_2d, rng, monke
     assert forms[0][0].shape[0] == 2
     for _ in range(3):
         assert quadratic_norm(T, psi, h, ladder, warn_share=1.0) == first
+    assert len(forms) == 1
+    assert not applies
+
+
+def test_fresh_kernel_constructor_calls_share_one_ladder_form(g8x2, rng, monkeypatch):
+    constructors = (fc.chi_plus, fc.chi_minus, fc.sgn, fc.one, fc.abs_value,
+                    fc.z_over_one_plus_z2, fc.theta)
+    assert all(make() is make() for make in constructors)
+    T = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(3), 0.1)).db
+    ladder = TLadder.default()
+    h = p_operator(T.grid).apply(random_field(T.grid, rng))
+    applies, forms = count_ladder_work(monkeypatch)
+    first = quadratic_norm(T, fc.z_over_one_plus_z2(), h, ladder, warn_share=1.0)
+    assert quadratic_norm(T, fc.z_over_one_plus_z2(), h, ladder, warn_share=1.0) == first
     assert len(forms) == 1
     assert not applies
 
