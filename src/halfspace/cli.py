@@ -6,11 +6,11 @@ experiment to its variants and each variant to its runner; a
 configuration without a variant runs the first one listed.
 Configuration comes from a JSON file plus flag overrides and is checked
 before any work: the experiment and variant against EXPERIMENTS, the
-grid, the coefficient source, and the ladder and Whitney parameters,
-whose unknown keys are refused.  The exit status is 0 when every check
-passes, 1 when a check fails, and 2 for a configuration error, with no
-report written.  Identical configuration and seed reproduce identical
-numeric records.
+grid, the coefficient source and the keys it needs, the probe count, and
+the ladder and Whitney parameters, whose unknown keys are refused.  The
+exit status is 0 when every check passes, 1 when a check fails, and 2
+for a configuration error, with no report written.  Identical
+configuration and seed reproduce identical numeric records.
 
 The HALFSPACE_THREADS environment variable sets the worker threads used
 for independent probe loops; by default they fill the cores that BLAS
@@ -79,6 +79,9 @@ COEFFICIENT_SOURCES = {
     ),
 }
 
+# keys a coefficient source reads without a default
+REQUIRED_SOURCE_KEYS = {"file": ("path",), "inline": ("values_re",)}
+
 
 def max_workers() -> int:
     """Worker threads for independent probe loops.
@@ -130,6 +133,11 @@ class ExperimentConfig:
         source = self.coefficients.get("source", "identity")
         if source not in COEFFICIENT_SOURCES:
             raise ValueError(f"unknown coefficient source {source!r}")
+        missing = [k for k in REQUIRED_SOURCE_KEYS.get(source, ()) if k not in self.coefficients]
+        if missing:
+            raise ValueError(f"coefficient source {source!r} needs {', '.join(missing)}")
+        if self.probes < 1:
+            raise ValueError(f"probes must be >= 1, got {self.probes}")
         self.grid()
         self.make_ladder()
         self.make_whitney()

@@ -14,7 +14,9 @@ Every transform in the package runs through one backend: scipy.fft with
 norm="forward", over the grid axes of a grid_shape + (channels,) array
 with any leading batch axes, on one thread.  fft_values and ifft_values
 are the complex pair; the ball means of the tent functionals use the
-real pair rfftn / irfftn of the same module.
+real pair rfftn / irfftn of the same module, and the dense assembly of
+operators takes a symbol's kernel with its fftn / ifftn over the leading
+grid axes of a grid_shape + (N, N) array.
 
 Tables that depend on the grid alone (frequencies, their norms, torus
 distances) are built once per GridSpec and shared read-only.  Every dense

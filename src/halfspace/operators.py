@@ -8,6 +8,10 @@ an exact multiplier.  Multiplication by a transformed coefficient
 matrix composes with it on either side; resolvents of the compositions
 are solved densely at desk scale or by a preconditioned Krylov
 iteration beyond it.
+
+The dense matrix of a handle is assembled in closed form: a multiplier
+is the block circulant of its kernel, the inverse transform of its
+symbol, and a pointwise factor multiplies its row or column blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import TransformedB
 from .grid import (
@@ -246,22 +252,80 @@ def bd_operator(B: TransformedB) -> LinearOperatorHandle:
     return LinearOperatorHandle("BD", B.grid, "compose", parts, B)
 
 
+def _dense_factors(T: LinearOperatorHandle):
+    """(L, symbol, R) with T = L K R: L and R pointwise (P, N, N) values, at
+    most one of them, or None; symbol the MultiplierSymbol of K, or None for
+    K = I.  Any composition other than D, P, D^+, B, DB and BD raises
+    OperatorError naming its tag.
+    """
+    P, N = T.grid.points**T.grid.dim, T.grid.channels
+    if T.kind == "multiplier":
+        return None, T.payload, None
+    if T.kind == "pointwise":
+        return T.payload.reshape(P, N, N), None, None
+    if T.kind == "compose" and len(T.payload) == 2:
+        outer, inner = T.payload
+        kinds = (outer.kind, inner.kind)
+        if kinds == ("pointwise", "multiplier"):
+            return outer.payload.reshape(P, N, N), inner.payload, None
+        if kinds == ("multiplier", "pointwise"):
+            return None, outer.payload, inner.payload.reshape(P, N, N)
+    raise OperatorError(f"no closed-form dense matrix for {T.tag!r} (kind {T.kind!r})")
+
+
+def _circulant(window: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(P, N, P N) block circulant whose block (x, y) is window[y - x].
+
+    window is grid_shape + (N, N).  Row block x is the window of its
+    periodic extension that starts at G - x per axis, so one copy of a
+    strided view builds the matrix in rows of G N contiguous entries.
+    """
+    dim, G, N = grid.dim, grid.points, grid.channels
+    # ext[a, j..., b] = window[j mod G, a, b] for 0 <= j < 2G per axis
+    ext = np.tile(np.moveaxis(window, -2, 0), (1,) + (2,) * dim + (1,))
+    rows = sliding_window_view(ext, grid.shape, axis=tuple(range(1, dim + 1)))
+    rows = rows[(slice(None),) + (slice(G, 0, -1),) * dim]  # (a, x..., b, y...)
+    order = (*range(1, dim + 1), 0, *range(dim + 2, 2 * dim + 2), dim + 1)
+    return np.ascontiguousarray(rows.transpose(order)).reshape(G**dim, N, G**dim * N)
+
+
 def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
-    """Matrix of T in the flattened physical basis.
+    """Matrix of T in the flattened physical basis, in closed form.
+
+    T = L K R, where K is the block circulant of the multiplier's kernel
+    kappa(z) = P^-1 sum_k S(k) exp(i k z), so K[(x, a), (y, b)] =
+    kappa_ab(x - y) (K = I without a multiplier), and L and R are the
+    block-diagonal pointwise factors, at most one of them (B of BD, B of
+    DB).  L K is one batched (P, N, N) @ (P, N, P N) product on the row
+    blocks of K.  K R is the transpose of R^T K^T, the same product on the
+    circulant of kappa(-z)^T, and is returned as that transposed
+    (Fortran-ordered) view.  No FFT of a basis and no apply runs; the peak
+    is about twice the matrix.  Compositions other than D, P, D^+, B, DB
+    and BD raise OperatorError.
 
     Raises OperatorError beyond the dense limit, before allocating; the
     contour path and the dense resolvent factorize this matrix, so neither
     runs in that regime.  The eigen path never assembles it.
     """
-    check_dense_size(T.grid)
-    dim = T.grid.dof
-    basis = np.eye(dim, dtype=complex).reshape(
-        (dim,) + T.grid.shape + (T.grid.channels,)
-    )
-    out, rep = T.apply_array(basis, PHYSICAL)
-    if rep == SPECTRAL:
-        out = ifft_values(out, T.grid)
-    return out.reshape(dim, dim).T.copy()
+    grid = T.grid
+    check_dense_size(grid)
+    left, symbol, right = _dense_factors(T)
+    axes = tuple(range(grid.dim))
+    if right is None:
+        # block (x, y) of K is kappa(x - y) = window[y - x]
+        if symbol is None:
+            window = np.zeros(grid.shape + (grid.channels, grid.channels), dtype=complex)
+            window[(0,) * grid.dim] = np.eye(grid.channels)
+        else:
+            window = scipy.fft.fftn(symbol.matrices, axes=axes, norm="forward")
+        out = _circulant(window, grid)
+        if left is not None:
+            out = np.matmul(left, out)
+        return out.reshape(grid.dof, grid.dof)
+    # K R = (R^T K^T)^T, and block (y, x) of K^T is kappa(x - y)^T = window[x - y]
+    window = scipy.fft.ifftn(symbol.matrices, axes=axes).swapaxes(-1, -2)
+    out = np.matmul(right.swapaxes(-1, -2), _circulant(window, grid))
+    return out.reshape(grid.dof, grid.dof).T
 
 
 def resolvent_solve(

@@ -230,9 +230,13 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"whitney": {"apertur": 2}},
         {"ladder": {"tmin": 0.5}},
         {"ladder": {"t_min": 0}},
+        {"coefficients": {"source": "file"}},
+        {"coefficients": {"source": "inline", "values_im": 0.0}},
+        {"probes": 0},
     ],
     ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
-         "ladder-key", "ladder-t-min"],
+         "ladder-key", "ladder-t-min", "file-without-path", "inline-without-values",
+         "probes-zero"],
 )
 def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def runner(*args):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from halfspace.coefficients import (
     perturbation_of_identity,
 )
 from halfspace import grid as grid_module
+from halfspace.bvp import FirstOrderSystem
 from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     DENSE_LIMIT,
@@ -33,7 +36,7 @@ from halfspace.operators import (
 )
 from halfspace import coefficients, operators
 
-from conftest import dense_range_basis, range_null_split
+from conftest import basis_apply_dense, dense_range_basis, range_null_split
 
 
 def single_mode_field(grid, k, channel_vector):
@@ -254,6 +257,71 @@ def test_dense_matches_apply(g32, rng):
         f = random_field(g32, rng)
         direct = T.apply(f).to_physical().values.reshape(-1)
         assert np.linalg.norm(M @ f.flat() - direct) < 1e-12 * np.linalg.norm(direct)
+
+
+def _every_handle_kind(grid):
+    """D, P, D^+, B, DB, BD and the adjoint system's DB and BD on a perturbed field."""
+    system = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(5), 0.3))
+    adjoint = system.adjoint()
+    return [d_operator(grid), p_operator(grid), inverse_d_operator(grid),
+            b_operator(system.B), system.db, system.bd, adjoint.db, adjoint.bd]
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32), GridSpec(2, 8), GridSpec(1, 16, 2)],
+                         ids=["1d-g32", "2d-g8", "1d-g16-m2"])
+def test_assemble_dense_matches_basis_apply(grid):
+    for T in _every_handle_kind(grid):
+        reference = basis_apply_dense(T)
+        M = assemble_dense(T)
+        assert M.shape == reference.shape
+        assert np.linalg.norm(M - reference) <= 1e-13 * np.linalg.norm(reference), T.tag
+
+
+def test_assemble_dense_runs_no_transform_or_apply(monkeypatch, g8x2):
+    handles = _every_handle_kind(g8x2)
+    calls = []
+    for owner in (operators, grid_module):
+        for name in ("fft_values", "ifft_values"):
+            monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(operators.LinearOperatorHandle, "apply_array",
+                        lambda *args: calls.append("apply_array"))
+    for T in handles:
+        assemble_dense(T)
+    assert calls == []
+
+
+def test_assemble_dense_peak_memory():
+    grid = GridSpec(2, 16)  # dof 768, a 9 MiB matrix
+    B = hat_transform(perturbation_of_identity(grid, np.random.default_rng(2), 0.3))
+    for T in (db_operator(B), bd_operator(B)):
+        tracemalloc.start()
+        try:
+            M = assemble_dense(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * M.nbytes, (T.tag, peak / M.nbytes)
+
+
+def test_assemble_dense_refuses_other_compositions_before_allocating():
+    grid = GridSpec(2, 32)  # dof 3072: a dense matrix would take 144 MiB
+    B = hat_transform(identity_coefficients(grid))
+    D = d_operator(grid)
+    others = [
+        operators.LinearOperatorHandle("DD", grid, "compose", [D, D]),
+        operators.LinearOperatorHandle("BDB", grid, "compose", [b_operator(B), D, b_operator(B)]),
+        operators.LinearOperatorHandle("BB", grid, "compose", [b_operator(B), b_operator(B)]),
+        operators.LinearOperatorHandle("X", grid, "shift", None),
+    ]
+    for T in others:
+        tracemalloc.start()
+        try:
+            with pytest.raises(OperatorError, match=repr(T.tag)):
+                assemble_dense(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (T.tag, peak)
 
 
 def test_dense_identity_b_is_hermitian_with_symmetric_spectrum(g32):
