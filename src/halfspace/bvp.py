@@ -265,8 +265,7 @@ class FirstOrderSystem:
             if slot == "potential":
                 Q = self.hardy("BD").plus
                 cols = Q.T.reshape((-1,) + grid.shape + (grid.channels,))
-                DQ, _ = d_operator(grid).apply_array(cols, PHYSICAL)
-                rows = ifft_values(DQ, grid).reshape(Q.shape[1], -1).T
+                rows = d_operator(grid).apply_array(cols, PHYSICAL).reshape(Q.shape[1], -1).T
             else:
                 Q = self.hardy("DB").plus
                 m = grid.system_size
@@ -350,7 +349,7 @@ class BVPSolution:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""
         v0 = self._potential_vector()
         vt = fc.semigroup(self.system.bd, t, v0)
-        vt = p_operator(self.system.grid).apply(vt).to_physical()
+        vt = p_operator(self.system.grid).apply(vt)
         return _squeeze_channels(vt.values[..., : self.system.grid.system_size].copy())
 
     def scalar_trace(self) -> np.ndarray:
@@ -374,9 +373,7 @@ class BVPSolution:
         flows = fc.eigen_apply_scaled(db, fc.UNIT_SEMIGROUP, ladder.t, self.h)
         du = float(np.diff(np.log(ladder.t)).mean())
         d_u = (flows[:-4] - 8 * flows[1:-3] + 8 * flows[3:-1] - flows[4:]) / (12 * du)
-        Tf, rep = db.apply_array(flows[2:-2], PHYSICAL)
-        if rep != PHYSICAL:
-            Tf = ifft_values(Tf, db.grid)
+        Tf = db.apply_array(flows[2:-2], PHYSICAL)
         target = ladder.t[2:-2].reshape((-1,) + (1,) * (Tf.ndim - 1)) * Tf
         rows = (len(Tf), db.grid.dof)
         num = np.linalg.norm((d_u + target).reshape(rows), axis=1)
@@ -553,18 +550,13 @@ def grad_single_layer(system: FirstOrderSystem, t: float, f, side=None) -> Field
 def single_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray:
     """Single layer potential, mean-zero scalar data.
 
-    The symbol inverse on the range integrates the conormal gradient;
-    the zero mode is excluded, realizing the potential modulo constants.
+    Minus the scalar slot of D^+ applied to grad_single_layer: the symbol
+    inverse on the range integrates the conormal gradient; the zero mode
+    is excluded, realizing the potential modulo constants.
     """
-    sgn = _resolve_side(t, side)
     grid = system.grid
-    f = _as_scalar_data(grid, f)
-    _require_mean_zero(grid, f, "single layer density")
-    w = embed_scalar(grid, f)
-    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.db, w, path="eigen")
-    lifted = inverse_d_operator(grid).apply(flow).to_physical()
-    scalar = _squeeze_channels(lifted.values[..., : grid.system_size])
-    return -scalar if sgn > 0 else scalar.copy()
+    lifted = inverse_d_operator(grid).apply(grad_single_layer(system, t, f, side=side))
+    return -_squeeze_channels(lifted.values[..., : grid.system_size])
 
 
 def double_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray:
@@ -580,7 +572,7 @@ def double_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray
     _require_mean_zero(grid, f, "double layer density")
     w = embed_scalar(grid, f)
     flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.bd, w, path="eigen")
-    projected = p_operator(grid).apply(flow).to_physical()
+    projected = p_operator(grid).apply(flow)
     scalar = _squeeze_channels(projected.values[..., : grid.system_size])
     return -scalar if sgn > 0 else scalar.copy()
 
@@ -629,12 +621,6 @@ def layer_duality_check(system: FirstOrderSystem, t: float, f, g):
     return res_single, res_double
 
 
-def _scalar_slot_stack(op: LinearOperatorHandle, stack: np.ndarray) -> np.ndarray:
-    """Scalar slot of a multiplier applied to every layer of a stack of fields."""
-    out, _ = op.apply_array(stack, PHYSICAL)
-    return ifft_values(out, op.grid)[..., : op.grid.system_size]
-
-
 def boundary_layer_representation_check(
     system: FirstOrderSystem, solution: BVPSolution, ladder: TLadder | None = None
 ) -> float:
@@ -658,10 +644,11 @@ def boundary_layer_representation_check(
     )
     single = fc.eigen_apply_scaled(system.db, extension, ladder.t, embed_scalar(grid, conormal0))
     double = fc.eigen_apply_scaled(system.bd, extension, ladder.t, embed_scalar(grid, value0))
-    P = p_operator(grid)
-    u = _scalar_slot_stack(P, interior)
+    P, m = p_operator(grid), grid.system_size
+    u = P.apply_array(interior, PHYSICAL)[..., :m]
     # single minus double layer, with the signs of single_layer and double_layer
-    rep = _scalar_slot_stack(P, double) - _scalar_slot_stack(inverse_d_operator(grid), single)
+    rep = (P.apply_array(double, PHYSICAL)[..., :m]
+           - inverse_d_operator(grid).apply_array(single, PHYSICAL)[..., :m])
 
     def l2(stack):
         rows = stack.reshape(len(ladder), -1)

@@ -490,7 +490,7 @@ def adjoint_eigen_data(T: LinearOperatorHandle) -> EigenData:
 def _range_modulus(T: LinearOperatorHandle) -> np.ndarray:
     """sigma(k) with S(k)^2 = sigma(k)^2 P(k) for a multiplier's Hermitian symbol S,
     from ||S(k)||_F^2 = 2m sigma(k)^2: |k|, 1 and 1/|k| for D, P and D^+, 0 at k = 0."""
-    S = T.payload.matrices
+    S = T.symbol.matrices
     return np.sqrt((S * S.conj()).real.sum(axis=(-2, -1)) / (2 * T.grid.system_size))
 
 
@@ -506,8 +506,8 @@ def _multiplier_apply_scaled(T: LinearOperatorHandle, b: HolomorphicFunctionSpec
     even[:, nz, 0] = (0.5 * (plus + minus) - b.value_at_zero) / sigma[nz] ** 2
     odd[:, nz, 0] = 0.5 * (plus - minus) / sigma[nz]
     hat = h.to_spectral().values
-    Sh = T.payload.apply_spectral(hat)
-    out = b.value_at_zero * hat + even * T.payload.apply_spectral(Sh) + odd * Sh
+    Sh = T.symbol.apply_spectral(hat)
+    out = b.value_at_zero * hat + even * T.symbol.apply_spectral(Sh) + odd * Sh
     return ifft_values(out, T.grid)
 
 
@@ -526,7 +526,7 @@ def eigen_apply_scaled(
     scales = np.asarray(scales, dtype=float)
     if np.any(scales <= 0):
         raise ValueError("scale must be positive")
-    if T.kind == "multiplier":
+    if T.multiplier_matrix is None:
         out = _multiplier_apply_scaled(T, b, scales, h)
     else:
         ed = eigen_data(T)
@@ -563,7 +563,7 @@ def eigen_ladder_energy(
     weights = np.asarray(weights, dtype=float)
     if (scales <= 0).any():
         raise ValueError("scale must be positive")
-    if T.kind == "multiplier":
+    if T.multiplier_matrix is None:
         stack = _multiplier_apply_scaled(T, b, scales, h).reshape(len(scales), -1)
         energy = weights @ np.einsum("ij,ij->i", stack.conj(), stack).real
     else:
@@ -709,7 +709,7 @@ def _spectral_contour(T: LinearOperatorHandle) -> ContourSpec:
     is refused before the certificate is read.
     """
     if T._contour is None:
-        if T.kind == "multiplier":
+        if T.multiplier_matrix is None:
             sigma = _range_modulus(T)
             T._contour = ContourSpec.enclosing(sigma[sigma > 0].min(), sigma.max(), 0.0)
         elif T.tag in ("DB", "BD"):

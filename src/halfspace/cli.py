@@ -23,6 +23,8 @@ import argparse
 import concurrent.futures
 import dataclasses
 import json
+import math
+import numbers
 import os
 import platform
 import sys
@@ -136,8 +138,14 @@ class ExperimentConfig:
         missing = [k for k in REQUIRED_SOURCE_KEYS.get(source, ()) if k not in self.coefficients]
         if missing:
             raise ValueError(f"coefficient source {source!r} needs {', '.join(missing)}")
-        if self.probes < 1:
-            raise ValueError(f"probes must be >= 1, got {self.probes}")
+        # a bool is an Integral: JSON true would pass as 1
+        for name, low in (("seed", 0), ("probes", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        scale = self.tolerance_scale
+        if isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not 0 < scale < math.inf:
+            raise ValueError(f"tolerance_scale must be finite and > 0, got {scale!r}")
         self.grid()
         self.make_ladder()
         self.make_whitney()

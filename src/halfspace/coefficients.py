@@ -17,9 +17,7 @@ import typing
 import numpy as np
 import scipy.linalg
 
-from .grid import (
-    PHYSICAL, Field, GridSpec, cached_per_grid, check_dense_size, fft_values, ifft_values,
-)
+from .grid import GridSpec, cached_per_grid, check_dense_size, fft_values, ifft_values
 
 __all__ = [
     "CoefficientMatrix",
@@ -61,11 +59,6 @@ class _PointwiseMatrix:
     def sup_norm(self) -> float:
         """Largest pointwise operator 2-norm over the grid."""
         return float(np.linalg.norm(self.values, ord=2, axis=(-2, -1)).max())
-
-    def apply(self, f: Field) -> Field:
-        fp = f.to_physical()
-        out = np.einsum("...ij,...j->...i", self.values, fp.values)
-        return Field(self.grid, out, PHYSICAL)
 
     def adjoint_values(self) -> np.ndarray:
         return np.conj(np.swapaxes(self.values, -1, -2))

@@ -9,9 +9,10 @@ matrix composes with it on either side; resolvents of the compositions
 are solved densely at desk scale or by a preconditioned Krylov
 iteration beyond it.
 
-The dense matrix of a handle is assembled in closed form: a multiplier
-is the block circulant of its kernel, the inverse transform of its
-symbol, and a pointwise factor multiplies its row or column blocks.
+Every handle is T = L K R, a multiplier K with the pointwise B on at
+most one side.  It applies R, K and L in turn and returns physical values;
+its dense matrix is the block circulant of the kernel of K with B on
+its rows or columns.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ class IterationError(OperatorError):
         self.history = history
 
 
+def _pointwise_product(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """mats @ v at every grid point or frequency, with optional leading batch axes on values."""
+    return (mats @ values[..., None])[..., 0]
+
+
 @dataclasses.dataclass(frozen=True)
 class MultiplierSymbol:
     """Frequency-indexed N x N matrices acting in the spectral representation.
@@ -73,7 +79,7 @@ class MultiplierSymbol:
         self.matrices.setflags(write=False)
 
     def apply_spectral(self, values: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.matrices, values)
+        return _pointwise_product(self.matrices, values)
 
     def at(self, k) -> np.ndarray:
         """Matrix at an integer frequency tuple."""
@@ -159,16 +165,14 @@ def _resolvent_of_D_symbol(grid: GridSpec, t: float) -> MultiplierSymbol:
 
 
 class LinearOperatorHandle:
-    """A linear map on fields with a tag and a preferred representation.
+    """T = L K R on fields, with a tag: B is L, DB is D R and BD is L D.
 
-    kinds:
-      multiplier  - acts in the spectral representation
-      pointwise   - matrix multiplication per grid point, physical
-      compose     - right-to-left composition of handles
-
-    attributes besides tag, grid, kind and payload:
-      multiplier_matrix  - the TransformedB of B, DB and BD, else None; it
-                           owns the accretivity certificate the calculus reads
+    attributes besides tag and grid:
+      symbol  - the MultiplierSymbol of the multiplier K, or None for K = I
+      left, right  - the TransformedB of L and of R, or None
+      multiplier_matrix  - read-only: whichever of left and right is set,
+                           else None; it owns the accretivity certificate
+                           the calculus reads
       _dense, _eigen, _schur, _contour  - lazily built caches, _contour the
                                           ContourSpec of the contour path
       _resolvent_diagonal  - the contour path's (dof, nodes) table
@@ -179,13 +183,13 @@ class LinearOperatorHandle:
                        eigendecomposition, or None to compute it here
     """
 
-    def __init__(self, tag: str, grid: GridSpec, kind: str, payload,
-                 multiplier_matrix: TransformedB | None = None):
+    def __init__(self, tag: str, grid: GridSpec, symbol: MultiplierSymbol | None = None,
+                 left: TransformedB | None = None, right: TransformedB | None = None):
         self.tag = tag
         self.grid = grid
-        self.kind = kind
-        self.payload = payload
-        self.multiplier_matrix = multiplier_matrix
+        self.symbol = symbol
+        self.left = left
+        self.right = right
         self._dense = None
         self._eigen = None
         self._eigen_source = None
@@ -194,30 +198,31 @@ class LinearOperatorHandle:
         self._resolvent_diagonal = None
         self._lu = None
 
-    def __repr__(self):
-        return f"LinearOperatorHandle({self.tag!r}, kind={self.kind!r})"
+    @property
+    def multiplier_matrix(self) -> TransformedB | None:
+        return self.left if self.left is not None else self.right
 
-    def apply_array(self, values: np.ndarray, rep: str):
-        """Apply to raw values with optional leading batch axes."""
-        if self.kind == "multiplier":
+    def __repr__(self):
+        return f"LinearOperatorHandle({self.tag!r})"
+
+    def apply_array(self, values: np.ndarray, rep: str) -> np.ndarray:
+        """R, K and L applied to values in rep, with optional leading batch
+        axes; only K reads spectral values, and the result is physical."""
+        grid = self.grid
+        if rep == SPECTRAL and (self.symbol is None or self.right is not None):
+            values, rep = ifft_values(values, grid), PHYSICAL
+        if self.right is not None:
+            values = _pointwise_product(self.right.values, values)
+        if self.symbol is not None:
             if rep == PHYSICAL:
-                values = fft_values(values, self.grid)
-            out = np.einsum("...ij,...j->...i", self.payload.matrices, values)
-            return out, SPECTRAL
-        if self.kind == "pointwise":
-            if rep == SPECTRAL:
-                values = ifft_values(values, self.grid)
-            out = np.einsum("...ij,...j->...i", self.payload, values)
-            return out, PHYSICAL
-        if self.kind == "compose":
-            for part in reversed(self.payload):
-                values, rep = part.apply_array(values, rep)
-            return values, rep
-        raise OperatorError(f"unknown kind {self.kind}")
+                values = fft_values(values, grid)
+            values = ifft_values(self.symbol.apply_spectral(values), grid)
+        if self.left is not None:
+            values = _pointwise_product(self.left.values, values)
+        return values
 
     def apply(self, f: Field) -> Field:
-        values, rep = self.apply_array(f.values, f.rep)
-        return Field(self.grid, values, rep)
+        return Field.physical(self.grid, self.apply_array(f.values, f.rep))
 
     def dense_matrix(self) -> np.ndarray:
         """Matrix of the operator on flattened physical values (cached)."""
@@ -227,50 +232,27 @@ class LinearOperatorHandle:
 
 
 def d_operator(grid: GridSpec) -> LinearOperatorHandle:
-    return LinearOperatorHandle("D", grid, "multiplier", build_D_symbol(grid))
+    return LinearOperatorHandle("D", grid, symbol=build_D_symbol(grid))
 
 
 def p_operator(grid: GridSpec) -> LinearOperatorHandle:
-    return LinearOperatorHandle("P", grid, "multiplier", build_P_symbol(grid))
+    return LinearOperatorHandle("P", grid, symbol=build_P_symbol(grid))
 
 
 def inverse_d_operator(grid: GridSpec) -> LinearOperatorHandle:
-    return LinearOperatorHandle("Dinv", grid, "multiplier", build_inverse_D_symbol(grid))
+    return LinearOperatorHandle("Dinv", grid, symbol=build_inverse_D_symbol(grid))
 
 
 def b_operator(B: TransformedB) -> LinearOperatorHandle:
-    return LinearOperatorHandle("B", B.grid, "pointwise", B.values, B)
+    return LinearOperatorHandle("B", B.grid, left=B)
 
 
 def db_operator(B: TransformedB) -> LinearOperatorHandle:
-    parts = [d_operator(B.grid), b_operator(B)]
-    return LinearOperatorHandle("DB", B.grid, "compose", parts, B)
+    return LinearOperatorHandle("DB", B.grid, symbol=build_D_symbol(B.grid), right=B)
 
 
 def bd_operator(B: TransformedB) -> LinearOperatorHandle:
-    parts = [b_operator(B), d_operator(B.grid)]
-    return LinearOperatorHandle("BD", B.grid, "compose", parts, B)
-
-
-def _dense_factors(T: LinearOperatorHandle):
-    """(L, symbol, R) with T = L K R: L and R pointwise (P, N, N) values, at
-    most one of them, or None; symbol the MultiplierSymbol of K, or None for
-    K = I.  Any composition other than D, P, D^+, B, DB and BD raises
-    OperatorError naming its tag.
-    """
-    P, N = T.grid.points**T.grid.dim, T.grid.channels
-    if T.kind == "multiplier":
-        return None, T.payload, None
-    if T.kind == "pointwise":
-        return T.payload.reshape(P, N, N), None, None
-    if T.kind == "compose" and len(T.payload) == 2:
-        outer, inner = T.payload
-        kinds = (outer.kind, inner.kind)
-        if kinds == ("pointwise", "multiplier"):
-            return outer.payload.reshape(P, N, N), inner.payload, None
-        if kinds == ("multiplier", "pointwise"):
-            return None, outer.payload, inner.payload.reshape(P, N, N)
-    raise OperatorError(f"no closed-form dense matrix for {T.tag!r} (kind {T.kind!r})")
+    return LinearOperatorHandle("BD", B.grid, symbol=build_D_symbol(B.grid), left=B)
 
 
 def _circulant(window: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -294,14 +276,13 @@ def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
 
     T = L K R, where K is the block circulant of the multiplier's kernel
     kappa(z) = P^-1 sum_k S(k) exp(i k z), so K[(x, a), (y, b)] =
-    kappa_ab(x - y) (K = I without a multiplier), and L and R are the
-    block-diagonal pointwise factors, at most one of them (B of BD, B of
-    DB).  L K is one batched (P, N, N) @ (P, N, P N) product on the row
+    kappa_ab(x - y) (K = I without a symbol), and L and R are the
+    block-diagonal pointwise factors T.left and T.right.  L K is one batched (P, N, N) @ (P, N, P N) product on the row
     blocks of K.  K R is the transpose of R^T K^T, the same product on the
     circulant of kappa(-z)^T, and is returned as that transposed
     (Fortran-ordered) view.  No FFT of a basis and no apply runs; the peak
-    is about twice the matrix.  Compositions other than D, P, D^+, B, DB
-    and BD raise OperatorError.
+    is about twice the matrix.  A handle with both L and R raises
+    OperatorError.
 
     Raises OperatorError beyond the dense limit, before allocating; the
     contour path and the dense resolvent factorize this matrix, so neither
@@ -309,23 +290,27 @@ def assemble_dense(T: LinearOperatorHandle) -> np.ndarray:
     """
     grid = T.grid
     check_dense_size(grid)
-    left, symbol, right = _dense_factors(T)
+    if T.left is not None and T.right is not None:
+        raise OperatorError(f"no closed-form dense matrix for {T.tag!r}: B on both sides")
+    P, N = grid.points**grid.dim, grid.channels
     axes = tuple(range(grid.dim))
-    if right is None:
+    if T.symbol is None:
+        # K = I: kappa is the identity at z = 0, and so is either window below
+        window = np.zeros(grid.shape + (N, N), dtype=complex)
+        window[(0,) * grid.dim] = np.eye(N)
+    elif T.right is None:
         # block (x, y) of K is kappa(x - y) = window[y - x]
-        if symbol is None:
-            window = np.zeros(grid.shape + (grid.channels, grid.channels), dtype=complex)
-            window[(0,) * grid.dim] = np.eye(grid.channels)
-        else:
-            window = scipy.fft.fftn(symbol.matrices, axes=axes, norm="forward")
-        out = _circulant(window, grid)
-        if left is not None:
-            out = np.matmul(left, out)
-        return out.reshape(grid.dof, grid.dof)
-    # K R = (R^T K^T)^T, and block (y, x) of K^T is kappa(x - y)^T = window[x - y]
-    window = scipy.fft.ifftn(symbol.matrices, axes=axes).swapaxes(-1, -2)
-    out = np.matmul(right.swapaxes(-1, -2), _circulant(window, grid))
-    return out.reshape(grid.dof, grid.dof).T
+        window = scipy.fft.fftn(T.symbol.matrices, axes=axes, norm="forward")
+    else:
+        # K R = (R^T K^T)^T, and block (y, x) of K^T is kappa(x - y)^T = window[x - y]
+        window = scipy.fft.ifftn(T.symbol.matrices, axes=axes).swapaxes(-1, -2)
+    out = _circulant(window, grid)
+    if T.right is not None:
+        out = np.matmul(T.right.values.reshape(P, N, N).swapaxes(-1, -2), out)
+        return out.reshape(grid.dof, grid.dof).T
+    if T.left is not None:
+        out = np.matmul(T.left.values.reshape(P, N, N), out)
+    return out.reshape(grid.dof, grid.dof)
 
 
 def resolvent_solve(
@@ -362,19 +347,15 @@ def resolvent_solve(
         # imported on first use: only this branch needs scipy.sparse
         from scipy.sparse.linalg import LinearOperator, gmres
 
-        prec_symbol = _resolvent_of_D_symbol(grid, t)
+        shape = grid.shape + (grid.channels,)
+        prec = LinearOperatorHandle("(I + itD)^-1", grid, symbol=_resolvent_of_D_symbol(grid, t))
 
         def matvec(x):
-            vals = x.reshape(grid.shape + (grid.channels,))
-            out, rep = T.apply_array(vals, PHYSICAL)
-            if rep == SPECTRAL:
-                out = ifft_values(out, grid)
-            return (vals + 1j * t * out).reshape(-1)
+            vals = x.reshape(shape)
+            return (vals + 1j * t * T.apply_array(vals, PHYSICAL)).reshape(-1)
 
         def precvec(x):
-            vals = fft_values(x.reshape(grid.shape + (grid.channels,)), grid)
-            out = prec_symbol.apply_spectral(vals)
-            return ifft_values(out, grid).reshape(-1)
+            return prec.apply_array(x.reshape(shape), PHYSICAL).reshape(-1)
 
         A = LinearOperator(
             (grid.dof, grid.dof), matvec=matvec, dtype=complex
@@ -399,9 +380,7 @@ def resolvent_solve(
                 f"resolvent iteration stagnated (info={info})", history
             )
     out = Field.from_flat(grid, u)
-    applied, rep = T.apply_array(out.values, PHYSICAL)
-    if rep == SPECTRAL:
-        applied = ifft_values(applied, grid)
+    applied = T.apply_array(out.values, PHYSICAL)
     residual = np.linalg.norm(out.values + 1j * t * applied - f.to_physical().values)
     if residual > tol * max(np.linalg.norm(rhs), 1e-300):
         raise IterationError(

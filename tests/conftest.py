@@ -5,7 +5,7 @@ import halfspace.calculus as fc
 import halfspace.tent as tent
 from halfspace import GridSpec, identity_coefficients, perturbation_of_identity
 from halfspace.bvp import FirstOrderSystem
-from halfspace.grid import PHYSICAL, SPECTRAL, Field, ifft_values
+from halfspace.grid import PHYSICAL, Field
 from halfspace.operators import assemble_dense, b_operator
 
 
@@ -65,10 +65,7 @@ def basis_apply_dense(T):
     """Reference matrix of T: T applied to the dof-column identity, one column per basis field."""
     dof = T.grid.dof
     basis = np.eye(dof, dtype=complex).reshape((dof,) + T.grid.shape + (T.grid.channels,))
-    out, rep = T.apply_array(basis, PHYSICAL)
-    if rep == SPECTRAL:
-        out = ifft_values(out, T.grid)
-    return out.reshape(dof, dof).T
+    return T.apply_array(basis, PHYSICAL).reshape(dof, dof).T
 
 
 def band_limited_scalar(grid, rng, decay=6.0):

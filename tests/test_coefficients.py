@@ -13,7 +13,7 @@ from halfspace.coefficients import (
     identity_coefficients,
     perturbation_of_identity,
 )
-from halfspace.grid import GridSpec, l2_norm, random_field
+from halfspace.grid import GridSpec, inner, l2_norm, random_field
 from halfspace.operators import assemble_dense, b_operator, p_operator
 
 from conftest import dense_range_basis, loop_range_basis_coefficients
@@ -161,12 +161,10 @@ def test_quadratic_form_bounds_on_range(g32):
     B = hat_transform(A)
     report = accretivity_estimate(B)
     assert 0 < report.kappa <= report.sup_norm
-    P = p_operator(g32)
+    P, Bop = p_operator(g32), b_operator(B)
     for _ in range(1000):
         u = P.apply(random_field(g32, rng))
-        Bu = B.apply(u)
-        from halfspace.grid import inner
-
+        Bu = Bop.apply(u)
         form = inner(u, Bu)
         norm2 = l2_norm(u) ** 2
         assert form.real >= report.kappa * norm2 * (1 - 1e-9)

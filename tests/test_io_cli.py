@@ -233,10 +233,18 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"coefficients": {"source": "file"}},
         {"coefficients": {"source": "inline", "values_im": 0.0}},
         {"probes": 0},
+        {"probes": 2.5},
+        {"probes": True},
+        {"seed": -1},
+        {"tolerance_scale": -1},
+        {"tolerance_scale": 0},
+        {"tolerance_scale": "1"},
+        {"tolerance_scale": float("nan")},
     ],
     ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
          "ladder-key", "ladder-t-min", "file-without-path", "inline-without-values",
-         "probes-zero"],
+         "probes-zero", "probes-float", "probes-bool", "seed-negative",
+         "tolerance-negative", "tolerance-zero", "tolerance-string", "tolerance-nan"],
 )
 def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def runner(*args):

@@ -14,7 +14,7 @@ from halfspace.coefficients import (
 )
 from halfspace import grid as grid_module
 from halfspace.bvp import FirstOrderSystem
-from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
+from halfspace.grid import PHYSICAL, SPECTRAL, Field, GridSpec, TLadder, l2_norm, random_field
 from halfspace.operators import (
     DENSE_LIMIT,
     OperatorError,
@@ -277,6 +277,27 @@ def test_assemble_dense_matches_basis_apply(grid):
         assert np.linalg.norm(M - reference) <= 1e-13 * np.linalg.norm(reference), T.tag
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1, 32), GridSpec(2, 8), GridSpec(1, 16, 2)],
+                         ids=["1d-g32", "2d-g8", "1d-g16-m2"])
+def test_apply_array_returns_physical_values_of_the_dense_matrix(grid):
+    rng = np.random.default_rng(3)
+    shape = (3,) + grid.shape + (grid.channels,)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectral = grid_module.fft_values(stack, grid)
+    for T in _every_handle_kind(grid):
+        M = assemble_dense(T)
+        expected = stack.reshape(3, -1) @ M.T
+        scale = np.linalg.norm(expected)
+        for values, rep in ((stack, PHYSICAL), (spectral, SPECTRAL)):
+            batched = T.apply_array(values, rep)
+            assert batched.shape == shape, (T.tag, rep)
+            assert np.linalg.norm(batched.reshape(3, -1) - expected) <= 1e-13 * scale, (T.tag, rep)
+            single = T.apply_array(values[1], rep)
+            assert np.linalg.norm(single.reshape(-1) - expected[1]) <= 1e-13 * scale, (T.tag, rep)
+            field = T.apply(Field(grid, values[1], rep))
+            assert field.rep == PHYSICAL and np.array_equal(field.values, single), (T.tag, rep)
+
+
 def test_assemble_dense_runs_no_transform_or_apply(monkeypatch, g8x2):
     handles = _every_handle_kind(g8x2)
     calls = []
@@ -306,12 +327,9 @@ def test_assemble_dense_peak_memory():
 def test_assemble_dense_refuses_other_compositions_before_allocating():
     grid = GridSpec(2, 32)  # dof 3072: a dense matrix would take 144 MiB
     B = hat_transform(identity_coefficients(grid))
-    D = d_operator(grid)
     others = [
-        operators.LinearOperatorHandle("DD", grid, "compose", [D, D]),
-        operators.LinearOperatorHandle("BDB", grid, "compose", [b_operator(B), D, b_operator(B)]),
-        operators.LinearOperatorHandle("BB", grid, "compose", [b_operator(B), b_operator(B)]),
-        operators.LinearOperatorHandle("X", grid, "shift", None),
+        operators.LinearOperatorHandle("BDB", grid, symbol=build_D_symbol(grid), left=B, right=B),
+        operators.LinearOperatorHandle("BB", grid, left=B, right=B),
     ]
     for T in others:
         tracemalloc.start()
@@ -417,7 +435,7 @@ def test_projection_restricted_is_invertible(g32, rng):
 
 
 DECLARED_STATE = {
-    "tag", "grid", "kind", "payload", "multiplier_matrix",
+    "tag", "grid", "symbol", "left", "right",
     "_dense", "_eigen", "_eigen_source", "_schur", "_contour",
     "_resolvent_diagonal", "_lu",
 }
@@ -484,7 +502,7 @@ def test_symbols_square_to_modulus_times_projection(grid):
     P = build_P_symbol(grid).matrices
     for T, sigma in ((d_operator(grid), k), (p_operator(grid), (k > 0) * 1.0),
                      (inverse_d_operator(grid), inv)):
-        S = T.payload.matrices
+        S = T.symbol.matrices
         assert np.abs(S @ S - sigma[..., None, None] ** 2 * P).max() <= 1e-13
         assert np.abs(fc._range_modulus(T) - sigma).max() <= 1e-13
 

@@ -309,6 +309,32 @@ def test_nt_sharp_converts_spectral_probe_once(perturbed_system_32, rng, monkeyp
     assert np.array_equal(sharp, expected)
 
 
+def test_range_probe_takes_no_inverse_transform(perturbed_system_32, rng, monkeypatch):
+    # P.apply returns physical values, so no functional converts the probe back
+    import halfspace.grid as grid_mod
+
+    grid = perturbed_system_32.grid
+    db, bd = perturbed_system_32.db, perturbed_system_32.bd
+    ladder = TLadder.logspaced(2.0**-12, 2.0**8, 2)
+    psi = fc.z_over_one_plus_z2()
+    fc.eigen_data(db)
+    fc.eigen_data(bd)
+    h = p_operator(grid).apply(random_field(grid, rng))
+    inverse = grid_mod.ifft_values
+    conversions = []
+
+    def counting(values, g):
+        conversions.append(values.shape)
+        return inverse(values, g)
+
+    for module in (grid_mod, fc):
+        monkeypatch.setattr(module, "ifft_values", counting)
+    semigroup_tent_field(db, h, ladder)
+    quadratic_norm(db, psi, h, ladder)
+    nt_sharp(h, bd, ladder)
+    assert conversions == []
+
+
 def test_nt_sharp_alpha_weight_shifts_to_small_scales(g32):
     # single high mode: the weighted sup must move to the smallest scales,
     # verified against a direct sweep of the weighted box averages
