@@ -6,6 +6,14 @@ invert the scalar or tangential trace map on an explicit orthonormal
 basis of that subspace by least squares, reporting the residual and the
 condition number rather than assuming invertibility.
 
+DB maps into the range of D, so its basis and the trace maps are held in
+the coordinates of the orthonormal range basis Q of D, one scalar-slot
+and one tangential vector along k/|k| per nonzero frequency and system
+channel.  There the scalar and tangential trace maps are square, and a
+boundary datum enters as its Fourier coefficients, from one forward
+transform; its mean and its part transverse to k/|k|, which no trace
+reaches, are added to the residual exactly, by Parseval.
+
 Scalar boundary data are arrays of shape grid_shape + (m,); the scalar
 slot of every returned interior quantity is the mean-zero
 representative, which is the torus realization of the solution being
@@ -16,24 +24,27 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import typing
 
 import numpy as np
+import scipy.linalg
 
 from . import calculus as fc
 from .calculus import eigen_data
 from .coefficients import (
     AccretivityReport,
     CoefficientMatrix,
+    _range_analysis,
+    _range_basis_coefficients,
+    _range_symbol_product,
+    _range_synthesis,
     accretivity_estimate,
     hat_transform,
 )
-from .grid import (
-    PHYSICAL, Field, GridSpec, TLadder, fft_values, ifft_values, l2_norm, sobolev_norm,
-)
+from .grid import PHYSICAL, Field, GridSpec, TLadder, fft_values, ifft_values, l2_norm
 from .operators import (
     LinearOperatorHandle,
     bd_operator,
-    d_operator,
     db_operator,
     inverse_d_operator,
     p_operator,
@@ -150,16 +161,82 @@ def scalar_potential(grid: GridSpec, g) -> np.ndarray:
 
 
 def curl_free_residual(grid: GridSpec, g) -> float:
-    """Relative distance of tangential data to the gradients, per frequency."""
-    g = _as_tangential_data(grid, g)
-    grad = _as_tangential_data(grid, tangential_gradient(grid, scalar_potential(grid, g)))
-    num = np.linalg.norm(grad - g)
-    den = max(np.linalg.norm(g), 1e-300)
-    return float(num / den)
+    """Relative distance of tangential data to the gradients, per frequency.
+
+    The share of the spectrum at k = 0 or transverse to k/|k|, from one
+    forward transform.
+    """
+    rows = _flat_rows(grid, fft_values(_as_tangential_data(grid, g), grid))
+    return _tangential_datum(grid, rows).outside_share
 
 
 def _scalar_l2(grid: GridSpec, f) -> float:
     return float(np.sqrt(grid.cell_volume) * np.linalg.norm(f))
+
+
+# ---------------------------------------------------------------------------
+# boundary data in the range coordinates of D
+# ---------------------------------------------------------------------------
+
+
+class _Datum(typing.NamedTuple):
+    """Boundary data in the coordinates of a trace map, by Parseval.
+
+    rhs holds the coordinates on the rows of the map; outside is the
+    squared flat norm of the rest, which no trace reaches: the mean, and
+    for tangential data the part transverse to k/|k|; energy is the
+    squared flat norm per frequency, in flat frequency order.
+    """
+
+    rhs: np.ndarray
+    outside: float
+    energy: np.ndarray
+
+    @property
+    def outside_share(self) -> float:
+        return float(np.sqrt(self.outside / max(self.energy.sum(), 1e-300)))
+
+
+def _flat_rows(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
+    """(G^n, channels) rows of a spectrum, scaled so that their norms are flat physical norms."""
+    return hat.reshape(grid.points**grid.dim, -1) * grid.points ** (grid.dim / 2.0)
+
+
+def _scalar_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
+    """Scalar data: the coordinates are the coefficients at the nonzero frequencies."""
+    nonzero, _ = _range_basis_coefficients(grid)
+    energy = (rows * rows.conj()).real.sum(axis=1)
+    return _Datum(rows[nonzero].reshape(-1), float(energy[0]), energy)
+
+
+def _tangential_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
+    """Tangential data: the coordinates are the k/|k| components per system channel."""
+    nonzero, vectors = _range_basis_coefficients(grid)
+    m = grid.system_size
+    khat = vectors[:, m:, m:]  # the tangential range vectors on the tangential channels
+    g = rows[nonzero]
+    coords = (khat.conj() @ g[..., None])[..., 0]
+    transverse = g - (coords[:, None, :] @ khat)[:, 0]
+    energy = (rows * rows.conj()).real.sum(axis=1)
+    outside = energy[0] + np.vdot(transverse, transverse).real
+    return _Datum(coords.reshape(-1), float(outside), energy)
+
+
+def _gradient_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
+    """The tangential gradient of scalar data: coordinates i|k| f-hat, nothing outside."""
+    nonzero, _ = _range_basis_coefficients(grid)
+    kn = grid.frequency_norms().reshape(-1, 1)
+    energy = (kn**2 * (rows * rows.conj()).real).sum(axis=1)
+    return _Datum((1j * kn[nonzero] * rows[nonzero]).reshape(-1), 0.0, energy)
+
+
+def _range_part(grid: GridSpec, h: Field):
+    """Q^* h and the squared flat norm of h outside the range of D, from one transform."""
+    m = grid.system_size
+    rows = _flat_rows(grid, h.to_spectral().values)
+    scalar, tangential = _scalar_datum(grid, rows[:, :m]), _tangential_datum(grid, rows[:, m:])
+    y = np.stack([scalar.rhs.reshape(-1, m), tangential.rhs.reshape(-1, m)], axis=1)
+    return y.reshape(-1), scalar.outside + tangential.outside
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +251,29 @@ class SpectralHardyBasis:
     eigenvalues split into the two spectral subspaces and the null space
     is the rest of the dof.  The dimensions of all three are recorded; the
     negative subspace needs no basis.
+
+    With V+ the positive eigenvectors, plus R = V+ with R upper triangular.
+    DB maps into the range of D, so for DB this is the QR factorization U R
+    = Q^* V+ in the range coordinates of D (r x r/2, Q the orthonormal range
+    basis of coefficients._range_synthesis) and plus = Q U; no QR with dof
+    rows runs.  The range of BD is B times that of D, so BD takes the QR of
+    V+ in the physical layout.  Either way _range_coordinates holds Q^*
+    plus, which is U for DB.
     """
 
     def __init__(self, T: LinearOperatorHandle):
         ed = eigen_data(T)
-        plus = ed.lam.real > 0
-        self.plus, _ = np.linalg.qr(ed.V[:, plus])
+        grid = T.grid
+        self._positive = plus = ed.lam.real > 0
+        if T.tag == "DB":
+            self._range_coordinates, self._R = np.linalg.qr(_range_analysis(grid, ed.V[:, plus]))
+            self.plus = _range_synthesis(grid, self._range_coordinates)
+        else:
+            self.plus, self._R = np.linalg.qr(ed.V[:, plus])
+            self._range_coordinates = _range_analysis(grid, self.plus)
         self.dim_plus = int(plus.sum())
         self.dim_minus = int((ed.lam.real < 0).sum())
-        self.dim_null = T.grid.dof - len(ed.lam)
-        grid = T.grid
+        self.dim_null = grid.dof - len(ed.lam)
         range_dim = 2 * grid.system_size * (grid.points**grid.dim - 1)
         if self.dim_plus + self.dim_minus != range_dim:
             raise TraceMapError(
@@ -257,22 +347,24 @@ class FirstOrderSystem:
     def trace_map(self, slot: str) -> _FactoredMap:
         """Factorized map from Hardy coordinates to boundary data, built once.
 
-        "scalar" and "tangential" read that slot of the positive Hardy basis
-        of DB; "potential" applies D to the positive Hardy basis of BD.
+        The maps act in the range coordinates of D, where Q and k/|k| are
+        isometries, so their singular values are those of the physical maps.
+        "scalar" and "tangential" are the scalar and tangential rows of U,
+        the range coordinates of the positive Hardy basis of DB: square,
+        (G^n - 1) m x r/2.  "potential" is D applied to the positive Hardy
+        basis of BD, D_r A with A = Q^* plus, r x r/2, as D = Q D_r Q^*.
         """
         if slot not in self._trace_maps:
-            grid = self.grid
             if slot == "potential":
-                Q = self.hardy("BD").plus
-                cols = Q.T.reshape((-1,) + grid.shape + (grid.channels,))
-                rows = d_operator(grid).apply_array(cols, PHYSICAL).reshape(Q.shape[1], -1).T
+                hardy = self.hardy("BD")
+                rows = _range_symbol_product(self.grid, hardy._range_coordinates)
             else:
-                Q = self.hardy("DB").plus
-                m = grid.system_size
-                channels = slice(None, m) if slot == "scalar" else slice(m, None)
-                rows = Q.reshape(grid.shape + (grid.channels, -1))[..., channels, :]
-                rows = rows.reshape(-1, Q.shape[1])
-            self._trace_maps[slot] = _FactoredMap.of(Q, rows)
+                hardy = self.hardy("DB")
+                U = hardy._range_coordinates
+                part = 0 if slot == "scalar" else 1
+                rows = U.reshape(-1, 2, self.grid.system_size, U.shape[1])[:, part]
+                rows = rows.reshape(-1, U.shape[1])
+            self._trace_maps[slot] = _FactoredMap.of(hardy.plus, rows)
         return self._trace_maps[slot]
 
     def adjoint(self) -> "FirstOrderSystem":
@@ -327,23 +419,30 @@ class BVPSolution:
     h: Field
     diagnostics: dict
     datum: np.ndarray | None = None
-    _potential: Field | None = dataclasses.field(default=None, init=False, repr=False,
-                                                 compare=False)
+    _potential: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False,
+                                                      compare=False)
 
     def evaluate(self, t: float) -> Field:
         return fc.semigroup(self.system.db, t, self.h)
 
-    def _potential_vector(self) -> Field:
-        """v with D v = -h in the positive subspace of the reversed composition."""
+    def _potential_coordinates(self) -> np.ndarray:
+        """Coordinates in the positive Hardy basis of BD of the v with D v = -h.
+
+        Fitted in the range coordinates of D to y = Q^* h; the part of h
+        outside the range of D adds to potential_residual.
+        """
         if self._potential is None:
             tm = self.system.trace_map("potential")
-            c, fitted = tm.solve(-self.h.flat())
-            self._potential = Field.from_flat(self.system.grid, tm.basis @ c)
-            resid = np.linalg.norm(fitted + self.h.flat()) / max(
-                np.linalg.norm(self.h.flat()), 1e-300
-            )
-            self.diagnostics["potential_residual"] = float(resid)
+            y, outside = _range_part(self.system.grid, self.h)
+            self._potential, fitted = tm.solve(-y)
+            self.diagnostics["potential_residual"] = _relative_residual(
+                fitted + y, outside, np.linalg.norm(y) ** 2 + outside)
         return self._potential
+
+    def _potential_vector(self) -> Field:
+        """v with D v = -h in the positive subspace of the reversed composition."""
+        basis = self.system.trace_map("potential").basis
+        return Field.from_flat(self.system.grid, basis @ self._potential_coordinates())
 
     def scalar_value(self, t: float) -> np.ndarray:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""
@@ -381,11 +480,19 @@ class BVPSolution:
         return float(np.max(num / den, initial=0.0))
 
 
-def _solve_trace(system: FirstOrderSystem, datum_field: np.ndarray, slot: str, kind: str):
-    """Least squares for h in the positive subspace with prescribed slot."""
+def _relative_residual(misfit: np.ndarray, outside: float, total: float) -> float:
+    """sqrt(||misfit||^2 + outside) / sqrt(total), squared flat norms by Parseval."""
+    return float(np.sqrt(np.linalg.norm(misfit) ** 2 + outside) / max(np.sqrt(total), 1e-300))
+
+
+def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
+                 stored: np.ndarray):
+    """Least squares for h in the positive subspace with prescribed slot.
+
+    Returns the solution and the coordinates of h in the positive Hardy basis.
+    """
     grid = system.grid
     tm = system.trace_map(slot)
-    rhs = datum_field.reshape(-1)
     condition = tm.condition
     if condition > TRACE_CONDITION_LIMIT:
         problem = "regularity" if slot == "tangential" else "neumann"
@@ -393,37 +500,20 @@ def _solve_trace(system: FirstOrderSystem, datum_field: np.ndarray, slot: str, k
             f"{problem} problem numerically not solvable at exponent two: "
             f"trace-map condition number {condition:.3e}"
         )
-    c, fitted = tm.solve(rhs)
+    c, fitted = tm.solve(datum.rhs)
     h = Field.from_flat(grid, tm.basis @ c)
-    residual = float(
-        np.linalg.norm(fitted - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    )
+    total = datum.energy.sum()
+    nonzero, _ = _range_basis_coefficients(grid)
+    kn = grid.frequency_norms().reshape(-1)[nonzero]
     diagnostics = {
-        "trace_residual": residual,
+        "trace_residual": _relative_residual(fitted - datum.rhs, datum.outside, total),
         "trace_condition": condition,
         "hardy_dim": tm.basis.shape[1],
-        "datum_l2": _scalar_l2(grid, datum_field),
+        "datum_l2": float(np.sqrt(grid.cell_volume * total)),
         "trace_l2": l2_norm(h),
+        "datum_sobolev_-1/2": float(np.sqrt(grid.cell_volume * (datum.energy[nonzero] / kn).sum())),
     }
-    try:
-        diagnostics["datum_sobolev_-1/2"] = sobolev_norm(
-            _embed_datum(grid, datum_field, slot), -0.5
-        )
-    except ValueError:
-        pass
-    return BVPSolution(
-        kind=kind, system=system, h=h, diagnostics=diagnostics, datum=datum_field
-    )
-
-
-def _embed_datum(grid: GridSpec, datum: np.ndarray, slot: str) -> Field:
-    vals = np.zeros(grid.shape + (grid.channels,), dtype=complex)
-    m = grid.system_size
-    if slot == "scalar":
-        vals[..., :m] = datum
-    else:
-        vals[..., m:] = datum
-    return Field.physical(grid, vals)
+    return BVPSolution(kind=kind, system=system, h=h, diagnostics=diagnostics, datum=stored), c
 
 
 def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
@@ -431,17 +521,19 @@ def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
 
     f must be mean-zero and curl-free per system component; the solution
     trace h has tangential slot f and the interior conormal gradient is
-    the decay semigroup applied to h.
+    the decay semigroup applied to h.  One forward transform of f serves
+    the curl check and the solve.
     """
     grid = system.grid
     f = _as_tangential_data(grid, f)
     _require_mean_zero(grid, f, "regularity datum")
-    curl = curl_free_residual(grid, f)
+    datum = _tangential_datum(grid, _flat_rows(grid, fft_values(f, grid)))
+    curl = datum.outside_share
     if curl > 1e-8:
         raise DatumError(
             f"regularity datum is not a discrete gradient (curl residual {curl:.2e})"
         )
-    return _solve_trace(system, f, "tangential", "regularity")
+    return _solve_trace(system, datum, "tangential", "regularity", f)[0]
 
 
 def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
@@ -449,30 +541,41 @@ def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
     grid = system.grid
     g = _as_scalar_data(grid, g)
     _require_mean_zero(grid, g, "neumann datum")
-    return _solve_trace(system, g, "scalar", "neumann")
+    datum = _scalar_datum(grid, _flat_rows(grid, fft_values(g, grid)))
+    return _solve_trace(system, datum, "scalar", "neumann", g)[0]
 
 
 def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) -> BVPSolution:
     """Prescribe the boundary value; solved as regularity for its gradient.
 
     The interior scalar potential is recovered from the reversed-order
-    flow, normalized mean-zero.  A square-function report of the scaled
-    conormal gradient is attached when a ladder is supplied.
+    flow, normalized mean-zero.  Its boundary value is the scalar slot of
+    P v = Q A a, for the potential coordinates a, and is compared with f
+    by Parseval.  A square-function report of the scaled conormal gradient
+    is attached when a ladder is supplied.
     """
     grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "dirichlet datum")
-    grad = tangential_gradient(grid, f)
-    sol = _solve_trace(system, grad, "tangential", "dirichlet")
-    u0 = sol.scalar_value(0.0)
-    sol.diagnostics["boundary_value_error"] = _scalar_l2(
-        grid, u0 - _squeeze_channels(f)
-    ) / max(_scalar_l2(grid, f), 1e-300)
+    rows = _flat_rows(grid, fft_values(f, grid))
+    sol, c = _solve_trace(system, _gradient_datum(grid, rows), "tangential", "dirichlet", f)
+    A = system.hardy("BD")._range_coordinates
+    u0 = (A @ sol._potential_coordinates()).reshape(-1, 2, grid.system_size)[:, 0]
+    value = _scalar_datum(grid, rows)
+    sol.diagnostics["boundary_value_error"] = _relative_residual(
+        u0.reshape(-1) - value.rhs, value.outside, value.energy.sum())
     if ladder is not None:
         # the T^2 norm of t exp(-t|DB|) h, aperture one: the cone cross-section
-        # times the ladder energy with weights w t^2 (tent.tent_norm at p = 2)
-        energy = fc.eigen_ladder_energy(system.db, fc.UNIT_SEMIGROUP, ladder.t,
-                                        ladder.weights * ladder.t**2, sol.h)
+        # times the ladder energy with weights w t^2 (tent.tent_norm at p = 2).
+        # h = V+ R^-1 c, so its range coordinates are R^-1 c on the positive
+        # eigenvectors, zero elsewhere, and its null part is zero.
+        hardy = system.hardy("DB")
+        scales = np.asarray(ladder.t, dtype=float)
+        weights = np.asarray(ladder.weights, dtype=float) * scales**2
+        form = eigen_data(system.db).ladder_form(fc.UNIT_SEMIGROUP, scales, weights)
+        x = scipy.linalg.solve_triangular(hardy._R, c)
+        block = form.hermitian[np.ix_(hardy._positive, hardy._positive)]
+        energy = grid.cell_volume * max(((block @ x) @ x.conj()).real, 0.0)
         sol.diagnostics["tent_norm_t_grad"] = float(np.sqrt(unit_ball_volume(grid.dim) * energy))
     return sol
 

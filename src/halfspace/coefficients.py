@@ -254,6 +254,23 @@ def _range_synthesis(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     return phys.reshape(-1, grid.dof).T.reshape((grid.dof,) + X.shape[1:])
 
 
+def _range_analysis(grid: GridSpec, Y: np.ndarray) -> np.ndarray:
+    """Q^* Y, the adjoint of _range_synthesis and its left inverse: Q^* Q = I_r.
+
+    Y has dof rows in the flattened physical layout, and the result has r
+    rows.  Each column is transformed forward once, gathered at the nonzero
+    frequencies and paired with the conjugate channel vectors.
+    """
+    nonzero, vectors = _range_basis_coefficients(grid)
+    F, width, N = vectors.shape
+    columns = Y.reshape(grid.dof, -1).T.reshape((-1,) + grid.shape + (N,))
+    spec = fft_values(columns, grid).reshape(len(columns), -1, N)[:, nonzero]
+    X = vectors.conj() @ spec.transpose(1, 2, 0)
+    # a series coefficient of a unit-norm mode is G^(-n/2)
+    X *= grid.points ** (grid.dim / 2.0)
+    return X.reshape((F * width,) + Y.shape[1:])
+
+
 def _range_symbol_product(grid: GridSpec, X: np.ndarray) -> np.ndarray:
     """D_r X for the symbol compressed to its range, D_r = Q^* D Q.
 

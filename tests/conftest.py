@@ -6,7 +6,7 @@ import halfspace.tent as tent
 from halfspace import GridSpec, identity_coefficients, perturbation_of_identity
 from halfspace.bvp import FirstOrderSystem
 from halfspace.grid import PHYSICAL, Field
-from halfspace.operators import assemble_dense, b_operator
+from halfspace.operators import assemble_dense, b_operator, d_operator
 
 
 @pytest.fixture(scope="session")
@@ -136,3 +136,27 @@ def range_null_split(T, f):
     else:
         raise ValueError(f"no reference split for tag {T.tag}")
     return Field.from_flat(T.grid, fr), Field.from_flat(T.grid, v - fr)
+
+
+def physical_trace_maps(system):
+    """Reference trace maps in the physical layout, as {slot: (basis, matrix)}.
+
+    The positive Hardy bases are the QR factorizations of the positive
+    eigenvectors with dof rows.  "scalar" and "tangential" read those
+    channels of the basis of DB at every grid point; "potential" applies D
+    to the basis of BD.
+    """
+    grid = system.grid
+    bases = {}
+    for T in (system.db, system.bd):
+        ed = fc.eigen_data(T)
+        bases[T.tag], _ = np.linalg.qr(ed.V[:, ed.lam.real > 0])
+    Q, m = bases["DB"], grid.system_size
+    values = Q.reshape(grid.shape + (grid.channels, -1))
+    maps = {slot: (Q, values[..., channels, :].reshape(-1, Q.shape[1]))
+            for slot, channels in (("scalar", slice(None, m)), ("tangential", slice(m, None)))}
+    Q = bases["BD"]
+    columns = Q.T.reshape((-1,) + grid.shape + (grid.channels,))
+    applied = d_operator(grid).apply_array(columns, PHYSICAL).reshape(Q.shape[1], -1).T
+    maps["potential"] = (Q, applied)
+    return maps

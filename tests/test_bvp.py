@@ -33,7 +33,7 @@ from halfspace.coefficients import (
     hat_transform,
     perturbation_of_identity,
 )
-from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field
+from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field, sobolev_norm
 from halfspace.operators import (
     OperatorError,
     assemble_dense,
@@ -53,7 +53,7 @@ from halfspace.tent import (
     tent_norm,
 )
 
-from conftest import band_limited_scalar, count_ladder_work
+from conftest import band_limited_scalar, count_ladder_work, physical_trace_maps
 
 
 def scalar_norm(grid, f):
@@ -803,3 +803,124 @@ def test_dirichlet_solves_share_one_ladder_table(g8x2):
     assert tables[(id(fc.UNIT_SEMIGROUP), ladder.t.tobytes())][1] is table
     # the cached table gives the value of the first, uncached solve
     assert norms[0] == first.diagnostics["tent_norm_t_grad"]
+
+
+# ---------------------------------------------------------------------------
+# the trace layer in the range coordinates of D
+# ---------------------------------------------------------------------------
+
+
+def _embedded(grid, datum, slot):
+    """The datum in its slot of a field, zero in the other slot."""
+    m = grid.system_size
+    vals = np.zeros(grid.shape + (grid.channels,), dtype=complex)
+    vals[..., slice(None, m) if slot == "scalar" else slice(m, None)] = np.reshape(
+        datum, grid.shape + (-1,))
+    return Field.physical(grid, vals)
+
+
+def _three_solves(system, f):
+    """(solution, trace datum, slot) of a Neumann, regularity and Dirichlet solve."""
+    grad = tangential_gradient(system.grid, f)
+    return (
+        (solve_neumann(system, f), f, "scalar"),
+        (solve_regularity(system, grad), grad, "tangential"),
+        (solve_dirichlet(system, f, ladder=TLadder.logspaced(2.0**-4, 2.0**2, 8)), grad,
+         "tangential"),
+    )
+
+
+def test_every_solve_reports_its_datum_sobolev_norm(fresh_system):
+    grid = fresh_system.grid
+    f = band_limited_scalar(grid, np.random.default_rng(50))
+    for sol, datum, slot in _three_solves(fresh_system, f):
+        expected = sobolev_norm(_embedded(grid, datum, slot), -0.5)
+        assert sol.diagnostics["datum_sobolev_-1/2"] == pytest.approx(expected, rel=1e-12), sol.kind
+    # a Dirichlet solution keeps its boundary value, not the gradient it solved for
+    assert np.array_equal(np.reshape(sol.datum, np.shape(f)), f)
+
+
+def test_coordinate_trace_maps_match_physical_maps(fresh_system):
+    grid = fresh_system.grid
+    maps = physical_trace_maps(fresh_system)
+    for slot, (_, matrix) in maps.items():
+        s = np.linalg.svd(matrix, compute_uv=False)
+        assert np.abs(fresh_system.trace_map(slot).s - s).max() <= 1e-12 * s.min(), slot
+    f = band_limited_scalar(grid, np.random.default_rng(51))
+    for sol, datum, slot in _three_solves(fresh_system, f):
+        basis, matrix = maps[slot]
+        coords, *_ = np.linalg.lstsq(matrix, np.reshape(datum, -1), rcond=None)
+        expected = basis @ coords
+        assert np.linalg.norm(sol.h.flat() - expected) <= 1e-12 * np.linalg.norm(expected), slot
+        basis, matrix = maps["potential"]
+        coords, *_ = np.linalg.lstsq(matrix, -expected, rcond=None)
+        potential = sol._potential_vector().flat()
+        assert np.linalg.norm(potential - basis @ coords) <= 1e-12 * np.linalg.norm(potential)
+
+
+def test_curl_free_residual_matches_four_transform_reference(fresh_system):
+    grid = fresh_system.grid
+    rng = np.random.default_rng(52)
+    shape = grid.shape + (grid.system_size * grid.dim,)
+    for _ in range(3):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        grad = np.reshape(tangential_gradient(grid, scalar_potential(grid, g)), shape)
+        expected = np.linalg.norm(grad - g) / np.linalg.norm(g)
+        assert bvp.curl_free_residual(grid, g) == pytest.approx(expected, rel=1e-12)
+    f = band_limited_scalar(grid, rng)
+    assert bvp.curl_free_residual(grid, tangential_gradient(grid, f)) <= 1e-14
+
+
+def test_solves_transform_each_datum_once(g8x2, monkeypatch):
+    import scipy.fft
+
+    rng = np.random.default_rng(53)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+    f = band_limited_scalar(g8x2, rng)
+    grad = tangential_gradient(g8x2, f)
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    solves = {
+        "neumann": lambda: solve_neumann(sys_, f),
+        "regularity": lambda: solve_regularity(sys_, grad),
+        "dirichlet": lambda: solve_dirichlet(sys_, f, ladder=ladder),
+    }
+    for solve in solves.values():  # the eigendecompositions, Hardy bases and trace maps
+        solve()
+    calls = []
+    for name in ("fftn", "ifftn"):
+        inner = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _n=name, _f=inner, **k: calls.append(_n) or _f(*a, **k))
+    counts = {}
+    for kind, solve in solves.items():
+        calls.clear()
+        solve()
+        counts[kind] = list(calls)
+    assert counts["neumann"] == counts["regularity"] == ["fftn"]
+    assert len(counts["dirichlet"]) <= 3
+
+
+def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch):
+    import halfspace.operators as ops
+
+    fc.eigen_data(fresh_system.db)
+    fresh_system.hardy("BD")  # the range of BD is not that of D: a physical QR
+    shapes, applies = [], []
+
+    def recording(inner):
+        def wrapped(M, *args, **kwargs):
+            shapes.append(np.shape(M))
+            return inner(M, *args, **kwargs)
+        return wrapped
+
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    apply_array = ops.LinearOperatorHandle.apply_array
+    monkeypatch.setattr(ops.LinearOperatorHandle, "apply_array",
+                        lambda T, *a: applies.append(T.tag) or apply_array(T, *a))
+    fresh_system.hardy("DB")
+    for slot in ("scalar", "tangential", "potential"):
+        fresh_system.trace_map(slot)
+    dof = fresh_system.grid.dof
+    assert len(shapes) == 4 and all(shape[0] < dof for shape in shapes), shapes
+    assert not applies

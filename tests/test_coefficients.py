@@ -6,6 +6,7 @@ from halfspace.coefficients import (
     CoefficientMatrix,
     NotAccretiveError,
     TransformedB,
+    _range_analysis,
     _range_synthesis,
     accretivity_estimate,
     block_diagonal_coefficients,
@@ -241,6 +242,23 @@ def test_range_maps_and_compression_match_dense_basis(grid):
     C = B.compression.C
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32, 1), GridSpec(2, 8, 1), GridSpec(1, 16, 2)],
+                         ids=str)
+def test_range_analysis_is_adjoint_and_left_inverse_of_synthesis(grid):
+    rng = np.random.default_rng(4)
+    r = 2 * grid.system_size * (grid.points**grid.dim - 1)
+    X = rng.standard_normal((r, 3)) + 1j * rng.standard_normal((r, 3))
+    Y = rng.standard_normal((grid.dof, 3)) + 1j * rng.standard_normal((grid.dof, 3))
+    QX, QY = _range_synthesis(grid, X), _range_analysis(grid, Y)
+    assert QY.shape == (r, 3)
+    # Q^* Q = I_r, and <Q x, y> = <x, Q^* y>
+    assert np.abs(_range_analysis(grid, QX) - X).max() <= 1e-14 * np.abs(X).max()
+    assert np.abs(QX.conj().T @ Y - X.conj().T @ QY).max() <= 1e-14 * np.abs(QX.conj().T @ Y).max()
+    assert np.abs(_range_analysis(grid, Y[:, 0]) - QY[:, 0]).max() <= 1e-14 * np.abs(QY).max()
+    Q = dense_range_basis(grid)
+    assert np.abs(QY - Q.conj().T @ Y).max() <= 1e-13
 
 
 def test_certificate_takes_no_dense_spectral_norm(g32, rng, monkeypatch):
