@@ -14,6 +14,15 @@ boundary datum enters as its Fourier coefficients, from one forward
 transform; its mean and its part transverse to k/|k|, which no trace
 reaches, are added to the residual exactly, by Parseval.
 
+The boundary layer comes from the one factorization of DB on the range
+of D (calculus._RangeFactors) and one QR per Hardy basis.  The positive
+basis of DB is Q U+ with U+ R = W+, its eigenvectors' range coordinates.
+The scalar and tangential trace maps are the two square row blocks S and
+T of the isometry U+, so S^* S + T^* T = I and one SVD of S gives both
+(the CS decomposition).  D maps the positive basis of BD to Q U+ K, with
+K upper triangular and r/2 x r/2 from the two R factors and the
+eigenvalues, so the layer potentials fit Hardy coordinates through K.
+
 Scalar boundary data are arrays of shape grid_shape + (m,); the scalar
 slot of every returned interior quantity is the mean-zero
 representative, which is the torus realization of the solution being
@@ -34,9 +43,7 @@ from .calculus import eigen_data
 from .coefficients import (
     AccretivityReport,
     CoefficientMatrix,
-    _range_analysis,
     _range_basis_coefficients,
-    _range_symbol_product,
     _range_synthesis,
     accretivity_estimate,
     hat_transform,
@@ -160,16 +167,6 @@ def scalar_potential(grid: GridSpec, g) -> np.ndarray:
     return _squeeze_channels(ifft_values(fhat, grid))
 
 
-def curl_free_residual(grid: GridSpec, g) -> float:
-    """Relative distance of tangential data to the gradients, per frequency.
-
-    The share of the spectrum at k = 0 or transverse to k/|k|, from one
-    forward transform.
-    """
-    rows = _flat_rows(grid, fft_values(_as_tangential_data(grid, g), grid))
-    return _tangential_datum(grid, rows).outside_share
-
-
 def _scalar_l2(grid: GridSpec, f) -> float:
     return float(np.sqrt(grid.cell_volume) * np.linalg.norm(f))
 
@@ -253,12 +250,14 @@ class SpectralHardyBasis:
     negative subspace needs no basis.
 
     With V+ the positive eigenvectors, plus R = V+ with R upper triangular.
-    DB maps into the range of D, so for DB this is the QR factorization U R
-    = Q^* V+ in the range coordinates of D (r x r/2, Q the orthonormal range
-    basis of coefficients._range_synthesis) and plus = Q U; no QR with dof
-    rows runs.  The range of BD is B times that of D, so BD takes the QR of
-    V+ in the physical layout.  Either way _range_coordinates holds Q^*
-    plus, which is U for DB.
+    DB maps into the range of D, where its eigenvectors are V = Q W (Q the
+    orthonormal range basis of coefficients._range_synthesis, W from the
+    eigendecomposition's range factors), so for DB this is the QR
+    factorization U R = W+, r x r/2, and plus = Q U: no transform of V and
+    no QR with dof rows runs, and _range_coordinates holds U = Q^* plus.
+    The range of BD is B times that of D, so BD takes the QR of V+ in the
+    physical layout, and D maps its basis into the span of Q U
+    (FirstOrderSystem.trace_map).
     """
 
     def __init__(self, T: LinearOperatorHandle):
@@ -266,11 +265,11 @@ class SpectralHardyBasis:
         grid = T.grid
         self._positive = plus = ed.lam.real > 0
         if T.tag == "DB":
-            self._range_coordinates, self._R = np.linalg.qr(_range_analysis(grid, ed.V[:, plus]))
+            self._range_coordinates, self._R = np.linalg.qr(ed.factors.coordinates[:, plus])
             self.plus = _range_synthesis(grid, self._range_coordinates)
         else:
             self.plus, self._R = np.linalg.qr(ed.V[:, plus])
-            self._range_coordinates = _range_analysis(grid, self.plus)
+            self._range_coordinates = None
         self.dim_plus = int(plus.sum())
         self.dim_minus = int((ed.lam.real < 0).sum())
         self.dim_null = grid.dof - len(ed.lam)
@@ -347,24 +346,42 @@ class FirstOrderSystem:
     def trace_map(self, slot: str) -> _FactoredMap:
         """Factorized map from Hardy coordinates to boundary data, built once.
 
-        The maps act in the range coordinates of D, where Q and k/|k| are
-        isometries, so their singular values are those of the physical maps.
-        "scalar" and "tangential" are the scalar and tangential rows of U,
-        the range coordinates of the positive Hardy basis of DB: square,
-        (G^n - 1) m x r/2.  "potential" is D applied to the positive Hardy
-        basis of BD, D_r A with A = Q^* plus, r x r/2, as D = Q D_r Q^*.
+        The maps act in coordinates where Q, k/|k| and U are isometries, so
+        their singular values are those of the physical maps.  "scalar" and
+        "tangential" are the scalar and tangential rows S and T of U, the
+        range coordinates of the positive Hardy basis of DB: square, (G^n -
+        1) m x r/2, and built together.  U is an isometry, so S^* S + T^* T
+        = I, and with S = U_s Sigma V^* the columns of T V are orthogonal
+        with norms sqrt(1 - sigma^2) (the CS decomposition; Paige-Wei, Linear
+        Algebra Appl. 1994): T V, normalized and sorted descending, is the
+        SVD of T with the same V, and only S takes an SVD.  "potential" is D
+        applied to the positive Hardy basis of BD, read in the Hardy
+        coordinates of DB: the BD eigenvectors are B Q X / s_BD and those of
+        DB Q X / s_DB, with DB Q X = Q X diag(lam) (calculus._RangeFactors),
+        so D V_BD+ = Q U R_DB diag(lam+ s_DB / s_BD) and D plus_BD = Q U K,
+        K = R_DB diag(lam+ s_DB / s_BD) R_BD^-1, upper triangular and r/2 x
+        r/2.  Its SVD is that of the map, with left vectors U U_K.
         """
         if slot not in self._trace_maps:
+            hardy = self.hardy("DB")
             if slot == "potential":
-                hardy = self.hardy("BD")
-                rows = _range_symbol_product(self.grid, hardy._range_coordinates)
+                hardy_bd = self.hardy("BD")
+                ed_db, ed_bd = eigen_data(self.db), eigen_data(self.bd)
+                scale = (ed_db.lam * ed_db.factors.s / ed_bd.factors.s)[hardy._positive]
+                K = scipy.linalg.solve_triangular(hardy_bd._R, (hardy._R * scale).T,
+                                                  trans="T").T
+                self._trace_maps[slot] = _FactoredMap.of(hardy_bd.plus, K)
             else:
-                hardy = self.hardy("DB")
                 U = hardy._range_coordinates
-                part = 0 if slot == "scalar" else 1
-                rows = U.reshape(-1, 2, self.grid.system_size, U.shape[1])[:, part]
-                rows = rows.reshape(-1, U.shape[1])
-            self._trace_maps[slot] = _FactoredMap.of(hardy.plus, rows)
+                rows = U.reshape(-1, 2, self.grid.system_size, U.shape[1])
+                scalar = _FactoredMap.of(hardy.plus, rows[:, 0].reshape(-1, U.shape[1]))
+                TV = rows[:, 1].reshape(-1, U.shape[1]) @ scalar.Vh.conj().T
+                norms = np.linalg.norm(TV, axis=0)
+                order = np.argsort(-norms, kind="stable")
+                s = norms[order]
+                left = TV[:, order] / np.maximum(s, np.finfo(float).tiny)
+                tangential = _FactoredMap(hardy.plus, left, s, scalar.Vh[order])
+                self._trace_maps.update(scalar=scalar, tangential=tangential)
         return self._trace_maps[slot]
 
     def adjoint(self) -> "FirstOrderSystem":
@@ -419,30 +436,48 @@ class BVPSolution:
     h: Field
     diagnostics: dict
     datum: np.ndarray | None = None
-    _potential: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False,
-                                                      compare=False)
+    _coordinates: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                                   compare=False)
+    _potential: tuple | None = dataclasses.field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     def evaluate(self, t: float) -> Field:
         return fc.semigroup(self.system.db, t, self.h)
 
-    def _potential_coordinates(self) -> np.ndarray:
-        """Coordinates in the positive Hardy basis of BD of the v with D v = -h.
+    def _hardy_coordinates(self) -> tuple:
+        """The coordinates c of the fit of h in the positive Hardy basis of DB,
+        and the squared flat norm of the rest of h.
 
-        Fitted in the range coordinates of D to y = Q^* h; the part of h
-        outside the range of D adds to potential_residual.
+        A solve stores the c of its h, which has no rest.  Otherwise both
+        come from one analysis of h: with y = Q^* h and U the range
+        coordinates of the basis, c = U^* y and the rest is ||y - U c||^2
+        plus the part of h outside the range of D.
+        """
+        if self._coordinates is None:
+            U = self.system.hardy("DB")._range_coordinates
+            y, outside = _range_part(self.system.grid, self.h)
+            c = U.conj().T @ y
+            self._coordinates = c, np.linalg.norm(y - U @ c) ** 2 + outside
+        return self._coordinates
+
+    def _potential_coordinates(self) -> tuple:
+        """(a, K a): the coordinates in the positive Hardy basis of BD of the v
+        with D v = -h, and those of D v in the Hardy basis of DB.
+
+        a = -K^+ c by the potential map K, from the Hardy coordinates c of
+        h; the rest of h adds to potential_residual.
         """
         if self._potential is None:
-            tm = self.system.trace_map("potential")
-            y, outside = _range_part(self.system.grid, self.h)
-            self._potential, fitted = tm.solve(-y)
+            c, rest = self._hardy_coordinates()
+            self._potential = self.system.trace_map("potential").solve(-c)
             self.diagnostics["potential_residual"] = _relative_residual(
-                fitted + y, outside, np.linalg.norm(y) ** 2 + outside)
+                self._potential[1] + c, rest, np.linalg.norm(c) ** 2 + rest)
         return self._potential
 
     def _potential_vector(self) -> Field:
         """v with D v = -h in the positive subspace of the reversed composition."""
         basis = self.system.trace_map("potential").basis
-        return Field.from_flat(self.system.grid, basis @ self._potential_coordinates())
+        return Field.from_flat(self.system.grid, basis @ self._potential_coordinates()[0])
 
     def scalar_value(self, t: float) -> np.ndarray:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""
@@ -486,10 +521,10 @@ def _relative_residual(misfit: np.ndarray, outside: float, total: float) -> floa
 
 
 def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
-                 stored: np.ndarray):
+                 stored: np.ndarray) -> BVPSolution:
     """Least squares for h in the positive subspace with prescribed slot.
 
-    Returns the solution and the coordinates of h in the positive Hardy basis.
+    The solution keeps the coordinates of h in the positive Hardy basis.
     """
     grid = system.grid
     tm = system.trace_map(slot)
@@ -513,7 +548,22 @@ def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
         "trace_l2": l2_norm(h),
         "datum_sobolev_-1/2": float(np.sqrt(grid.cell_volume * (datum.energy[nonzero] / kn).sum())),
     }
-    return BVPSolution(kind=kind, system=system, h=h, diagnostics=diagnostics, datum=stored), c
+    sol = BVPSolution(kind=kind, system=system, h=h, diagnostics=diagnostics, datum=stored)
+    sol._coordinates = c, 0.0
+    return sol
+
+
+def _gradient_solution(system: FirstOrderSystem, f, kind: str):
+    """The regularity problem for the tangential gradient of scalar data f.
+
+    The gradient enters as its coordinates i|k| f-hat, from one forward
+    transform of f, with nothing outside the trace's reach; f is stored as
+    the datum.  Returns the solution and the flat spectral rows of f.
+    """
+    grid = system.grid
+    f = _as_scalar_data(grid, f)
+    rows = _flat_rows(grid, fft_values(f, grid))
+    return _solve_trace(system, _gradient_datum(grid, rows), "tangential", kind, f), rows
 
 
 def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
@@ -533,7 +583,7 @@ def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
         raise DatumError(
             f"regularity datum is not a discrete gradient (curl residual {curl:.2e})"
         )
-    return _solve_trace(system, datum, "tangential", "regularity", f)[0]
+    return _solve_trace(system, datum, "tangential", "regularity", f)
 
 
 def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
@@ -542,7 +592,7 @@ def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
     g = _as_scalar_data(grid, g)
     _require_mean_zero(grid, g, "neumann datum")
     datum = _scalar_datum(grid, _flat_rows(grid, fft_values(g, grid)))
-    return _solve_trace(system, datum, "scalar", "neumann", g)[0]
+    return _solve_trace(system, datum, "scalar", "neumann", g)
 
 
 def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) -> BVPSolution:
@@ -550,17 +600,20 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
 
     The interior scalar potential is recovered from the reversed-order
     flow, normalized mean-zero.  Its boundary value is the scalar slot of
-    P v = Q A a, for the potential coordinates a, and is compared with f
-    by Parseval.  A square-function report of the scaled conormal gradient
-    is attached when a ladder is supplied.
+    P v, for the potential v with D v = Q U K a: Q^* P v = D_r^-1 U K a,
+    whose scalar rows are the tangential rows of U K a over i|k|.  It is
+    compared with f by Parseval.  A square-function report of the scaled
+    conormal gradient is attached when a ladder is supplied.
     """
     grid = system.grid
     f = _as_scalar_data(grid, f)
     _require_mean_zero(grid, f, "dirichlet datum")
-    rows = _flat_rows(grid, fft_values(f, grid))
-    sol, c = _solve_trace(system, _gradient_datum(grid, rows), "tangential", "dirichlet", f)
-    A = system.hardy("BD")._range_coordinates
-    u0 = (A @ sol._potential_coordinates()).reshape(-1, 2, grid.system_size)[:, 0]
+    sol, rows = _gradient_solution(system, f, "dirichlet")
+    hardy = system.hardy("DB")
+    U, m = hardy._range_coordinates, grid.system_size
+    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ sol._potential_coordinates()[1]
+    nonzero, _ = _range_basis_coefficients(grid)
+    u0 = 1j * tangential / grid.frequency_norms().reshape(-1, 1)[nonzero]
     value = _scalar_datum(grid, rows)
     sol.diagnostics["boundary_value_error"] = _relative_residual(
         u0.reshape(-1) - value.rhs, value.outside, value.energy.sum())
@@ -569,11 +622,10 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
         # times the ladder energy with weights w t^2 (tent.tent_norm at p = 2).
         # h = V+ R^-1 c, so its range coordinates are R^-1 c on the positive
         # eigenvectors, zero elsewhere, and its null part is zero.
-        hardy = system.hardy("DB")
         scales = np.asarray(ladder.t, dtype=float)
         weights = np.asarray(ladder.weights, dtype=float) * scales**2
         form = eigen_data(system.db).ladder_form(fc.UNIT_SEMIGROUP, scales, weights)
-        x = scipy.linalg.solve_triangular(hardy._R, c)
+        x = scipy.linalg.solve_triangular(hardy._R, sol._coordinates[0])
         block = form.hermitian[np.ix_(hardy._positive, hardy._positive)]
         energy = grid.cell_volume * max(((block @ x) @ x.conj()).real, 0.0)
         sol.diagnostics["tent_norm_t_grad"] = float(np.sqrt(unit_ball_volume(grid.dim) * energy))
@@ -581,10 +633,11 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
 
 
 def dirichlet_to_neumann(system: FirstOrderSystem, f) -> np.ndarray:
-    """Boundary map from the potential value to its conormal derivative."""
-    grad = tangential_gradient(system.grid, _as_scalar_data(system.grid, f))
-    sol = solve_regularity(system, grad)
-    return sol.conormal_trace()
+    """Boundary map from the potential value to its conormal derivative.
+
+    The regularity problem for the gradient of f, from one forward transform.
+    """
+    return _gradient_solution(system, f, "regularity")[0].conormal_trace()
 
 
 def neumann_to_dirichlet(system: FirstOrderSystem, g) -> np.ndarray:

@@ -377,7 +377,8 @@ def run_bvp(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
     ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
     kind = cfg.variant
     if kind == "regularity":
-        sol = bvp_mod.solve_regularity(system, bvp_mod.tangential_gradient(grid, datum))
+        # the tangential gradient of the datum, in its coordinates i|k| f-hat
+        sol = bvp_mod._gradient_solution(system, datum, "regularity")[0]
     elif kind == "neumann":
         sol = bvp_mod.solve_neumann(system, datum)
     else:

@@ -97,10 +97,9 @@ class CoefficientMatrix(_PointwiseMatrix):
 
 
 class _Compression(typing.NamedTuple):
-    """The r x r compression C = Q^* B Q of B to the range of D, and its LU."""
+    """The r x r compression C = Q^* B Q of B to the range of D."""
 
     C: np.ndarray
-    lu: tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,10 +117,11 @@ class TransformedB(_PointwiseMatrix):
     """Pointwise multiplier B(x) obtained from coefficients A(x).
 
     B owns what every B, DB and BD handle on it shares, each built once, on
-    first use: the compression C of B to the range of D with its LU
-    (compression), the accretivity certificate with kappa, omega and
-    sup|B| that accretivity_estimate reads from C and keeps in _report, and
-    the r x r eigendecomposition of DB on the range of D (range_eigen).
+    first use: the compression C of B to the range of D (compression), the
+    accretivity certificate with kappa, omega and sup|B| that
+    accretivity_estimate reads from C and keeps in _report, the r x r
+    eigendecomposition of DB on the range of D (range_eigen) and its two
+    syntheses Q W and Q M^* (range_syntheses).
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -133,11 +133,10 @@ class TransformedB(_PointwiseMatrix):
 
     @functools.cached_property
     def compression(self) -> _Compression:
-        """C = Q^* B Q by _range_compression, and its LU; accretivity makes C
-        invertible.  Refuses beyond the dense limit before allocating."""
+        """C = Q^* B Q by _range_compression; accretivity makes C invertible.
+        Refuses beyond the dense limit before allocating."""
         check_dense_size(self.grid)
-        C = _range_compression(self)
-        return _Compression(C, scipy.linalg.lu_factor(C))
+        return _Compression(_range_compression(self))
 
     @functools.cached_property
     def range_eigen(self) -> _RangeEigen:
@@ -146,16 +145,26 @@ class TransformedB(_PointwiseMatrix):
         With Q the orthonormal range basis, D Q = Q D_r and Q^* D (I - Q Q^*) =
         0, so DB Q = Q D_r C.  Accretivity makes D_r C invertible, so every
         one of its r eigenvalues is nonzero; the certificate runs first and
-        raises NotAccretiveError before any eig.  M comes from two LU solves
-        on I_r, with the LU of W and that of C.
+        raises NotAccretiveError before any eig.  M = (C W)^-1 comes from
+        one LU of the product.
         """
         report = accretivity_estimate(self)
-        C, lu = self.compression
+        C = self.compression.C
         lam, W = np.linalg.eig(_range_symbol_product(self.grid, C))
-        Cinv = scipy.linalg.lu_solve(lu, np.eye(len(lam), dtype=complex))
-        M = scipy.linalg.lu_solve(scipy.linalg.lu_factor(W), Cinv)
+        M = np.linalg.inv(C @ W)
         return _RangeEigen(lam=lam, W=W, M=M,
                            condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa)
+
+    @functools.cached_property
+    def range_syntheses(self) -> tuple:
+        """(Q W, Q M^*) of range_eigen, dof x r each and read-only: one
+        synthesis of r columns each, which the eigendecompositions of DB
+        and BD on this B share (calculus._range_eigen_data)."""
+        core = self.range_eigen
+        out = (_range_synthesis(self.grid, core.W), _range_synthesis(self.grid, core.M.conj().T))
+        for array in out:
+            array.setflags(write=False)
+        return out
 
 
 def hat_transform(A: CoefficientMatrix) -> TransformedB:

@@ -390,9 +390,9 @@ def resolvent_solve(
 
 
 def range_splitter(T: LinearOperatorHandle):
-    """The compression (C, lu) of B to the range of D for B, DB and BD: the
-    one B.compression, shared by every handle on B.  A multiplier, whose
-    range part is P f, is refused."""
+    """The compression C of B to the range of D for B, DB and BD: the one
+    B.compression, shared by every handle on B.  A multiplier, whose range
+    part is P f, is refused."""
     B = T.multiplier_matrix
     if B is None:
         raise OperatorError(f"no range split for tag {T.tag}")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import halfspace.bvp as bvp
 import halfspace.calculus as fc
 import halfspace.tent as tent
 from halfspace import GridSpec, identity_coefficients, perturbation_of_identity
 from halfspace.bvp import FirstOrderSystem
-from halfspace.grid import PHYSICAL, Field
+from halfspace.grid import PHYSICAL, Field, fft_values
 from halfspace.operators import assemble_dense, b_operator, d_operator
 
 
@@ -160,3 +161,13 @@ def physical_trace_maps(system):
     applied = d_operator(grid).apply_array(columns, PHYSICAL).reshape(Q.shape[1], -1).T
     maps["potential"] = (Q, applied)
     return maps
+
+
+def curl_free_residual(grid, g):
+    """Relative distance of tangential data to the gradients, per frequency.
+
+    The share of the spectrum at k = 0 or transverse to k/|k|, from one
+    forward transform.
+    """
+    rows = bvp._flat_rows(grid, fft_values(bvp._as_tangential_data(grid, g), grid))
+    return bvp._tangential_datum(grid, rows).outside_share

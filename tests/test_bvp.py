@@ -53,7 +53,12 @@ from halfspace.tent import (
     tent_norm,
 )
 
-from conftest import band_limited_scalar, count_ladder_work, physical_trace_maps
+from conftest import (
+    band_limited_scalar,
+    count_ladder_work,
+    curl_free_residual,
+    physical_trace_maps,
+)
 
 
 def scalar_norm(grid, f):
@@ -473,6 +478,22 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
     assert range_splitter(db) is range_splitter(bd)
 
 
+def test_bd_eigen_data_after_db_runs_no_synthesis(fresh_system, monkeypatch):
+    # DB and BD share the syntheses Q W and Q M^* of their multiplier
+    import halfspace.coefficients as coefficients
+
+    db = fc.eigen_data(fresh_system.db)
+    calls = []
+    synthesis = coefficients._range_synthesis
+    monkeypatch.setattr(coefficients, "_range_synthesis",
+                        lambda *args: calls.append(args) or synthesis(*args))
+    bd = fc.eigen_data(fresh_system.bd)
+    assert calls == []
+    BV = (fresh_system.B.values @ db.V.reshape(fresh_system.grid.shape + (-1, db.V.shape[1])))
+    BV = BV.reshape(db.V.shape)
+    assert np.abs(bd.V * np.linalg.norm(BV, axis=0) - BV).max() <= 1e-13 * np.abs(BV).max()
+
+
 def test_range_eigen_data_has_no_dof_sized_svd(fresh_system, monkeypatch):
     shapes = []
 
@@ -866,9 +887,9 @@ def test_curl_free_residual_matches_four_transform_reference(fresh_system):
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         grad = np.reshape(tangential_gradient(grid, scalar_potential(grid, g)), shape)
         expected = np.linalg.norm(grad - g) / np.linalg.norm(g)
-        assert bvp.curl_free_residual(grid, g) == pytest.approx(expected, rel=1e-12)
+        assert curl_free_residual(grid, g) == pytest.approx(expected, rel=1e-12)
     f = band_limited_scalar(grid, rng)
-    assert bvp.curl_free_residual(grid, tangential_gradient(grid, f)) <= 1e-14
+    assert curl_free_residual(grid, tangential_gradient(grid, f)) <= 1e-14
 
 
 def test_solves_transform_each_datum_once(g8x2, monkeypatch):
@@ -896,8 +917,26 @@ def test_solves_transform_each_datum_once(g8x2, monkeypatch):
         calls.clear()
         solve()
         counts[kind] = list(calls)
-    assert counts["neumann"] == counts["regularity"] == ["fftn"]
-    assert len(counts["dirichlet"]) <= 3
+    assert counts["neumann"] == counts["regularity"] == counts["dirichlet"] == ["fftn"]
+
+
+def test_dirichlet_to_neumann_transforms_its_datum_once(g8x2, monkeypatch):
+    # the gradient enters as its coordinates i|k| f-hat: no gradient field
+    # is synthesized and transformed back, and no curl check runs
+    import scipy.fft
+
+    rng = np.random.default_rng(54)
+    sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
+    f = band_limited_scalar(g8x2, rng)
+    expected = solve_regularity(sys_, tangential_gradient(g8x2, f)).conormal_trace()
+    calls = []
+    for name in ("fftn", "ifftn"):
+        inner = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _n=name, _f=inner, **k: calls.append(_n) or _f(*a, **k))
+    got = dirichlet_to_neumann(sys_, f)
+    assert calls == ["fftn"]
+    assert scalar_norm(g8x2, got - expected) <= 1e-12 * scalar_norm(g8x2, expected)
 
 
 def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch):
@@ -921,6 +960,63 @@ def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch)
     fresh_system.hardy("DB")
     for slot in ("scalar", "tangential", "potential"):
         fresh_system.trace_map(slot)
-    dof = fresh_system.grid.dof
-    assert len(shapes) == 4 and all(shape[0] < dof for shape in shapes), shapes
+    # one QR of W+, r x r/2; one SVD of the square scalar rows, which also
+    # gives the tangential map, and one of the triangular potential core K
+    half = _range_dim(fresh_system.grid) // 2
+    assert shapes == [(2 * half, half), (half, half), (half, half)], shapes
     assert not applies
+
+
+@pytest.mark.parametrize("grid, size", [(GridSpec(2, 8), 0.6), (GridSpec(1, 32), 0.6),
+                                        (GridSpec(1, 16, 2), 0.3), (GridSpec(2, 8, 2), 0.15)],
+                         ids=["2d-g8-size0.6", "1d-g32-size0.6", "1d-g16-m2", "2d-g8-m2"])
+def test_cs_and_core_trace_maps_match_physical_maps(grid, size):
+    # the tangential map from the SVD of the scalar rows (S^* S + T^* T = I)
+    # and the potential map from the triangular core K, for a system and
+    # for its adjoint, whose factors come from the primal's
+    system = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(61), size))
+    f = band_limited_scalar(grid, np.random.default_rng(62))
+    grad = tangential_gradient(grid, f)
+    for sys_ in (system, system.adjoint()):
+        maps = physical_trace_maps(sys_)
+        for slot, (_, matrix) in maps.items():
+            s = np.linalg.svd(matrix, compute_uv=False)
+            tm = sys_.trace_map(slot)
+            assert np.abs(tm.s - s).max() <= 1e-12 * s.min(), slot
+            assert np.abs(tm.U.conj().T @ tm.U - np.eye(len(s))).max() <= 1e-12, slot
+        U = sys_.hardy("DB")._range_coordinates
+        rows = U.reshape(-1, 2, grid.system_size, U.shape[1])[:, 1].reshape(U.shape[0] // 2, -1)
+        tm = sys_.trace_map("tangential")
+        assert np.abs((tm.U * tm.s) @ tm.Vh - rows).max() <= 1e-13
+        # Q U K is D applied to the positive basis of BD, the physical map
+        tm = sys_.trace_map("potential")
+        applied = sys_.hardy("DB").plus @ ((tm.U * tm.s) @ tm.Vh)
+        matrix = maps["potential"][1]
+        assert np.linalg.norm(applied - matrix) <= 1e-12 * np.linalg.norm(matrix)
+        sol = solve_regularity(sys_, grad)
+        basis, matrix = maps["tangential"]
+        coords, *_ = np.linalg.lstsq(matrix, np.reshape(grad, -1), rcond=None)
+        expected = basis @ coords
+        assert np.linalg.norm(sol.h.flat() - expected) <= 1e-12 * np.linalg.norm(expected)
+        basis, matrix = maps["potential"]
+        coords, *_ = np.linalg.lstsq(matrix, -expected, rcond=None)
+        potential = sol._potential_vector().flat()
+        assert np.linalg.norm(potential - basis @ coords) <= 1e-12 * np.linalg.norm(potential)
+
+
+def test_off_hardy_potential_fit_matches_lstsq(perturbed_system_2d):
+    # a trace off the positive subspace, with a mean: its Hardy coordinates
+    # and their rest come from one analysis, and the fit through K gives the
+    # least-squares potential of the physical map and its residual
+    system = perturbed_system_2d
+    grid = system.grid
+    rng = np.random.default_rng(63)
+    h = solve_dirichlet(system, band_limited_scalar(grid, rng)).h + random_field(grid, rng)
+    sol = bvp.BVPSolution("dirichlet", system, h, {})
+    potential = sol._potential_vector().flat()
+    basis, matrix = physical_trace_maps(system)["potential"]
+    coords, *_ = np.linalg.lstsq(matrix, -h.flat(), rcond=None)
+    expected = np.linalg.norm(matrix @ coords + h.flat()) / np.linalg.norm(h.flat())
+    assert expected > 1e-2
+    assert sol.diagnostics["potential_residual"] == pytest.approx(expected, rel=1e-12)
+    assert np.linalg.norm(potential - basis @ coords) <= 1e-12 * np.linalg.norm(potential)

@@ -439,8 +439,8 @@ DECLARED_STATE = {
     "_dense", "_eigen", "_eigen_source", "_schur", "_contour",
     "_resolvent_diagonal", "_lu",
 }
-# TransformedB keeps its values, the certificate and its two cached properties
-B_STATE = {"grid", "values", "_report", "compression", "range_eigen"}
+# TransformedB keeps its values, the certificate and its three cached properties
+B_STATE = {"grid", "values", "_report", "compression", "range_eigen", "range_syntheses"}
 
 
 def test_handle_state_is_declared(g32, rng):
@@ -537,11 +537,14 @@ def test_range_eigenvectors_match_dense_basis(grid):
         assert np.abs(ed.Vinv - Vinv).max() <= 1e-13 * max(np.abs(Vinv).max(), 1.0)
         assert np.abs(ed.Vinv @ ed.V - np.eye(r)).max() <= 1e-13
     # the compression and the factorization keep no array with a dof-long
-    # axis: no dense basis
-    C, (lu, piv) = compression
-    assert compression._fields == ("C", "lu")
-    arrays = [C, lu, piv] + [v for v in vars(core).values() if isinstance(v, np.ndarray)]
+    # axis: no dense basis; the two syntheses Q W and Q M^* are B's own
+    assert compression._fields == ("C",)
+    arrays = [compression.C] + [v for v in vars(core).values() if isinstance(v, np.ndarray)]
     assert all(grid.dof not in np.shape(a) for a in arrays)
+    QW, QM = B.range_syntheses
+    assert np.abs(QW - Q @ core.W).max() <= 1e-13 * np.abs(QW).max()
+    assert np.abs(QM - Q @ core.M.conj().T).max() <= 1e-13 * np.abs(QM).max()
+    assert db.V is QW
 
 
 def test_range_split_refuses_beyond_dense_limit():
@@ -561,7 +564,6 @@ def test_d_contour_builds_no_compression(g32, rng, monkeypatch):
 
     for name in ("_range_compression", "_range_synthesis"):
         monkeypatch.setattr(coefficients, name, forbidden)
-    monkeypatch.setattr(fc, "_range_synthesis", forbidden)
     T = d_operator(g32)
     f = random_field(g32, rng)
     # the contour path gives 1 on the range and the value at the origin,
