@@ -15,13 +15,14 @@ transform; its mean and its part transverse to k/|k|, which no trace
 reaches, are added to the residual exactly, by Parseval.
 
 The boundary layer comes from the one factorization of DB on the range
-of D (calculus._RangeFactors) and one QR per Hardy basis.  The positive
-basis of DB is Q U+ with U+ R = W+, its eigenvectors' range coordinates.
-The scalar and tangential trace maps are the two square row blocks S and
-T of the isometry U+, so S^* S + T^* T = I and one SVD of S gives both
-(the CS decomposition).  D maps the positive basis of BD to Q U+ K, with
-K upper triangular and r/2 x r/2 from the two R factors and the
-eigenvalues, so the layer potentials fit Hardy coordinates through K.
+of D (calculus._RangeFactors) and one QR.  The positive basis of DB is
+Q U+ with U+ R = W+, its eigenvectors' range coordinates.  The scalar
+and tangential trace maps are the two square row blocks S and T of the
+isometry U+, so S^* S + T^* T = I and one SVD of S gives both (the CS
+decomposition).  The potential v with D v = -h in the positive subspace
+of BD = B (DB) B^-1 is -B (DB)^-1 h, so the layer potentials need no
+basis of BD: two triangular products with R give (DB)^-1 h in the basis
+Q U+, and B multiplies pointwise.
 
 Scalar boundary data are arrays of shape grid_shape + (m,); the scalar
 slot of every returned interior quantity is the mean-zero
@@ -51,6 +52,7 @@ from .coefficients import (
 from .grid import PHYSICAL, Field, GridSpec, TLadder, fft_values, ifft_values, l2_norm
 from .operators import (
     LinearOperatorHandle,
+    _pointwise_product,
     bd_operator,
     db_operator,
     inverse_d_operator,
@@ -256,8 +258,8 @@ class SpectralHardyBasis:
     factorization U R = W+, r x r/2, and plus = Q U: no transform of V and
     no QR with dof rows runs, and _range_coordinates holds U = Q^* plus.
     The range of BD is B times that of D, so BD takes the QR of V+ in the
-    physical layout, and D maps its basis into the span of Q U
-    (FirstOrderSystem.trace_map).
+    physical layout.  No solve or layer potential reads it: they act on
+    the basis of DB (BVPSolution._potential_vector).
     """
 
     def __init__(self, T: LinearOperatorHandle):
@@ -283,16 +285,15 @@ class SpectralHardyBasis:
 
 @dataclasses.dataclass(frozen=True)
 class _FactoredMap:
-    """A dense map from coordinates in `basis` to boundary data, kept as its thin SVD."""
+    """A dense map from Hardy coordinates of DB to boundary data, kept as its thin SVD."""
 
-    basis: np.ndarray
     U: np.ndarray
     s: np.ndarray
     Vh: np.ndarray
 
     @classmethod
-    def of(cls, basis: np.ndarray, matrix: np.ndarray) -> "_FactoredMap":
-        return cls(basis, *np.linalg.svd(matrix, full_matrices=False))
+    def of(cls, matrix: np.ndarray) -> "_FactoredMap":
+        return cls(*np.linalg.svd(matrix, full_matrices=False))
 
     @property
     def condition(self) -> float:
@@ -354,34 +355,20 @@ class FirstOrderSystem:
         = I, and with S = U_s Sigma V^* the columns of T V are orthogonal
         with norms sqrt(1 - sigma^2) (the CS decomposition; Paige-Wei, Linear
         Algebra Appl. 1994): T V, normalized and sorted descending, is the
-        SVD of T with the same V, and only S takes an SVD.  "potential" is D
-        applied to the positive Hardy basis of BD, read in the Hardy
-        coordinates of DB: the BD eigenvectors are B Q X / s_BD and those of
-        DB Q X / s_DB, with DB Q X = Q X diag(lam) (calculus._RangeFactors),
-        so D V_BD+ = Q U R_DB diag(lam+ s_DB / s_BD) and D plus_BD = Q U K,
-        K = R_DB diag(lam+ s_DB / s_BD) R_BD^-1, upper triangular and r/2 x
-        r/2.  Its SVD is that of the map, with left vectors U U_K.
+        SVD of T with the same V, and only S takes an SVD.  The layer
+        potentials need no map of their own (BVPSolution._potential_vector).
         """
-        if slot not in self._trace_maps:
-            hardy = self.hardy("DB")
-            if slot == "potential":
-                hardy_bd = self.hardy("BD")
-                ed_db, ed_bd = eigen_data(self.db), eigen_data(self.bd)
-                scale = (ed_db.lam * ed_db.factors.s / ed_bd.factors.s)[hardy._positive]
-                K = scipy.linalg.solve_triangular(hardy_bd._R, (hardy._R * scale).T,
-                                                  trans="T").T
-                self._trace_maps[slot] = _FactoredMap.of(hardy_bd.plus, K)
-            else:
-                U = hardy._range_coordinates
-                rows = U.reshape(-1, 2, self.grid.system_size, U.shape[1])
-                scalar = _FactoredMap.of(hardy.plus, rows[:, 0].reshape(-1, U.shape[1]))
-                TV = rows[:, 1].reshape(-1, U.shape[1]) @ scalar.Vh.conj().T
-                norms = np.linalg.norm(TV, axis=0)
-                order = np.argsort(-norms, kind="stable")
-                s = norms[order]
-                left = TV[:, order] / np.maximum(s, np.finfo(float).tiny)
-                tangential = _FactoredMap(hardy.plus, left, s, scalar.Vh[order])
-                self._trace_maps.update(scalar=scalar, tangential=tangential)
+        if not self._trace_maps:
+            U = self.hardy("DB")._range_coordinates
+            rows = U.reshape(-1, 2, self.grid.system_size, U.shape[1])
+            scalar = _FactoredMap.of(rows[:, 0].reshape(-1, U.shape[1]))
+            TV = rows[:, 1].reshape(-1, U.shape[1]) @ scalar.Vh.conj().T
+            norms = np.linalg.norm(TV, axis=0)
+            order = np.argsort(-norms, kind="stable")
+            s = norms[order]
+            left = TV[:, order] / np.maximum(s, np.finfo(float).tiny)
+            tangential = _FactoredMap(left, s, scalar.Vh[order])
+            self._trace_maps.update(scalar=scalar, tangential=tangential)
         return self._trace_maps[slot]
 
     def adjoint(self) -> "FirstOrderSystem":
@@ -438,8 +425,8 @@ class BVPSolution:
     datum: np.ndarray | None = None
     _coordinates: tuple | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
-    _potential: tuple | None = dataclasses.field(default=None, init=False, repr=False,
-                                                 compare=False)
+    _potential: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False,
+                                                      compare=False)
 
     def evaluate(self, t: float) -> Field:
         return fc.semigroup(self.system.db, t, self.h)
@@ -460,24 +447,32 @@ class BVPSolution:
             self._coordinates = c, np.linalg.norm(y - U @ c) ** 2 + outside
         return self._coordinates
 
-    def _potential_coordinates(self) -> tuple:
-        """(a, K a): the coordinates in the positive Hardy basis of BD of the v
-        with D v = -h, and those of D v in the Hardy basis of DB.
+    def _potential_coordinates(self) -> np.ndarray:
+        """z = (R^-1 c) / lam+: (DB)^-1 h on the positive eigenvectors of DB.
 
-        a = -K^+ c by the potential map K, from the Hardy coordinates c of
-        h; the rest of h adds to potential_residual.
+        With U R = W+ the Hardy QR of DB, its positive eigenvectors are
+        V+ = plus R, with DB V+ = V+ diag(lam+), and h = V+ R^-1 c from the
+        Hardy coordinates c of h.  The potential v = -B V+ z has D v = -h
+        and lies in the positive subspace of BD = B (DB) B^-1.  The Hardy
+        coordinates -R (lam+ z) of D v are formed explicitly for
+        potential_residual, to which the rest of h adds.
         """
         if self._potential is None:
             c, rest = self._hardy_coordinates()
-            self._potential = self.system.trace_map("potential").solve(-c)
+            hardy = self.system.hardy("DB")
+            lam = eigen_data(self.system.db).lam[hardy._positive]
+            self._potential = scipy.linalg.solve_triangular(hardy._R, c) / lam
             self.diagnostics["potential_residual"] = _relative_residual(
-                self._potential[1] + c, rest, np.linalg.norm(c) ** 2 + rest)
+                c - hardy._R @ (lam * self._potential), rest, np.linalg.norm(c) ** 2 + rest)
         return self._potential
 
     def _potential_vector(self) -> Field:
-        """v with D v = -h in the positive subspace of the reversed composition."""
-        basis = self.system.trace_map("potential").basis
-        return Field.from_flat(self.system.grid, basis @ self._potential_coordinates()[0])
+        """v = -B (DB)^-1 h, with D v = -h in the positive subspace of the
+        reversed composition: B times plus R z, pointwise."""
+        grid, hardy = self.system.grid, self.system.hardy("DB")
+        w = (hardy.plus @ (hardy._R @ self._potential_coordinates())).reshape(
+            grid.shape + (grid.channels,))
+        return Field.physical(grid, -_pointwise_product(self.system.B.values, w))
 
     def scalar_value(self, t: float) -> np.ndarray:
         """Interior scalar potential: mean-zero scalar slot of the reversed flow."""
@@ -526,7 +521,7 @@ def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
 
     The solution keeps the coordinates of h in the positive Hardy basis.
     """
-    grid = system.grid
+    grid, plus = system.grid, system.hardy("DB").plus
     tm = system.trace_map(slot)
     condition = tm.condition
     if condition > TRACE_CONDITION_LIMIT:
@@ -536,14 +531,14 @@ def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
             f"trace-map condition number {condition:.3e}"
         )
     c, fitted = tm.solve(datum.rhs)
-    h = Field.from_flat(grid, tm.basis @ c)
+    h = Field.from_flat(grid, plus @ c)
     total = datum.energy.sum()
     nonzero, _ = _range_basis_coefficients(grid)
     kn = grid.frequency_norms().reshape(-1)[nonzero]
     diagnostics = {
         "trace_residual": _relative_residual(fitted - datum.rhs, datum.outside, total),
         "trace_condition": condition,
-        "hardy_dim": tm.basis.shape[1],
+        "hardy_dim": plus.shape[1],
         "datum_l2": float(np.sqrt(grid.cell_volume * total)),
         "trace_l2": l2_norm(h),
         "datum_sobolev_-1/2": float(np.sqrt(grid.cell_volume * (datum.energy[nonzero] / kn).sum())),
@@ -600,8 +595,9 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
 
     The interior scalar potential is recovered from the reversed-order
     flow, normalized mean-zero.  Its boundary value is the scalar slot of
-    P v, for the potential v with D v = Q U K a: Q^* P v = D_r^-1 U K a,
-    whose scalar rows are the tangential rows of U K a over i|k|.  It is
+    P v, for the potential v with D v = Q U d, d = -R (lam+ z) in the
+    notation of BVPSolution._potential_coordinates: Q^* P v = D_r^-1 U d,
+    whose scalar rows are the tangential rows of U d over i|k|.  It is
     compared with f by Parseval.  A square-function report of the scaled
     conormal gradient is attached when a ladder is supplied.
     """
@@ -610,8 +606,10 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
     _require_mean_zero(grid, f, "dirichlet datum")
     sol, rows = _gradient_solution(system, f, "dirichlet")
     hardy = system.hardy("DB")
+    lam = eigen_data(system.db).lam[hardy._positive]
+    image = -(hardy._R @ (lam * sol._potential_coordinates()))
     U, m = hardy._range_coordinates, grid.system_size
-    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ sol._potential_coordinates()[1]
+    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ image
     nonzero, _ = _range_basis_coefficients(grid)
     u0 = 1j * tangential / grid.frequency_norms().reshape(-1, 1)[nonzero]
     value = _scalar_datum(grid, rows)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import typing
 
 import numpy as np
 import scipy.linalg
@@ -96,12 +95,6 @@ class CoefficientMatrix(_PointwiseMatrix):
         return CoefficientMatrix(self.grid, self.adjoint_values())
 
 
-class _Compression(typing.NamedTuple):
-    """The r x r compression C = Q^* B Q of B to the range of D."""
-
-    C: np.ndarray
-
-
 @dataclasses.dataclass(frozen=True)
 class _RangeEigen:
     """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
@@ -132,11 +125,13 @@ class TransformedB(_PointwiseMatrix):
         return TransformedB(self.grid, self.adjoint_values())
 
     @functools.cached_property
-    def compression(self) -> _Compression:
-        """C = Q^* B Q by _range_compression; accretivity makes C invertible.
-        Refuses beyond the dense limit before allocating."""
+    def compression(self) -> np.ndarray:
+        """C = Q^* B Q by _range_compression, r x r and read-only; accretivity
+        makes C invertible.  Refuses beyond the dense limit before allocating."""
         check_dense_size(self.grid)
-        return _Compression(_range_compression(self))
+        C = _range_compression(self)
+        C.setflags(write=False)
+        return C
 
     @functools.cached_property
     def range_eigen(self) -> _RangeEigen:
@@ -149,7 +144,7 @@ class TransformedB(_PointwiseMatrix):
         one LU of the product.
         """
         report = accretivity_estimate(self)
-        C = self.compression.C
+        C = self.compression
         lam, W = np.linalg.eig(_range_symbol_product(self.grid, C))
         M = np.linalg.inv(C @ W)
         return _RangeEigen(lam=lam, W=W, M=M,
@@ -358,7 +353,7 @@ def accretivity_estimate(B: TransformedB) -> AccretivityReport:
     """
     if B._report is not None:
         return B._report
-    C = B.compression.C
+    C = B.compression
     herm = 0.5 * (C + C.conj().T)
     kappa = float(np.linalg.eigvalsh(herm)[0])
     if not kappa > 0:  # the pencil below needs H > 0

@@ -38,6 +38,7 @@ from halfspace.operators import (
     OperatorError,
     assemble_dense,
     bd_operator,
+    d_operator,
     db_operator,
     p_operator,
     range_splitter,
@@ -269,7 +270,7 @@ def test_factored_map_matches_lstsq():
     M = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
     M[:, -1] = M[:, 0]  # rank deficient: lstsq's cutoff drops one singular value
     rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    tm = bvp._FactoredMap.of(np.eye(12), M)
+    tm = bvp._FactoredMap.of(M)
     ref, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     c, fitted = tm.solve(rhs)
     assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -864,8 +865,8 @@ def test_every_solve_reports_its_datum_sobolev_norm(fresh_system):
 def test_coordinate_trace_maps_match_physical_maps(fresh_system):
     grid = fresh_system.grid
     maps = physical_trace_maps(fresh_system)
-    for slot, (_, matrix) in maps.items():
-        s = np.linalg.svd(matrix, compute_uv=False)
+    for slot in ("scalar", "tangential"):
+        s = np.linalg.svd(maps[slot][1], compute_uv=False)
         assert np.abs(fresh_system.trace_map(slot).s - s).max() <= 1e-12 * s.min(), slot
     f = band_limited_scalar(grid, np.random.default_rng(51))
     for sol, datum, slot in _three_solves(fresh_system, f):
@@ -943,7 +944,7 @@ def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch)
     import halfspace.operators as ops
 
     fc.eigen_data(fresh_system.db)
-    fresh_system.hardy("BD")  # the range of BD is not that of D: a physical QR
+    f = band_limited_scalar(fresh_system.grid, np.random.default_rng(55))
     shapes, applies = [], []
 
     def recording(inner):
@@ -958,13 +959,16 @@ def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch)
     monkeypatch.setattr(ops.LinearOperatorHandle, "apply_array",
                         lambda T, *a: applies.append(T.tag) or apply_array(T, *a))
     fresh_system.hardy("DB")
-    for slot in ("scalar", "tangential", "potential"):
+    for slot in ("scalar", "tangential"):
         fresh_system.trace_map(slot)
-    # one QR of W+, r x r/2; one SVD of the square scalar rows, which also
-    # gives the tangential map, and one of the triangular potential core K
+    solve_dirichlet(fresh_system, f)._potential_vector()
+    # one QR of W+, r x r/2, and one SVD of the square scalar rows, which
+    # also gives the tangential map; the potential -B (DB)^-1 h takes two
+    # triangular products with R and B pointwise, and nothing of BD
     half = _range_dim(fresh_system.grid) // 2
-    assert shapes == [(2 * half, half), (half, half), (half, half)], shapes
+    assert shapes == [(2 * half, half), (half, half)], shapes
     assert not applies
+    assert fresh_system.bd._eigen is None and "BD" not in fresh_system._hardy
 
 
 @pytest.mark.parametrize("grid, size", [(GridSpec(2, 8), 0.6), (GridSpec(1, 32), 0.6),
@@ -972,15 +976,15 @@ def test_trace_maps_build_without_dof_rows_or_applies(fresh_system, monkeypatch)
                          ids=["2d-g8-size0.6", "1d-g32-size0.6", "1d-g16-m2", "2d-g8-m2"])
 def test_cs_and_core_trace_maps_match_physical_maps(grid, size):
     # the tangential map from the SVD of the scalar rows (S^* S + T^* T = I)
-    # and the potential map from the triangular core K, for a system and
-    # for its adjoint, whose factors come from the primal's
+    # and the potential -B (DB)^-1 h from the Hardy QR of DB, for a system
+    # and for its adjoint, whose factors come from the primal's
     system = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(61), size))
     f = band_limited_scalar(grid, np.random.default_rng(62))
     grad = tangential_gradient(grid, f)
     for sys_ in (system, system.adjoint()):
         maps = physical_trace_maps(sys_)
-        for slot, (_, matrix) in maps.items():
-            s = np.linalg.svd(matrix, compute_uv=False)
+        for slot in ("scalar", "tangential"):
+            s = np.linalg.svd(maps[slot][1], compute_uv=False)
             tm = sys_.trace_map(slot)
             assert np.abs(tm.s - s).max() <= 1e-12 * s.min(), slot
             assert np.abs(tm.U.conj().T @ tm.U - np.eye(len(s))).max() <= 1e-12, slot
@@ -988,11 +992,6 @@ def test_cs_and_core_trace_maps_match_physical_maps(grid, size):
         rows = U.reshape(-1, 2, grid.system_size, U.shape[1])[:, 1].reshape(U.shape[0] // 2, -1)
         tm = sys_.trace_map("tangential")
         assert np.abs((tm.U * tm.s) @ tm.Vh - rows).max() <= 1e-13
-        # Q U K is D applied to the positive basis of BD, the physical map
-        tm = sys_.trace_map("potential")
-        applied = sys_.hardy("DB").plus @ ((tm.U * tm.s) @ tm.Vh)
-        matrix = maps["potential"][1]
-        assert np.linalg.norm(applied - matrix) <= 1e-12 * np.linalg.norm(matrix)
         sol = solve_regularity(sys_, grad)
         basis, matrix = maps["tangential"]
         coords, *_ = np.linalg.lstsq(matrix, np.reshape(grad, -1), rcond=None)
@@ -1002,12 +1001,15 @@ def test_cs_and_core_trace_maps_match_physical_maps(grid, size):
         coords, *_ = np.linalg.lstsq(matrix, -expected, rcond=None)
         potential = sol._potential_vector().flat()
         assert np.linalg.norm(potential - basis @ coords) <= 1e-12 * np.linalg.norm(potential)
+        h = sol.h.flat()
+        Dv = d_operator(grid).apply(Field.from_flat(grid, potential)).flat()
+        assert np.linalg.norm(Dv + h) <= 1e-12 * np.linalg.norm(h)
 
 
 def test_off_hardy_potential_fit_matches_lstsq(perturbed_system_2d):
     # a trace off the positive subspace, with a mean: its Hardy coordinates
-    # and their rest come from one analysis, and the fit through K gives the
-    # least-squares potential of the physical map and its residual
+    # and their rest come from one analysis, and -B (DB)^-1 of their fit
+    # gives the least-squares potential of the physical map and its residual
     system = perturbed_system_2d
     grid = system.grid
     rng = np.random.default_rng(63)

@@ -99,7 +99,7 @@ def bisection_certificate(B):
     comparison is exact; test_range_maps_and_compression_match_dense_basis
     checks that compression against Q^* B Q.
     """
-    C = B.compression.C
+    C = B.compression
     kappa = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
     tol = 1e-12 * max(np.linalg.norm(C, 2), 1.0)
     lo, hi = 0.0, np.pi / 2 - 1e-9
@@ -222,7 +222,7 @@ def test_compression_is_range_basis_pairing(g8x2, rng):
     assert Q.shape == (g8x2.dof, 2 * (g8x2.points**2 - 1))
     assert np.abs(Q.conj().T @ Q - np.eye(Q.shape[1])).max() < 1e-13
     assert np.abs(assemble_dense(p_operator(g8x2)) @ Q - Q).max() < 1e-13
-    C = B.compression.C
+    C = B.compression
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() < 1e-13
 
@@ -239,7 +239,7 @@ def test_range_maps_and_compression_match_dense_basis(grid):
     assert np.abs(QX - Q @ X).max() <= 1e-13
     assert np.abs(_range_synthesis(grid, X[:, 0]) - Q @ X[:, 0]).max() <= 1e-13
     B = hat_transform(perturbation_of_identity(grid, rng, 0.3))
-    C = B.compression.C
+    C = B.compression
     dense = Q.conj().T @ assemble_dense(b_operator(B)) @ Q
     assert np.abs(C - dense).max() <= 1e-14 * np.abs(dense).max()
 
@@ -309,7 +309,7 @@ def test_pencil_angle_is_attained_and_bounds_the_range():
     B = _benchmark_input(1, 32, 0.4, 1)
     grid = B.grid
     exact = accretivity_estimate(B).method["omega_exact"]
-    C = B.compression.C
+    C = B.compression
     herm, skew = 0.5 * (C + C.conj().T), -0.5j * (C - C.conj().T)
     mu, X = scipy.linalg.eigh(skew, herm)
     x = X[:, np.argmax(np.abs(mu))]
