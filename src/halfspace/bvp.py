@@ -15,8 +15,8 @@ transform; its mean and its part transverse to k/|k|, which no trace
 reaches, are added to the residual exactly, by Parseval.
 
 The boundary layer comes from the one factorization of DB on the range
-of D (calculus._RangeFactors) and one QR.  The positive basis of DB is
-Q U+ with U+ R = W+, its eigenvectors' range coordinates.  The scalar
+of D and one QR.  The positive basis of DB is Q U+ with U+ R = W+, the
+range coordinates of its positive eigenvectors (calculus.EigenData).  The scalar
 and tangential trace maps are the two square row blocks S and T of the
 isometry U+, so S^* S + T^* T = I and one SVD of S gives both (the CS
 decomposition).  The potential v with D v = -h in the positive subspace
@@ -44,6 +44,7 @@ from .calculus import eigen_data
 from .coefficients import (
     AccretivityReport,
     CoefficientMatrix,
+    TransformedB,
     _range_basis_coefficients,
     _range_synthesis,
     accretivity_estimate,
@@ -253,8 +254,8 @@ class SpectralHardyBasis:
 
     With V+ the positive eigenvectors, plus R = V+ with R upper triangular.
     DB maps into the range of D, where its eigenvectors are V = Q W (Q the
-    orthonormal range basis of coefficients._range_synthesis, W from the
-    eigendecomposition's range factors), so for DB this is the QR
+    orthonormal range basis of coefficients._range_synthesis, W the
+    eigendecomposition's coordinates), so for DB this is the QR
     factorization U R = W+, r x r/2, and plus = Q U: no transform of V and
     no QR with dof rows runs, and _range_coordinates holds U = Q^* plus.
     The range of BD is B times that of D, so BD takes the QR of V+ in the
@@ -266,8 +267,8 @@ class SpectralHardyBasis:
         ed = eigen_data(T)
         grid = T.grid
         self._positive = plus = ed.lam.real > 0
-        if T.tag == "DB":
-            self._range_coordinates, self._R = np.linalg.qr(ed.factors.coordinates[:, plus])
+        if ed.coordinates is not None:
+            self._range_coordinates, self._R = np.linalg.qr(ed.coordinates[:, plus])
             self.plus = _range_synthesis(grid, self._range_coordinates)
         else:
             self.plus, self._R = np.linalg.qr(ed.V[:, plus])
@@ -319,20 +320,24 @@ class FirstOrderSystem:
     downstream), or stores a given report of the same coefficients on B.
     DB and BD = B (DB) B^-1 share one r x r eigendecomposition, that of D_r
     C, DB restricted to the range of D, cached on B; their null parts are
-    exact.  The adjoint system shares the certificate and derives its DB
-    from this BD and its BD from this DB, so neither runs another eig or
+    exact.  The adjoint system runs on N B^* N, which takes the
+    certificate and the factorization from B, so it runs no other eig or
     certificate.  Hardy bases and the factorized trace maps are cached per
     system.
     """
 
     def __init__(self, A: CoefficientMatrix, report: AccretivityReport | None = None):
+        B = hat_transform(A)
+        B._report = report
+        self._build(A, B)
+
+    def _build(self, A: CoefficientMatrix, B: TransformedB):
         self.A = A
         self.grid = A.grid
-        self.B = hat_transform(A)
-        self.B._report = report
-        self.report = accretivity_estimate(self.B)
-        self.db = db_operator(self.B)
-        self.bd = bd_operator(self.B)
+        self.B = B
+        self.report = accretivity_estimate(B)
+        self.db = db_operator(B)
+        self.bd = bd_operator(B)
         self._hardy = {}
         self._trace_maps = {}
         self._adjoint = None
@@ -372,19 +377,15 @@ class FirstOrderSystem:
         return self._trace_maps[slot]
 
     def adjoint(self) -> "FirstOrderSystem":
-        """The system of the adjoint coefficients A^*.
+        """The system of the adjoint coefficients A^*, on the transform N B^* N.
 
-        Its transform N B^* N has the same kappa and omega on the range of D
-        as B, so this certificate is stored on the adjoint's B and none is
-        computed there.  Its DB is -N (BD)^* N and its BD is -N (DB)^* N, so
-        both eigendecompositions come from this system's.
+        That multiplier (TransformedB.adjoint) takes its certificate,
+        factorization and syntheses from B, never from a system, so a system
+        is freed without the cyclic garbage collector.
         """
         if self._adjoint is None:
-            adj = FirstOrderSystem(self.A.adjoint(), self.report)
-            # the derivations refer to handles, never to a system, so a
-            # system is freed without the cyclic garbage collector
-            adj.db._eigen_source = functools.partial(fc.adjoint_eigen_data, self.bd)
-            adj.bd._eigen_source = functools.partial(fc.adjoint_eigen_data, self.db)
+            adj = FirstOrderSystem.__new__(FirstOrderSystem)
+            adj._build(self.A.adjoint(), self.B.adjoint())
             self._adjoint = adj
         return self._adjoint
 

@@ -28,9 +28,11 @@ at each nonzero k, and never as a dof x r matrix: C is gathered from the
 FFT of B, and Q W and Q M^*, with M = W^-1 C^-1, are each one synthesis
 of r columns, one inverse FFT, made once per B and shared by DB and BD.
 One eig of D_r C (TransformedB.range_eigen), of size r = 2m(G^n - 1),
-therefore serves DB, BD = B (DB) B^-1 and, by duality, the adjoint
-system, with an exact null part; each keeps its eigenvectors also in the
-range coordinates of D (_RangeFactors), which the boundary layer reads.
+therefore serves DB, BD = B (DB) B^-1 and the adjoint system, whose
+multiplier N B^* N takes its factorization from B, with an exact null
+part: every handle L D R has V = L Q W and Vinv = M Q^* R, and DB keeps
+the range coordinates W of its eigenvectors, which the boundary layer
+reads.
 The multipliers D, P and D^+ take b in closed form per frequency, since
 S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
 h for every scale s comes from one evaluation of b and one eigenvector
@@ -326,34 +328,6 @@ class LadderForm(typing.NamedTuple):
     weight_sum: np.ndarray
 
 
-class _RangeFactors(typing.NamedTuple):
-    """The eigenvectors of DB or BD through the orthonormal range basis Q of D.
-
-    V = L Q X diag(1/s) and Vinv = diag(s) Y Q^* R, where L and R are the
-    handle's left and right multipliers (R = B for DB, L = B for BD, the
-    identity otherwise) and tag names the composition.  Q X are the range
-    eigenvectors of DB, DB Q X = Q X diag(lam), so a BD handle has D V = Q
-    X diag(lam / s).  DB and BD on one B share X = W and Y = M of
-    B.range_eigen, with s = 1 for DB and the column norms of B Q W for BD.
-    """
-
-    tag: str
-    X: np.ndarray
-    Y: np.ndarray
-    s: np.ndarray
-
-    @property
-    def coordinates(self) -> np.ndarray:
-        """Q^* V = X diag(1/s) of a DB handle, whose eigenvectors lie in the range of D."""
-        return self.X / self.s
-
-    def adjoint(self, n: np.ndarray) -> "_RangeFactors":
-        """The factors of -N T^* N, which swaps DB and BD: N Q = Q diag(n),
-        with n = +1 on the scalar-slot and -1 on the tangential range vectors."""
-        return _RangeFactors("BD" if self.tag == "DB" else "DB", n[:, None] * self.Y.conj().T,
-                             self.X.conj().T * n, 1.0 / self.s)
-
-
 @dataclasses.dataclass
 class EigenData:
     """The operator on its range: T = V diag(lam) Vinv there, zero on the null space.
@@ -361,23 +335,18 @@ class EigenData:
     V is dof x r with the range eigenvectors as columns and Vinv is r x
     dof with Vinv V = I, so I - V Vinv projects onto the null space along
     the range and b(T) h = b(0) h + V (b(lam) - b(0)) Vinv h.  condition
-    bounds ||V||_2 ||Vinv||_2 from above.  factors holds the same
-    eigenvectors through the range basis of D, r x r (_RangeFactors),
-    built on first use by the zero-argument factor_source.
+    bounds ||V||_2 ||Vinv||_2 from above.  coordinates is Q^* V, r x r,
+    when V lies in the range of D with its orthonormal basis Q (DB: V = Q
+    W), and None otherwise.
     """
 
     lam: np.ndarray
     V: np.ndarray
     Vinv: np.ndarray
     condition: float
-    factor_source: typing.Callable[[], _RangeFactors] = dataclasses.field(repr=False,
-                                                                          compare=False)
+    coordinates: np.ndarray | None = None
     _tables: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
-
-    @functools.cached_property
-    def factors(self) -> _RangeFactors:
-        return self.factor_source()
 
     @property
     def radius(self) -> float:
@@ -418,7 +387,7 @@ class EigenData:
         A DB handle has V = Q W with Q^* Q = I, so V^* V = W^* W, at r^3
         complex operations; BD forms V^* V, at r^2 dof.
         """
-        W = self.factors.coordinates if self.factors.tag == "DB" else self.V
+        W = self.V if self.coordinates is None else self.coordinates
         G = W.conj().T @ W
         G.setflags(write=False)
         return G
@@ -464,74 +433,41 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     """DB or BD from the factorization B.range_eigen, shared by every handle on B.
 
     With Q the orthonormal range basis, which is never formed, and M =
-    W^-1 C^-1 from that factorization: DB has V = Q W and Vinv = M Q^* B
-    = (B^* (Q M^*))^*; BD = B (DB) B^-1 has V = B Q W S^-1 and Vinv =
-    S M Q^* = S (Q M^*)^*, with S the column norms of B Q W.  Q W and
-    Q M^* are B.range_syntheses, made once per B, so the second of DB and
-    BD runs no synthesis; DB keeps Q W itself as V.  The condition bounds
-    use ||C^-1|| <= 1/kappa, kappa = lambda_min(Re C), and ||B|| = sup|B|,
-    the largest pointwise norm, so for DB ||V|| ||Vinv|| <= cond(W) sup|B|
-    / kappa; BD gains the factor max S / min S, and each column of B Q W
-    is nonzero, as D maps it to a nonzero multiple of Q w.  Any other tag
-    is refused before anything is built.
+    W^-1 C^-1, a handle L D R has V = L Q W and Vinv = M Q^* R: DB has V =
+    Q W and Vinv = (B^* (Q M^*))^*, BD = B (DB) B^-1 has V = B Q W and Vinv
+    = (Q M^*)^*.  Q W and Q M^* are B.range_syntheses, made once per B and
+    taken by an adjoint B from its primal, as is the factorization.  Every
+    handle has ||V|| ||Vinv|| <= ||W|| ||M|| sup|B|, the adjoint's W' = n M^*
+    and M' = W^* n swapping the two, and ||M|| <= ||W^-1|| / kappa as
+    ||C^-1|| <= 1/kappa, kappa = lambda_min(Re C): one bound cond(W) sup|B|
+    / kappa, B.range_eigen.condition.  Any other tag is refused first.
     """
     if T.tag not in ("DB", "BD"):
         raise OperatorError(f"no range eigendecomposition for tag {T.tag}")
     B = T.multiplier_matrix
     core = B.range_eigen
+    cond = _checked_condition(core.condition)
     QW, QM = B.range_syntheses
     if T.tag == "DB":
-        norms = np.ones(len(core.lam))
-        cond = _checked_condition(core.condition)
-        V = QW
-        Vinv = _pointwise_rows(B.adjoint_values(), QM).conj().T
-    else:
-        V = _pointwise_rows(B.values, QW)
-        norms = np.linalg.norm(V, axis=0)
-        cond = _checked_condition(core.condition * norms.max() / norms.min())
-        V /= norms
-        Vinv = QM.conj().T * norms[:, None]
-    return EigenData(lam=core.lam, V=V, Vinv=Vinv, condition=cond,
-                     factor_source=functools.partial(_RangeFactors, T.tag, core.W, core.M, norms))
+        BQM = _pointwise_rows(B.adjoint_values(), QM)
+        return EigenData(lam=core.lam, V=QW, Vinv=np.conj(BQM, out=BQM).T, condition=cond,
+                         coordinates=core.W)
+    return EigenData(lam=core.lam, V=_pointwise_rows(B.values, QW), Vinv=QM.conj().T,
+                     condition=cond)
 
 
 def eigen_data(T: LinearOperatorHandle) -> EigenData:
     """Eigendecomposition of DB or BD on its range, cached on the handle.
 
-    A handle whose operator is similar to one already diagonalized carries
-    the derivation in `_eigen_source`; DB and BD take theirs from the r x r
-    factorization shared by every handle on their multiplier, with an exact
-    null part and no dof-sized SVD.  Raises OperatorError on any other
-    handle, beyond the dense limit before allocating, and when the
-    eigenvector condition bound exceeds EIG_CONDITION_LIMIT;
-    NotAccretiveError, before any eig, when B fails the certificate.
+    Built by _range_eigen_data, with an exact null part and no dof-sized
+    SVD.  Raises OperatorError on any other handle, beyond the dense limit
+    before allocating, and when the eigenvector condition bound exceeds
+    EIG_CONDITION_LIMIT; NotAccretiveError, before any eig, when B fails
+    the certificate.
     """
     if T._eigen is None:
-        T._eigen = T._eigen_source() if T._eigen_source is not None else _range_eigen_data(T)
+        T._eigen = _range_eigen_data(T)
     return T._eigen
-
-
-def adjoint_eigen_data(T: LinearOperatorHandle) -> EigenData:
-    """Eigendecomposition of an adjoint-system handle from a primal one.
-
-    The adjoint coefficients transform to N B^* N with N = diag(I_m, -I_mn)
-    per grid point, and D N = -N D, so the adjoint DB is -N (BD)^* N and
-    the adjoint BD is -N (DB)^* N: eigenvalues -conj(lam), eigenvectors
-    N Vinv^*, inverse V^* N, and the same condition bound.  The range
-    factors follow on first use (_RangeFactors.adjoint).
-    """
-    ed = eigen_data(T)
-    grid = T.grid
-    m = grid.system_size
-    n = np.tile(np.where(np.arange(grid.channels) < m, 1.0, -1.0), grid.points**grid.dim)
-    n_range = np.tile(np.repeat([1.0, -1.0], m), len(ed.lam) // (2 * m))
-    return EigenData(
-        lam=-ed.lam.conj(),
-        V=n[:, None] * ed.Vinv.conj().T,
-        Vinv=ed.V.conj().T * n,
-        condition=ed.condition,
-        factor_source=lambda: ed.factors.adjoint(n_range),
-    )
 
 
 def _range_modulus(T: LinearOperatorHandle) -> np.ndarray:

@@ -98,7 +98,7 @@ class CoefficientMatrix(_PointwiseMatrix):
 @dataclasses.dataclass(frozen=True)
 class _RangeEigen:
     """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
-    condition is cond(W) sup|B| / lambda_min(Re C)."""
+    condition is cond(W) sup|B| / lambda_min(Re C), with the primal's W on an adjoint."""
 
     lam: np.ndarray
     W: np.ndarray
@@ -114,15 +114,21 @@ class TransformedB(_PointwiseMatrix):
     accretivity certificate with kappa, omega and sup|B| that
     accretivity_estimate reads from C and keeps in _report, the r x r
     eigendecomposition of DB on the range of D (range_eigen) and its two
-    syntheses Q W and Q M^* (range_syntheses).
+    syntheses Q W and Q M^* (range_syntheses).  An adjoint N B^* N takes
+    the last three from its primal, kept in _primal.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
         super().__init__(grid, values)
         self._report = None
+        self._primal = None
 
     def adjoint(self) -> "TransformedB":
-        return TransformedB(self.grid, self.adjoint_values())
+        """N B^* N, N = diag(I_m, -I_mn): the transform hat(A^*) of the adjoint coefficients."""
+        n = np.where(np.arange(self.grid.channels) < self.grid.system_size, 1.0, -1.0)
+        adj = TransformedB(self.grid, n[:, None] * self.adjoint_values() * n)
+        adj._primal = self
+        return adj
 
     @functools.cached_property
     def compression(self) -> np.ndarray:
@@ -142,7 +148,19 @@ class TransformedB(_PointwiseMatrix):
         one of its r eigenvalues is nonzero; the certificate runs first and
         raises NotAccretiveError before any eig.  M = (C W)^-1 comes from
         one LU of the product.
+
+        An adjoint runs no eig: N Q = Q n, n = +1 on the scalar-slot and -1
+        on the tangential range vectors, and D N = -N D give it C' = n C^* n
+        and D_r C' (n M^*) = -n M^* diag(conj lam), so lam' = -conj(lam), W' =
+        n M^* and M' = (C' W')^-1 = W^* n.
         """
+        if self._primal is not None:
+            core, m = self._primal.range_eigen, self.grid.system_size
+            n = np.tile(np.repeat([1.0, -1.0], m), len(core.lam) // (2 * m))
+            W, M = core.M.conj().T, core.W.conj().T
+            W *= n[:, None]
+            M *= n
+            return _RangeEigen(lam=-core.lam.conj(), W=W, M=M, condition=core.condition)
         report = accretivity_estimate(self)
         C = self.compression
         lam, W = np.linalg.eig(_range_symbol_product(self.grid, C))
@@ -155,8 +173,15 @@ class TransformedB(_PointwiseMatrix):
         """(Q W, Q M^*) of range_eigen, dof x r each and read-only: one
         synthesis of r columns each, which the eigendecompositions of DB
         and BD on this B share (calculus._range_eigen_data)."""
-        core = self.range_eigen
-        out = (_range_synthesis(self.grid, core.W), _range_synthesis(self.grid, core.M.conj().T))
+        if self._primal is not None:
+            # Q W' = Q n M^* = N Q M^* and Q M'^* = Q n W = N Q W
+            QW, QM = self._primal.range_syntheses
+            channel = np.arange(self.grid.dof) % self.grid.channels
+            n = np.where(channel < self.grid.system_size, 1.0, -1.0)[:, None]
+            out = (n * QM, n * QW)
+        else:
+            core = self.range_eigen
+            out = tuple(_range_synthesis(self.grid, X) for X in (core.W, core.M.conj().T))
         for array in out:
             array.setflags(write=False)
         return out
@@ -352,6 +377,11 @@ def accretivity_estimate(B: TransformedB) -> AccretivityReport:
     which bounds ||C||_2 from above.
     """
     if B._report is not None:
+        return B._report
+    if B._primal is not None:
+        # an adjoint N B^* N has the compression n C^* n, a unitary
+        # similarity of C^*: the same kappa, omega and sup|B|
+        B._report = accretivity_estimate(B._primal)
         return B._report
     C = B.compression
     herm = 0.5 * (C + C.conj().T)

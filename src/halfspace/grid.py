@@ -211,10 +211,6 @@ class Field:
     def spectral(cls, grid: GridSpec, values: np.ndarray) -> "Field":
         return cls(grid, values, SPECTRAL)
 
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "Field":
-        return cls(grid, np.zeros(grid.shape + (grid.channels,), dtype=complex), PHYSICAL)
-
     def to_spectral(self) -> "Field":
         if self.rep == SPECTRAL:
             return self
@@ -336,22 +332,27 @@ class TLadder:
     """Logarithmic transversal scales t_1 < ... < t_K with dt/t weights.
 
     Trapezoid weights in log t, so the weights sum exactly to
-    log(t_K / t_1).
+    log(t_K / t_1).  t and weights are kept as the ladder's own read-only
+    float arrays, whatever sequences were passed in.
     """
 
     t: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if t.ndim != 1 or len(t) < 2 or np.any(np.diff(t) <= 0) or np.any(t <= 0):
-            raise GridError("ladder must be strictly increasing and positive")
-        if np.any(w <= 0):
-            raise GridError("ladder weights must be positive")
+        t = np.array(self.t, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        if t.ndim != 1 or len(t) < 2 or not (np.all(np.diff(t) > 0) and 0 < t[0]
+                                             and t[-1] < np.inf):
+            raise GridError("ladder must be strictly increasing, positive and finite")
+        if w.shape != t.shape or not np.all(w > 0):
+            raise GridError("ladder weights must be positive, one per scale")
         total = np.log(t[-1] / t[0])
-        if abs(w.sum() - total) > 1e-12 * max(total, 1.0):
+        if not abs(w.sum() - total) <= 1e-12 * max(total, 1.0):
             raise GridError("ladder weights must sum to log(t_max/t_min)")
+        for name, array in (("t", t), ("weights", w)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -179,8 +179,6 @@ class LinearOperatorHandle:
                              1 / (lambda_k - R_ii) from _schur and _contour
       _lu  - (t, LU of I + i t T) of the last dense resolvent_solve,
              replaced when t changes
-      _eigen_source  - callable deriving _eigen from a similar operator's
-                       eigendecomposition, or None to compute it here
     """
 
     def __init__(self, tag: str, grid: GridSpec, symbol: MultiplierSymbol | None = None,
@@ -192,7 +190,6 @@ class LinearOperatorHandle:
         self.right = right
         self._dense = None
         self._eigen = None
-        self._eigen_source = None
         self._schur = None
         self._contour = None
         self._resolvent_diagonal = None

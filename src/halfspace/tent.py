@@ -71,15 +71,16 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class WhitneyParams:
-    """Box constants: t-window ratio c0 > 1, ball factor c1 > 0, cone aperture a > 0."""
+    """Finite box constants: t-window ratio c0 > 1, ball factor c1 > 0, cone aperture a > 0."""
 
     c0: float = 2.0
     c1: float = 1.0
     aperture: float = 1.0
 
     def __post_init__(self):
-        if self.c0 <= 1 or self.c1 <= 0 or self.aperture <= 0:
-            raise ValueError("need c0 > 1, c1 > 0, aperture > 0")
+        # NaN fails every comparison, so each bound is stated as a condition to meet
+        if not (1 < self.c0 < np.inf and 0 < self.c1 < np.inf and 0 < self.aperture < np.inf):
+            raise ValueError("need finite c0 > 1, c1 > 0, aperture > 0")
 
 
 class TentField:

@@ -29,6 +29,7 @@ from halfspace.bvp import (
     tangential_gradient,
 )
 from halfspace.coefficients import (
+    _range_symbol_product,
     block_diagonal_coefficients,
     hat_transform,
     perturbation_of_identity,
@@ -447,7 +448,9 @@ def test_range_eigen_data_null_part_is_exact(fresh_system):
 
 
 def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
-    shapes = {"eig": [], "eigvalsh": [], "eigh": []}
+    import halfspace.coefficients as coefficients
+
+    shapes = {"eig": [], "eigvalsh": [], "eigh": [], "synthesis": []}
 
     def recording(name, inner):
         def call(M, *args, **kwargs):
@@ -458,6 +461,9 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", recording("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(scipy.linalg, "eigh", recording("eigh", scipy.linalg.eigh))
+    synthesis = coefficients._range_synthesis
+    monkeypatch.setattr(coefficients, "_range_synthesis", lambda grid, X: (
+        shapes["synthesis"].append(X.shape) or synthesis(grid, X)))
     sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, np.random.default_rng(23), 0.1))
     for T in _four_handles(sys_).values():
         fc.eigen_data(T)
@@ -469,6 +475,8 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
     assert shapes["eigvalsh"].count((r, r)) == 1 and shapes["eigh"] == [(r, r)]
     assert sys_.adjoint().report is sys_.report
     assert shapes["eig"] == [(r, r)]
+    # two syntheses of r columns, Q W and Q M^*, serve all four handles
+    assert shapes["synthesis"] == [(r, r), (r, r)]
     # a bare DB/BD pair on one multiplier shares its compression, certificate and eig too
     db, bd = _bare_pair(sys_).values()
     fc.eigen_data(db)
@@ -480,7 +488,8 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
 
 
 def test_bd_eigen_data_after_db_runs_no_synthesis(fresh_system, monkeypatch):
-    # DB and BD share the syntheses Q W and Q M^* of their multiplier
+    # DB and BD share the syntheses Q W and Q M^* of their multiplier:
+    # V = B Q W and Vinv = (Q M^*)^*, with no rescaling of the columns
     import halfspace.coefficients as coefficients
 
     db = fc.eigen_data(fresh_system.db)
@@ -492,7 +501,47 @@ def test_bd_eigen_data_after_db_runs_no_synthesis(fresh_system, monkeypatch):
     assert calls == []
     BV = (fresh_system.B.values @ db.V.reshape(fresh_system.grid.shape + (-1, db.V.shape[1])))
     BV = BV.reshape(db.V.shape)
-    assert np.abs(bd.V * np.linalg.norm(BV, axis=0) - BV).max() <= 1e-13 * np.abs(BV).max()
+    assert np.abs(bd.V - BV).max() <= 1e-13 * np.abs(BV).max()
+    QM = fresh_system.B.range_syntheses[1]
+    assert np.array_equal(bd.Vinv, QM.conj().T)
+    assert bd.coordinates is None and db.coordinates is fresh_system.B.range_eigen.W
+
+
+def test_adjoint_eigen_data_runs_no_factorization(fresh_system, monkeypatch):
+    # the adjoint multiplier N B^* N takes the primal's certificate, its eig
+    # as lam' = -conj(lam), W' = n M^*, M' = W^* n, and its syntheses
+    import halfspace.coefficients as coefficients
+
+    for T in (fresh_system.db, fresh_system.bd):
+        fc.eigen_data(T)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the adjoint factorized")
+
+    for owner, name in ((np.linalg, "eig"), (np.linalg, "eigvalsh"), (np.linalg, "svd"),
+                        (np.linalg, "cond"), (scipy.linalg, "eigh"), (scipy.linalg, "svd"),
+                        (coefficients, "_range_synthesis")):
+        monkeypatch.setattr(owner, name, forbidden)
+    adj = fresh_system.adjoint()
+    for T in (adj.db, adj.bd):
+        fc.eigen_data(T)
+    core, dual = fresh_system.B.range_eigen, adj.B.range_eigen
+    assert adj.B._primal is fresh_system.B and adj.report is fresh_system.report
+    assert np.array_equal(dual.lam, -core.lam.conj())
+    # against the compression gathered from the adjoint's own values
+    C = adj.B.compression
+    DCW = _range_symbol_product(fresh_system.grid, C @ dual.W)
+    assert np.abs(DCW - dual.W * dual.lam).max() <= 1e-12 * np.abs(DCW).max()
+    assert np.abs(dual.M @ C @ dual.W - np.eye(len(core.lam))).max() <= 1e-12
+
+
+def test_every_handle_records_the_primal_condition_bound(fresh_system):
+    # V = L Q W, Vinv = M Q^* R: one bound cond(W) sup|B| / kappa for all four
+    bound = fresh_system.B.range_eigen.condition
+    handles = {**_four_handles(fresh_system), **_bare_pair(fresh_system)}
+    for name, T in handles.items():
+        assert fc.eigen_data(T).condition == bound, name
+    assert fresh_system.adjoint().B.range_eigen.condition == bound
 
 
 def test_range_eigen_data_has_no_dof_sized_svd(fresh_system, monkeypatch):

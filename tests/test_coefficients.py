@@ -197,11 +197,19 @@ def test_hat_of_adjoint_parity_relation(g32, rng):
     expected = parity @ B.adjoint_values() @ parity
     assert np.abs(B_adj.values - expected).max() < 1e-12
     # so both transforms have one certificate, which the adjoint system shares
-    for grid in (g32, GridSpec(2, 8, 1), GridSpec(1, 16, 2)):
+    for grid in (g32, GridSpec(2, 8, 1), GridSpec(1, 16, 2), GridSpec(2, 8, 2)):
         A = perturbation_of_identity(grid, rng, 0.3)
-        primal = accretivity_estimate(hat_transform(A))
+        B = hat_transform(A)
+        primal = accretivity_estimate(B)
         dual = accretivity_estimate(hat_transform(A.adjoint()))
         assert abs(dual.kappa - primal.kappa) <= 1e-12 and dual.omega == primal.omega
+        # B.adjoint() is N B^* N exactly, sign flips of B^*, and takes B's certificate
+        m = grid.system_size
+        signs = np.where(np.arange(grid.channels) < m, 1.0, -1.0)
+        adjoint = B.adjoint()
+        assert np.array_equal(adjoint.values, B.adjoint_values() * np.outer(signs, signs))
+        assert np.abs(adjoint.values - hat_transform(A.adjoint()).values).max() <= 1e-12
+        assert accretivity_estimate(adjoint) is primal
 
 
 @pytest.mark.parametrize(

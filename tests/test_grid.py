@@ -149,6 +149,31 @@ def test_ladder_validation():
         TLadder(t=np.array([0.5, 1.0]), weights=np.array([0.1, 0.1]))
 
 
+def test_ladder_keeps_read_only_float_arrays():
+    # sequences are stored as the ladder's own float arrays, so every
+    # consumer can read them as arrays
+    from halfspace.tent import TentField, nt_maximal
+
+    t = [0.5, 1, 2]
+    weights = [0.5 * np.log(2.0), np.log(2.0), 0.5 * np.log(2.0)]
+    ladder = TLadder(t=t, weights=weights)
+    for array, given in ((ladder.t, t), (ladder.weights, weights)):
+        assert isinstance(array, np.ndarray) and array.dtype == float
+        assert not array.flags.writeable
+        assert np.array_equal(array, given)
+    grid = GridSpec(dim=1, points=32)
+    F = TentField(grid, ladder, np.ones((3,) + grid.shape + (grid.channels,)))
+    assert nt_maximal(F).shape == grid.shape
+    # an array passed in stays the caller's, and writable
+    t = np.array([0.5, 1.0, 2.0])
+    assert TLadder(t=t, weights=weights).t is not t and t.flags.writeable
+    bad = [(np.array([0.5, np.nan, 2.0]), weights), (np.array([0.5, 1.0, np.inf]), weights),
+           (t, [np.nan] * 3), (t, [np.log(2.0)] * 2)]  # the last sums right, one short
+    for bad_t, bad_weights in bad:
+        with pytest.raises(GridError):
+            TLadder(t=bad_t, weights=bad_weights)
+
+
 def restrict(ladder, t_min, t_max):
     """The scales of ladder within [t_min, t_max], with their own trapezoid weights."""
     mask = (ladder.t >= t_min) & (ladder.t <= t_max)

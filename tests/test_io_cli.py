@@ -240,11 +240,15 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"tolerance_scale": 0},
         {"tolerance_scale": "1"},
         {"tolerance_scale": float("nan")},
+        {"whitney": {"c0": float("nan")}},
+        {"whitney": {"c1": float("inf")}},
+        {"whitney": {"aperture": float("nan")}},
     ],
     ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
          "ladder-key", "ladder-t-min", "file-without-path", "inline-without-values",
          "probes-zero", "probes-float", "probes-bool", "seed-negative",
-         "tolerance-negative", "tolerance-zero", "tolerance-string", "tolerance-nan"],
+         "tolerance-negative", "tolerance-zero", "tolerance-string", "tolerance-nan",
+         "whitney-c0-nan", "whitney-c1-infinity", "whitney-aperture-nan"],
 )
 def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def runner(*args):
