@@ -21,7 +21,7 @@ and tangential trace maps are the two square row blocks S and T of the
 isometry U+, so S^* S + T^* T = I and one SVD of S gives both (the CS
 decomposition).  The potential v with D v = -h in the positive subspace
 of BD = B (DB) B^-1 is -B (DB)^-1 h, so the layer potentials need no
-basis of BD: two triangular products with R give (DB)^-1 h in the basis
+basis of BD: one triangular solve with R gives (DB)^-1 h in the basis
 Q U+, and B multiplies pointwise.
 
 Scalar boundary data are arrays of shape grid_shape + (m,); the scalar
@@ -37,7 +37,7 @@ import functools
 import typing
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import calculus as fc
 from .calculus import eigen_data
@@ -50,7 +50,16 @@ from .coefficients import (
     accretivity_estimate,
     hat_transform,
 )
-from .grid import PHYSICAL, Field, GridSpec, TLadder, fft_values, ifft_values, l2_norm
+from .grid import (
+    PHYSICAL,
+    Field,
+    GridSpec,
+    TLadder,
+    cached_per_grid,
+    fft_values,
+    ifft_values,
+    l2_norm,
+)
 from .operators import (
     LinearOperatorHandle,
     _pointwise_product,
@@ -222,12 +231,20 @@ def _tangential_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
     return _Datum(coords.reshape(-1), float(outside), energy)
 
 
+@cached_per_grid
+def _nonzero_frequency_norms(grid: GridSpec) -> np.ndarray:
+    """|k| at the nonzero frequencies, in the order of _range_basis_coefficients; read-only."""
+    nonzero, _ = _range_basis_coefficients(grid)
+    return grid.frequency_norms().reshape(-1)[nonzero]
+
+
 def _gradient_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
     """The tangential gradient of scalar data: coordinates i|k| f-hat, nothing outside."""
     nonzero, _ = _range_basis_coefficients(grid)
     kn = grid.frequency_norms().reshape(-1, 1)
     energy = (kn**2 * (rows * rows.conj()).real).sum(axis=1)
-    return _Datum((1j * kn[nonzero] * rows[nonzero]).reshape(-1), 0.0, energy)
+    coords = 1j * _nonzero_frequency_norms(grid)[:, None] * rows[nonzero]
+    return _Datum(coords.reshape(-1), 0.0, energy)
 
 
 def _range_part(grid: GridSpec, h: Field):
@@ -300,17 +317,26 @@ class _FactoredMap:
     def condition(self) -> float:
         return float(self.s[0] / self.s[-1]) if self.s[-1] > 0 else np.inf
 
-    def solve(self, rhs: np.ndarray):
-        """Minimum-norm least squares with numpy.linalg.lstsq's default cutoff.
-
-        Returns the coordinates and the fitted data, the map applied to them.
-        """
+    @functools.cached_property
+    def _inverse_values(self) -> tuple:
+        """The mask of the singular values above numpy.linalg.lstsq's default
+        cutoff and their reciprocals, zero below it; fixed per map."""
         cutoff = np.finfo(float).eps * max(self.U.shape[0], self.Vh.shape[1]) * self.s[0]
         keep = self.s > cutoff
         s_inv = np.zeros_like(self.s)
         s_inv[keep] = 1.0 / self.s[keep]
-        coords = self.U.conj().T @ rhs
-        return self.Vh.conj().T @ (s_inv * coords), self.U @ (keep * coords)
+        return keep, s_inv
+
+    def solve(self, rhs: np.ndarray):
+        """Minimum-norm least squares with numpy.linalg.lstsq's default cutoff.
+
+        Returns the coordinates and the fitted data, the map applied to them.
+        U^* rhs and Vh^* y are formed as conjugates of the vector-matrix
+        products conj(rhs) U and conj(y) Vh, so neither factor is copied.
+        """
+        keep, s_inv = self._inverse_values
+        coords = rhs.conj() @ self.U  # conj(U^* rhs)
+        return ((s_inv * coords) @ self.Vh).conj(), self.U @ (keep * coords.conj())
 
 
 class FirstOrderSystem:
@@ -407,6 +433,33 @@ def spectral_split(system: FirstOrderSystem, h: Field):
 # ---------------------------------------------------------------------------
 
 
+class _Potential(typing.NamedTuple):
+    """(DB)^-1 h on the positive eigenvectors V+ = plus R of DB, from one triangular solve.
+
+    x = R^-1 c are the coordinates of h on V+, with c its Hardy
+    coordinates, z = x / lam+, and image = R (lam+ z) the Hardy coordinates
+    of h that the potential reproduces, c up to rounding.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    image: np.ndarray
+
+
+def _triangular_solve(R: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """R^-1 c for the upper triangular Hardy factor R, by one LAPACK trtrs call.
+
+    The call takes R^T, lower triangular, transposed, a Fortran-ordered view
+    of R, so that R is neither copied nor validated; the data passed
+    fft_values' finiteness check.
+    """
+    trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (R, c))
+    x, info = trtrs(R.T, c, lower=1, trans=1)
+    if info != 0:
+        raise TraceMapError(f"Hardy factor R is not invertible (LAPACK trtrs info {info})")
+    return x
+
+
 @dataclasses.dataclass
 class BVPSolution:
     """Problem statement and solution: kind, datum, boundary trace, evaluators.
@@ -426,7 +479,7 @@ class BVPSolution:
     datum: np.ndarray | None = None
     _coordinates: tuple | None = dataclasses.field(default=None, init=False, repr=False,
                                                    compare=False)
-    _potential: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False,
+    _potential: _Potential | None = dataclasses.field(default=None, init=False, repr=False,
                                                       compare=False)
 
     def evaluate(self, t: float) -> Field:
@@ -448,31 +501,34 @@ class BVPSolution:
             self._coordinates = c, np.linalg.norm(y - U @ c) ** 2 + outside
         return self._coordinates
 
-    def _potential_coordinates(self) -> np.ndarray:
+    def _potential_coordinates(self) -> _Potential:
         """z = (R^-1 c) / lam+: (DB)^-1 h on the positive eigenvectors of DB.
 
         With U R = W+ the Hardy QR of DB, its positive eigenvectors are
         V+ = plus R, with DB V+ = V+ diag(lam+), and h = V+ R^-1 c from the
         Hardy coordinates c of h.  The potential v = -B V+ z has D v = -h
         and lies in the positive subspace of BD = B (DB) B^-1.  The Hardy
-        coordinates -R (lam+ z) of D v are formed explicitly for
-        potential_residual, to which the rest of h adds.
+        coordinates -R (lam+ z) of D v are formed explicitly, once, for
+        potential_residual, to which the rest of h adds, and for the
+        Dirichlet boundary value; R^-1 c is kept for the ladder diagnostic.
         """
         if self._potential is None:
             c, rest = self._hardy_coordinates()
             hardy = self.system.hardy("DB")
             lam = eigen_data(self.system.db).lam[hardy._positive]
-            self._potential = scipy.linalg.solve_triangular(hardy._R, c) / lam
+            x = _triangular_solve(hardy._R, c)
+            z = x / lam
+            self._potential = _Potential(x, z, hardy._R @ (lam * z))
             self.diagnostics["potential_residual"] = _relative_residual(
-                c - hardy._R @ (lam * self._potential), rest, np.linalg.norm(c) ** 2 + rest)
+                c - self._potential.image, rest, np.linalg.norm(c) ** 2 + rest)
         return self._potential
 
     def _potential_vector(self) -> Field:
         """v = -B (DB)^-1 h, with D v = -h in the positive subspace of the
         reversed composition: B times plus R z, pointwise."""
         grid, hardy = self.system.grid, self.system.hardy("DB")
-        w = (hardy.plus @ (hardy._R @ self._potential_coordinates())).reshape(
-            grid.shape + (grid.channels,))
+        z = self._potential_coordinates().z
+        w = (hardy.plus @ (hardy._R @ z)).reshape(grid.shape + (grid.channels,))
         return Field.physical(grid, -_pointwise_product(self.system.B.values, w))
 
     def scalar_value(self, t: float) -> np.ndarray:
@@ -526,16 +582,16 @@ def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
     tm = system.trace_map(slot)
     condition = tm.condition
     if condition > TRACE_CONDITION_LIMIT:
-        problem = "regularity" if slot == "tangential" else "neumann"
+        how = " (solved as the regularity problem for its gradient)" if kind == "dirichlet" else ""
         raise TraceMapError(
-            f"{problem} problem numerically not solvable at exponent two: "
+            f"{kind} problem{how} numerically not solvable at exponent two: "
             f"trace-map condition number {condition:.3e}"
         )
     c, fitted = tm.solve(datum.rhs)
     h = Field.from_flat(grid, plus @ c)
     total = datum.energy.sum()
     nonzero, _ = _range_basis_coefficients(grid)
-    kn = grid.frequency_norms().reshape(-1)[nonzero]
+    kn = _nonzero_frequency_norms(grid)
     diagnostics = {
         "trace_residual": _relative_residual(fitted - datum.rhs, datum.outside, total),
         "trace_condition": condition,
@@ -607,12 +663,10 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
     _require_mean_zero(grid, f, "dirichlet datum")
     sol, rows = _gradient_solution(system, f, "dirichlet")
     hardy = system.hardy("DB")
-    lam = eigen_data(system.db).lam[hardy._positive]
-    image = -(hardy._R @ (lam * sol._potential_coordinates()))
+    potential = sol._potential_coordinates()
     U, m = hardy._range_coordinates, grid.system_size
-    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ image
-    nonzero, _ = _range_basis_coefficients(grid)
-    u0 = 1j * tangential / grid.frequency_norms().reshape(-1, 1)[nonzero]
+    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ -potential.image
+    u0 = 1j * tangential / _nonzero_frequency_norms(grid)[:, None]
     value = _scalar_datum(grid, rows)
     sol.diagnostics["boundary_value_error"] = _relative_residual(
         u0.reshape(-1) - value.rhs, value.outside, value.energy.sum())
@@ -624,9 +678,9 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
         scales = np.asarray(ladder.t, dtype=float)
         weights = np.asarray(ladder.weights, dtype=float) * scales**2
         form = eigen_data(system.db).ladder_form(fc.UNIT_SEMIGROUP, scales, weights)
-        x = scipy.linalg.solve_triangular(hardy._R, sol._coordinates[0])
-        block = form.hermitian[np.ix_(hardy._positive, hardy._positive)]
-        energy = grid.cell_volume * max(((block @ x) @ x.conj()).real, 0.0)
+        coords = np.zeros(len(hardy._positive), dtype=complex)
+        coords[hardy._positive] = potential.x
+        energy = grid.cell_volume * max(np.vdot(coords, form.hermitian @ coords).real, 0.0)
         sol.diagnostics["tent_norm_t_grad"] = float(np.sqrt(unit_ball_volume(grid.dim) * energy))
     return sol
 

@@ -25,7 +25,7 @@ basis Q, DB acts as the r x r matrix D_r C, where D_r = Q^* D Q is known
 in closed form and C = Q^* B Q is the compression that B owns
 (TransformedB.compression).  Q is kept per frequency, 2m channel vectors
 at each nonzero k, and never as a dof x r matrix: C is gathered from the
-FFT of B, and Q W and Q M^*, with M = W^-1 C^-1, are each one synthesis
+FFT of B, and Q W and M Q^*, with M = W^-1 C^-1, are each one synthesis
 of r columns, one inverse FFT, made once per B and shared by DB and BD.
 One eig of D_r C (TransformedB.range_eigen), of size r = 2m(G^n - 1),
 therefore serves DB, BD = B (DB) B^-1 and the adjoint system, whose
@@ -434,9 +434,11 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
 
     With Q the orthonormal range basis, which is never formed, and M =
     W^-1 C^-1, a handle L D R has V = L Q W and Vinv = M Q^* R: DB has V =
-    Q W and Vinv = (B^* (Q M^*))^*, BD = B (DB) B^-1 has V = B Q W and Vinv
-    = (Q M^*)^*.  Q W and Q M^* are B.range_syntheses, made once per B and
-    taken by an adjoint B from its primal, as is the factorization.  Every
+    Q W and Vinv = M Q^* B, BD = B (DB) B^-1 has V = B Q W and Vinv = M Q^*.
+    Q W and M Q^* = (Q M^*)^* are B.range_syntheses, made once per B and
+    taken by an adjoint B from its primal, as is the factorization; BD
+    keeps M Q^* itself, and DB forms (M Q^* B)^T = B^T (M Q^*)^T pointwise
+    on its transposed view, with no conjugate copy.  Every
     handle has ||V|| ||Vinv|| <= ||W|| ||M|| sup|B|, the adjoint's W' = n M^*
     and M' = W^* n swapping the two, and ||M|| <= ||W^-1|| / kappa as
     ||C^-1|| <= 1/kappa, kappa = lambda_min(Re C): one bound cond(W) sup|B|
@@ -447,13 +449,11 @@ def _range_eigen_data(T: LinearOperatorHandle) -> EigenData:
     B = T.multiplier_matrix
     core = B.range_eigen
     cond = _checked_condition(core.condition)
-    QW, QM = B.range_syntheses
+    QW, MQ = B.range_syntheses
     if T.tag == "DB":
-        BQM = _pointwise_rows(B.adjoint_values(), QM)
-        return EigenData(lam=core.lam, V=QW, Vinv=np.conj(BQM, out=BQM).T, condition=cond,
-                         coordinates=core.W)
-    return EigenData(lam=core.lam, V=_pointwise_rows(B.values, QW), Vinv=QM.conj().T,
-                     condition=cond)
+        Vinv = _pointwise_rows(np.swapaxes(B.values, -1, -2), MQ.T).T
+        return EigenData(lam=core.lam, V=QW, Vinv=Vinv, condition=cond, coordinates=core.W)
+    return EigenData(lam=core.lam, V=_pointwise_rows(B.values, QW), Vinv=MQ, condition=cond)
 
 
 def eigen_data(T: LinearOperatorHandle) -> EigenData:

@@ -114,8 +114,8 @@ class TransformedB(_PointwiseMatrix):
     accretivity certificate with kappa, omega and sup|B| that
     accretivity_estimate reads from C and keeps in _report, the r x r
     eigendecomposition of DB on the range of D (range_eigen) and its two
-    syntheses Q W and Q M^* (range_syntheses).  An adjoint N B^* N takes
-    the last three from its primal, kept in _primal.
+    syntheses Q W and (Q M^*)^* (range_syntheses).  An adjoint N B^* N
+    takes the last three from its primal, kept in _primal.
     """
 
     def __init__(self, grid: GridSpec, values: np.ndarray):
@@ -170,18 +170,23 @@ class TransformedB(_PointwiseMatrix):
 
     @functools.cached_property
     def range_syntheses(self) -> tuple:
-        """(Q W, Q M^*) of range_eigen, dof x r each and read-only: one
-        synthesis of r columns each, which the eigendecompositions of DB
-        and BD on this B share (calculus._range_eigen_data)."""
+        """(Q W, (Q M^*)^*) of range_eigen, dof x r and r x dof, read-only: one
+        synthesis of r columns each, which the eigendecompositions of DB and
+        BD on this B share (calculus._range_eigen_data).  The second is BD's
+        Vinv as it stands, kept conjugated in place of Q M^*."""
         if self._primal is not None:
             # Q W' = Q n M^* = N Q M^* and Q M'^* = Q n W = N Q W
-            QW, QM = self._primal.range_syntheses
+            QW, MQ = self._primal.range_syntheses
             channel = np.arange(self.grid.dof) % self.grid.channels
-            n = np.where(channel < self.grid.system_size, 1.0, -1.0)[:, None]
-            out = (n * QM, n * QW)
+            n = np.where(channel < self.grid.system_size, 1.0, -1.0)
+            out = (MQ.T * n[:, None], QW.T * n)
+            for array in out:
+                np.conj(array, out=array)
         else:
             core = self.range_eigen
-            out = tuple(_range_synthesis(self.grid, X) for X in (core.W, core.M.conj().T))
+            # a synthesis is the transposed view of an r x dof array: conjugate that
+            MQ = _range_synthesis(self.grid, core.M.conj().T).T
+            out = (_range_synthesis(self.grid, core.W), np.conj(MQ, out=MQ))
         for array in out:
             array.setflags(write=False)
         return out

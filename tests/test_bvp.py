@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -53,6 +54,7 @@ from halfspace.tent import (
     quadratic_norm,
     semigroup_tent_field,
     tent_norm,
+    unit_ball_volume,
 )
 
 from conftest import (
@@ -155,8 +157,13 @@ def test_trace_condition_guard(identity_system_32, monkeypatch):
     grid = identity_system_32.grid
     x = grid.coordinates()[0]
     monkeypatch.setattr(bvp, "TRACE_CONDITION_LIMIT", 0.5)
-    with pytest.raises(TraceMapError, match="not solvable"):
+    with pytest.raises(TraceMapError, match="^regularity problem numerically not solvable"):
         solve_regularity(identity_system_32, -np.sin(x))
+    with pytest.raises(TraceMapError, match="^neumann problem numerically not solvable"):
+        solve_neumann(identity_system_32, np.cos(x))
+    with pytest.raises(TraceMapError, match=r"^dirichlet problem \(solved as the regularity "
+                                            r"problem for its gradient\) numerically not"):
+        solve_dirichlet(identity_system_32, np.cos(x))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +248,71 @@ def test_repeated_dirichlet_diagnostic_reads_its_form(g8x2, monkeypatch):
         assert sol.diagnostics["tent_norm_t_grad"] == first
     assert len(forms) == 1
     assert not applies
+
+
+def test_warm_dirichlet_solves_one_triangular_system(perturbed_system_2d, monkeypatch):
+    # the potential, the boundary value, its residual and the ladder
+    # diagnostic all read the one R^-1 c, and the form is read as cached
+    system = perturbed_system_2d
+    rng = np.random.default_rng(50)
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    f = band_limited_scalar(system.grid, rng)
+    solve_dirichlet(system, f, ladder=ladder)
+    solves, gathers = [], []
+    triangular, ix = bvp._triangular_solve, np.ix_
+    monkeypatch.setattr(bvp, "_triangular_solve",
+                        lambda *args: solves.append(args) or triangular(*args))
+    monkeypatch.setattr(scipy.linalg, "solve_triangular",
+                        lambda *args, **kwargs: solves.append(args))
+    monkeypatch.setattr(np, "ix_", lambda *args: gathers.append(args) or ix(*args))
+    sol = solve_dirichlet(system, f, ladder=ladder)
+    assert len(solves) == 1 and not gathers
+    assert sol.diagnostics["potential_residual"] <= 1e-12
+
+
+def test_dirichlet_diagnostics_match_explicit_reference(perturbed_system_2d):
+    # against scipy's triangular solve and the explicit positive block of the form
+    system = perturbed_system_2d
+    grid = system.grid
+    rng = np.random.default_rng(51)
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    f = band_limited_scalar(grid, rng)
+    sol = solve_dirichlet(system, f, ladder=ladder)
+    hardy, ed = system.hardy("DB"), fc.eigen_data(system.db)
+    positive, R = hardy._positive, hardy._R
+    c = sol._coordinates[0]
+    x = scipy.linalg.solve_triangular(R, c)
+    lam = ed.lam[positive]
+    image = R @ (lam * (x / lam))
+    assert np.linalg.norm(c - image) / np.linalg.norm(c) <= 1e-12
+    assert sol.diagnostics["potential_residual"] <= 1e-12
+    scales = np.asarray(ladder.t, dtype=float)
+    weights = np.asarray(ladder.weights, dtype=float) * scales**2
+    block = ed.ladder_form(fc.UNIT_SEMIGROUP, scales, weights).hermitian[np.ix_(positive,
+                                                                                positive)]
+    energy = grid.cell_volume * (x.conj() @ block @ x).real
+    reference = np.sqrt(unit_ball_volume(grid.dim) * energy)
+    assert sol.diagnostics["tent_norm_t_grad"] == pytest.approx(reference, rel=1e-12)
+    # the boundary value of the potential against f, by its scalar slot in physical space
+    value = sol.scalar_value(0.0)
+    assert np.linalg.norm(value - f) <= 1e-12 * np.linalg.norm(f)
+    assert sol.diagnostics["boundary_value_error"] <= 1e-12
+
+
+def test_warm_neumann_copies_no_trace_map_factor(system_2d_g16):
+    # at 2D G=16 r/2 = 255, and one (r/2)^2 complex array is 1.0 MB
+    system = system_2d_g16
+    grid = system.grid
+    g = band_limited_scalar(grid, np.random.default_rng(52))
+    solve_neumann(system, g)
+    half = system.hardy("DB").dim_plus
+    tracemalloc.start()
+    try:
+        solve_neumann(system, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < half**2 * 16
 
 
 def test_representation_checks_evaluate_the_extension_once_per_handle(g8x2, monkeypatch):
@@ -488,8 +560,8 @@ def test_one_eig_and_one_certificate_per_system(g8x2, monkeypatch):
 
 
 def test_bd_eigen_data_after_db_runs_no_synthesis(fresh_system, monkeypatch):
-    # DB and BD share the syntheses Q W and Q M^* of their multiplier:
-    # V = B Q W and Vinv = (Q M^*)^*, with no rescaling of the columns
+    # DB and BD share the syntheses Q W and M Q^* = (Q M^*)^* of their
+    # multiplier: V = B Q W and Vinv = M Q^* itself, with no rescaling of the columns
     import halfspace.coefficients as coefficients
 
     db = fc.eigen_data(fresh_system.db)
@@ -502,8 +574,7 @@ def test_bd_eigen_data_after_db_runs_no_synthesis(fresh_system, monkeypatch):
     BV = (fresh_system.B.values @ db.V.reshape(fresh_system.grid.shape + (-1, db.V.shape[1])))
     BV = BV.reshape(db.V.shape)
     assert np.abs(bd.V - BV).max() <= 1e-13 * np.abs(BV).max()
-    QM = fresh_system.B.range_syntheses[1]
-    assert np.array_equal(bd.Vinv, QM.conj().T)
+    assert bd.Vinv is fresh_system.B.range_syntheses[1]
     assert bd.coordinates is None and db.coordinates is fresh_system.B.range_eigen.W
 
 
@@ -533,6 +604,37 @@ def test_adjoint_eigen_data_runs_no_factorization(fresh_system, monkeypatch):
     DCW = _range_symbol_product(fresh_system.grid, C @ dual.W)
     assert np.abs(DCW - dual.W * dual.lam).max() <= 1e-12 * np.abs(DCW).max()
     assert np.abs(dual.M @ C @ dual.W - np.eye(len(core.lam))).max() <= 1e-12
+
+
+def test_bd_inverse_is_the_stored_synthesis(fresh_system):
+    # BD's Vinv is the conjugated synthesis M Q^* as B keeps it, for the
+    # primal and for the adjoint, whose pair comes from the primal's
+    for sys_ in (fresh_system, fresh_system.adjoint()):
+        fc.eigen_data(sys_.db)
+        assert np.shares_memory(fc.eigen_data(sys_.bd).Vinv, sys_.B.range_syntheses[1])
+
+
+@pytest.fixture(scope="module")
+def system_2d_g16():
+    return FirstOrderSystem(perturbation_of_identity(GridSpec(2, 16), np.random.default_rng(21),
+                                                     0.1))
+
+
+def test_bd_eigen_data_after_db_adds_only_its_eigenvectors(system_2d_g16):
+    # at 2D G=16 one dof x r complex array is 6.3 MB: BD adds its V = B Q W
+    # and takes Vinv from B, where it kept a conjugate copy of Q M^* before
+    system = system_2d_g16
+    grid = system.grid
+    db = fc.eigen_data(system.db)
+    block = grid.dof * db.V.shape[1] * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fc.eigen_data(system.bd)
+        net = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert net - block < 0.5 * block
 
 
 def test_every_handle_records_the_primal_condition_bound(fresh_system):

@@ -537,14 +537,14 @@ def test_range_eigenvectors_match_dense_basis(grid):
         assert np.abs(ed.Vinv - Vinv).max() <= 1e-13 * max(np.abs(Vinv).max(), 1.0)
         assert np.abs(ed.Vinv @ ed.V - np.eye(r)).max() <= 1e-13
     # the compression and the factorization keep no array with a dof-long
-    # axis: no dense basis; the two syntheses Q W and Q M^* are B's own
+    # axis: no dense basis; the two syntheses Q W and M Q^* are B's own
     assert isinstance(compression, np.ndarray) and not compression.flags.writeable
     arrays = [compression] + [v for v in vars(core).values() if isinstance(v, np.ndarray)]
     assert all(grid.dof not in np.shape(a) for a in arrays)
-    QW, QM = B.range_syntheses
+    QW, MQ = B.range_syntheses
     assert np.abs(QW - Q @ core.W).max() <= 1e-13 * np.abs(QW).max()
-    assert np.abs(QM - Q @ core.M.conj().T).max() <= 1e-13 * np.abs(QM).max()
-    assert db.V is QW
+    assert np.abs(MQ - core.M @ Q.conj().T).max() <= 1e-13 * np.abs(MQ).max()
+    assert db.V is QW and bd.Vinv is MQ
 
 
 def test_range_split_refuses_beyond_dense_limit():
