@@ -11,8 +11,14 @@ the coordinates of the orthonormal range basis Q of D, one scalar-slot
 and one tangential vector along k/|k| per nonzero frequency and system
 channel.  There the scalar and tangential trace maps are square, and a
 boundary datum enters as its Fourier coefficients, from one forward
-transform; its mean and its part transverse to k/|k|, which no trace
-reaches, are added to the residual exactly, by Parseval.
+transform, which also serves the refusals of a non-finite entry and of
+a nonzero mean; its mean and its part transverse to k/|k|, which no
+trace reaches, are added to the residual exactly, by Parseval.
+
+A solve's result is its coordinates c in the positive Hardy basis Q U+
+of DB, which has orthonormal columns, so the trace norm is that of c and
+every diagnostic of the solve reads c.  A BVPSolution forms its physical
+trace h = Q U+ c on the first read of h and keeps it.
 
 The boundary layer comes from the one factorization of DB on the range
 of D and one QR.  The positive basis of DB is Q U+ with U+ R = W+, the
@@ -37,7 +43,7 @@ import functools
 import typing
 
 import numpy as np
-import scipy.linalg.lapack
+from scipy.linalg.lapack import ztrtrs
 
 from . import calculus as fc
 from .calculus import eigen_data
@@ -56,9 +62,9 @@ from .grid import (
     GridSpec,
     TLadder,
     cached_per_grid,
+    check_finite,
     fft_values,
     ifft_values,
-    l2_norm,
 )
 from .operators import (
     LinearOperatorHandle,
@@ -135,9 +141,12 @@ def _as_tangential_data(grid: GridSpec, f) -> np.ndarray:
     return f
 
 
+_MEAN_ZERO_TOLERANCE = 1e-10
+
+
 def _require_mean_zero(grid: GridSpec, data: np.ndarray, what: str):
     mean = data.mean(axis=tuple(range(grid.dim)))
-    if np.linalg.norm(mean) > 1e-10 * max(np.linalg.norm(data), 1e-300):
+    if not np.linalg.norm(mean) <= _MEAN_ZERO_TOLERANCE * max(np.linalg.norm(data), 1e-300):
         raise DatumError(f"{what} must have zero mean on the torus")
 
 
@@ -211,24 +220,56 @@ def _flat_rows(grid: GridSpec, hat: np.ndarray) -> np.ndarray:
     return hat.reshape(grid.points**grid.dim, -1) * grid.points ** (grid.dim / 2.0)
 
 
-def _scalar_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
-    """Scalar data: the coordinates are the coefficients at the nonzero frequencies."""
+def _row_power(rows: np.ndarray) -> np.ndarray:
+    """The squared norm of every row: the squared flat norm per frequency."""
+    return (rows * rows.conj()).real.sum(axis=1)
+
+
+def _datum_rows(grid: GridSpec, data: np.ndarray, what: str | None) -> tuple:
+    """The flat rows of a boundary datum and their squared norms, from one transform.
+
+    A non-finite entry of data raises GridError naming it, before the
+    transform.  With what given, a datum of nonzero mean raises DatumError
+    as _require_mean_zero does, read from the rows: rows[0] is G^(n/2)
+    times the mean and the norm of the rows the flat norm of data.
+    """
+    check_finite(data)
+    rows = _flat_rows(grid, fft_values(data, grid))
+    power = _row_power(rows)
+    if what is not None:
+        mean = np.sqrt(power[0]) * grid.points ** (-grid.dim / 2.0)
+        if not mean <= _MEAN_ZERO_TOLERANCE * max(np.sqrt(power.sum()), 1e-300):
+            raise DatumError(f"{what} must have zero mean on the torus")
+    return rows, power
+
+
+def _scalar_datum(grid: GridSpec, rows: np.ndarray, power: np.ndarray | None = None) -> _Datum:
+    """Scalar data: the coordinates are the coefficients at the nonzero frequencies.
+
+    power is _row_power(rows), formed here when not given.
+    """
     nonzero, _ = _range_basis_coefficients(grid)
-    energy = (rows * rows.conj()).real.sum(axis=1)
-    return _Datum(rows[nonzero].reshape(-1), float(energy[0]), energy)
+    power = _row_power(rows) if power is None else power
+    return _Datum(rows[nonzero].reshape(-1), float(power[0]), power)
 
 
-def _tangential_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
-    """Tangential data: the coordinates are the k/|k| components per system channel."""
-    nonzero, vectors = _range_basis_coefficients(grid)
-    m = grid.system_size
-    khat = vectors[:, m:, m:]  # the tangential range vectors on the tangential channels
-    g = rows[nonzero]
-    coords = (khat.conj() @ g[..., None])[..., 0]
-    transverse = g - (coords[:, None, :] @ khat)[:, 0]
-    energy = (rows * rows.conj()).real.sum(axis=1)
-    outside = energy[0] + np.vdot(transverse, transverse).real
-    return _Datum(coords.reshape(-1), float(outside), energy)
+def _tangential_datum(grid: GridSpec, rows: np.ndarray,
+                      power: np.ndarray | None = None) -> _Datum:
+    """Tangential data: the coordinates are the k/|k| components per system channel.
+
+    Channel j m + i of the rows is direction j of system component i, so
+    with the rows at each nonzero frequency as a (dim, m) block g, the
+    coordinates are the sum over j of (k_j/|k|) g_j, elementwise.  power
+    is _row_power(rows), formed here when not given.
+    """
+    nonzero, _ = _range_basis_coefficients(grid)
+    power = _row_power(rows) if power is None else power
+    khat = _nonzero_frequency_directions(grid)
+    g = rows[nonzero].reshape(len(nonzero), grid.dim, grid.system_size)
+    coords = (khat * g).sum(axis=1)
+    transverse = g - khat * coords[:, None]
+    outside = power[0] + np.vdot(transverse, transverse).real
+    return _Datum(coords.reshape(-1), float(outside), power)
 
 
 @cached_per_grid
@@ -238,11 +279,18 @@ def _nonzero_frequency_norms(grid: GridSpec) -> np.ndarray:
     return grid.frequency_norms().reshape(-1)[nonzero]
 
 
-def _gradient_datum(grid: GridSpec, rows: np.ndarray) -> _Datum:
+@cached_per_grid
+def _nonzero_frequency_directions(grid: GridSpec) -> np.ndarray:
+    """k/|k| at the nonzero frequencies, shape (F, dim, 1), in the same order; read-only."""
+    nonzero, _ = _range_basis_coefficients(grid)
+    k = grid.frequencies().reshape(-1, grid.dim)[nonzero]
+    return (k / _nonzero_frequency_norms(grid)[:, None])[..., None]
+
+
+def _gradient_datum(grid: GridSpec, rows: np.ndarray, power: np.ndarray) -> _Datum:
     """The tangential gradient of scalar data: coordinates i|k| f-hat, nothing outside."""
     nonzero, _ = _range_basis_coefficients(grid)
-    kn = grid.frequency_norms().reshape(-1, 1)
-    energy = (kn**2 * (rows * rows.conj()).real).sum(axis=1)
+    energy = grid.frequency_norms().reshape(-1) ** 2 * power
     coords = 1j * _nonzero_frequency_norms(grid)[:, None] * rows[nonzero]
     return _Datum(coords.reshape(-1), 0.0, energy)
 
@@ -267,9 +315,12 @@ class SpectralHardyBasis:
     The eigen data hold only the range part of the operator, so its
     eigenvalues split into the two spectral subspaces and the null space
     is the rest of the dof.  The dimensions of all three are recorded; the
-    negative subspace needs no basis.
+    negative subspace needs no basis.  B.range_eigen orders the eigenvalues
+    of positive real part first; the split must be even, r/2 and r/2, or
+    TraceMapError is raised.  _lam_plus is the positive half, a view.
 
-    With V+ the positive eigenvectors, plus R = V+ with R upper triangular.
+    With V+ the positive eigenvectors, the leading r/2 columns of V, plus R
+    = V+ with R upper triangular.
     DB maps into the range of D, where its eigenvectors are V = Q W (Q the
     orthonormal range basis of coefficients._range_synthesis, W the
     eigendecomposition's coordinates), so for DB this is the QR
@@ -283,22 +334,22 @@ class SpectralHardyBasis:
     def __init__(self, T: LinearOperatorHandle):
         ed = eigen_data(T)
         grid = T.grid
-        self._positive = plus = ed.lam.real > 0
+        half = len(ed.lam) // 2
+        if not (np.all(ed.lam[:half].real > 0) and np.all(ed.lam[half:].real < 0)):
+            raise TraceMapError(
+                f"spectrum splits {int((ed.lam.real > 0).sum())} positive and "
+                f"{int((ed.lam.real < 0).sum())} negative, expected {half} and "
+                f"{len(ed.lam) - half} in that order"
+            )
+        self._lam_plus = ed.lam[:half]
         if ed.coordinates is not None:
-            self._range_coordinates, self._R = np.linalg.qr(ed.coordinates[:, plus])
+            self._range_coordinates, self._R = np.linalg.qr(ed.coordinates[:, :half])
             self.plus = _range_synthesis(grid, self._range_coordinates)
         else:
-            self.plus, self._R = np.linalg.qr(ed.V[:, plus])
+            self.plus, self._R = np.linalg.qr(ed.V[:, :half])
             self._range_coordinates = None
-        self.dim_plus = int(plus.sum())
-        self.dim_minus = int((ed.lam.real < 0).sum())
+        self.dim_plus = self.dim_minus = half
         self.dim_null = grid.dof - len(ed.lam)
-        range_dim = 2 * grid.system_size * (grid.points**grid.dim - 1)
-        if self.dim_plus + self.dim_minus != range_dim:
-            raise TraceMapError(
-                f"spectral subspaces span {self.dim_plus + self.dim_minus}, "
-                f"expected range dimension {range_dim}"
-            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -447,24 +498,25 @@ class _Potential(typing.NamedTuple):
 
 
 def _triangular_solve(R: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """R^-1 c for the upper triangular Hardy factor R, by one LAPACK trtrs call.
+    """R^-1 c for the upper triangular Hardy factor R, by one LAPACK ztrtrs call.
 
     The call takes R^T, lower triangular, transposed, a Fortran-ordered view
-    of R, so that R is neither copied nor validated; the data passed
-    fft_values' finiteness check.
+    of R, so that R is neither copied nor validated; c is finite, as a
+    solve's datum passed check_finite and an explicit trace its Field.
     """
-    trtrs, = scipy.linalg.lapack.get_lapack_funcs(("trtrs",), (R, c))
-    x, info = trtrs(R.T, c, lower=1, trans=1)
+    x, info = ztrtrs(R.T, c, lower=1, trans=1)
     if info != 0:
         raise TraceMapError(f"Hardy factor R is not invertible (LAPACK trtrs info {info})")
     return x
 
 
-@dataclasses.dataclass
 class BVPSolution:
     """Problem statement and solution: kind, datum, boundary trace, evaluators.
 
-    The trace h lies in the span of the positive spectral basis.
+    The trace h lies in the span of the positive spectral basis.  A solve
+    keeps the coordinates c of h in the positive Hardy basis plus of DB,
+    and h = plus c is formed, as a physical Field, on its first read and
+    kept; a solution made with an explicit h holds that h.
     evaluate(t) returns the interior conormal gradient; scalar_value(t)
     the mean-zero interior scalar potential.  diagnostics carries the
     trace residual, the trace-map condition number and norm reports, all
@@ -472,15 +524,23 @@ class BVPSolution:
     the solution itself.
     """
 
-    kind: str
-    system: FirstOrderSystem
-    h: Field
-    diagnostics: dict
-    datum: np.ndarray | None = None
-    _coordinates: tuple | None = dataclasses.field(default=None, init=False, repr=False,
-                                                   compare=False)
-    _potential: _Potential | None = dataclasses.field(default=None, init=False, repr=False,
-                                                      compare=False)
+    def __init__(self, kind: str, system: FirstOrderSystem, h: Field | None,
+                 diagnostics: dict, datum: np.ndarray | None = None):
+        self.kind = kind
+        self.system = system
+        self.diagnostics = diagnostics
+        self.datum = datum
+        self._h = h
+        self._coordinates = None
+        self._potential = None
+
+    @property
+    def h(self) -> Field:
+        """The boundary trace, synthesized from the Hardy coordinates on the first read."""
+        if self._h is None:
+            c, _ = self._coordinates
+            self._h = Field.from_flat(self.system.grid, self.system.hardy("DB").plus @ c)
+        return self._h
 
     def evaluate(self, t: float) -> Field:
         return fc.semigroup(self.system.db, t, self.h)
@@ -515,12 +575,12 @@ class BVPSolution:
         if self._potential is None:
             c, rest = self._hardy_coordinates()
             hardy = self.system.hardy("DB")
-            lam = eigen_data(self.system.db).lam[hardy._positive]
+            lam = hardy._lam_plus
             x = _triangular_solve(hardy._R, c)
             z = x / lam
             self._potential = _Potential(x, z, hardy._R @ (lam * z))
             self.diagnostics["potential_residual"] = _relative_residual(
-                c - self._potential.image, rest, np.linalg.norm(c) ** 2 + rest)
+                c - self._potential.image, rest, np.vdot(c, c).real + rest)
         return self._potential
 
     def _potential_vector(self) -> Field:
@@ -569,16 +629,18 @@ class BVPSolution:
 
 def _relative_residual(misfit: np.ndarray, outside: float, total: float) -> float:
     """sqrt(||misfit||^2 + outside) / sqrt(total), squared flat norms by Parseval."""
-    return float(np.sqrt(np.linalg.norm(misfit) ** 2 + outside) / max(np.sqrt(total), 1e-300))
+    return float(np.sqrt(np.vdot(misfit, misfit).real + outside) / max(np.sqrt(total), 1e-300))
 
 
 def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
                  stored: np.ndarray) -> BVPSolution:
     """Least squares for h in the positive subspace with prescribed slot.
 
-    The solution keeps the coordinates of h in the positive Hardy basis.
+    The solution keeps the coordinates c of h in the positive Hardy basis,
+    whose columns are orthonormal in the flat inner product, so the trace
+    norm is sqrt(cell volume) ||c||; h itself is formed on its first read.
     """
-    grid, plus = system.grid, system.hardy("DB").plus
+    grid = system.grid
     tm = system.trace_map(slot)
     condition = tm.condition
     if condition > TRACE_CONDITION_LIMIT:
@@ -588,48 +650,49 @@ def _solve_trace(system: FirstOrderSystem, datum: _Datum, slot: str, kind: str,
             f"trace-map condition number {condition:.3e}"
         )
     c, fitted = tm.solve(datum.rhs)
-    h = Field.from_flat(grid, plus @ c)
     total = datum.energy.sum()
     nonzero, _ = _range_basis_coefficients(grid)
     kn = _nonzero_frequency_norms(grid)
     diagnostics = {
         "trace_residual": _relative_residual(fitted - datum.rhs, datum.outside, total),
         "trace_condition": condition,
-        "hardy_dim": plus.shape[1],
+        "hardy_dim": len(c),
         "datum_l2": float(np.sqrt(grid.cell_volume * total)),
-        "trace_l2": l2_norm(h),
+        "trace_l2": float(np.sqrt(grid.cell_volume) * np.linalg.norm(c)),
         "datum_sobolev_-1/2": float(np.sqrt(grid.cell_volume * (datum.energy[nonzero] / kn).sum())),
     }
-    sol = BVPSolution(kind=kind, system=system, h=h, diagnostics=diagnostics, datum=stored)
+    sol = BVPSolution(kind, system, None, diagnostics, stored)
     sol._coordinates = c, 0.0
     return sol
 
 
-def _gradient_solution(system: FirstOrderSystem, f, kind: str):
+def _gradient_solution(system: FirstOrderSystem, f, kind: str, what: str | None = None):
     """The regularity problem for the tangential gradient of scalar data f.
 
     The gradient enters as its coordinates i|k| f-hat, from one forward
     transform of f, with nothing outside the trace's reach; f is stored as
-    the datum.  Returns the solution and the flat spectral rows of f.
+    the datum.  With what given, a nonzero mean of f is refused
+    (_datum_rows).  Returns the solution and the flat spectral rows of f
+    with their squared norms.
     """
     grid = system.grid
     f = _as_scalar_data(grid, f)
-    rows = _flat_rows(grid, fft_values(f, grid))
-    return _solve_trace(system, _gradient_datum(grid, rows), "tangential", kind, f), rows
+    rows, power = _datum_rows(grid, f, what)
+    sol = _solve_trace(system, _gradient_datum(grid, rows, power), "tangential", kind, f)
+    return sol, rows, power
 
 
 def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
     """Prescribe the tangential gradient at the boundary.
 
-    f must be mean-zero and curl-free per system component; the solution
-    trace h has tangential slot f and the interior conormal gradient is
-    the decay semigroup applied to h.  One forward transform of f serves
-    the curl check and the solve.
+    f must be finite, mean-zero and curl-free per system component; the
+    solution trace h has tangential slot f and the interior conormal
+    gradient is the decay semigroup applied to h.  One forward transform
+    of f serves the mean and curl checks and the solve.
     """
     grid = system.grid
     f = _as_tangential_data(grid, f)
-    _require_mean_zero(grid, f, "regularity datum")
-    datum = _tangential_datum(grid, _flat_rows(grid, fft_values(f, grid)))
+    datum = _tangential_datum(grid, *_datum_rows(grid, f, "regularity datum"))
     curl = datum.outside_share
     if curl > 1e-8:
         raise DatumError(
@@ -639,48 +702,51 @@ def solve_regularity(system: FirstOrderSystem, f) -> BVPSolution:
 
 
 def solve_neumann(system: FirstOrderSystem, g) -> BVPSolution:
-    """Prescribe the conormal derivative (scalar slot) at the boundary."""
+    """Prescribe the conormal derivative (scalar slot) at the boundary.
+
+    g must be finite and mean-zero; one forward transform serves both
+    checks and the solve.
+    """
     grid = system.grid
     g = _as_scalar_data(grid, g)
-    _require_mean_zero(grid, g, "neumann datum")
-    datum = _scalar_datum(grid, _flat_rows(grid, fft_values(g, grid)))
+    datum = _scalar_datum(grid, *_datum_rows(grid, g, "neumann datum"))
     return _solve_trace(system, datum, "scalar", "neumann", g)
 
 
 def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) -> BVPSolution:
     """Prescribe the boundary value; solved as regularity for its gradient.
 
-    The interior scalar potential is recovered from the reversed-order
-    flow, normalized mean-zero.  Its boundary value is the scalar slot of
-    P v, for the potential v with D v = Q U d, d = -R (lam+ z) in the
-    notation of BVPSolution._potential_coordinates: Q^* P v = D_r^-1 U d,
-    whose scalar rows are the tangential rows of U d over i|k|.  It is
-    compared with f by Parseval.  A square-function report of the scaled
-    conormal gradient is attached when a ladder is supplied.
+    f must be finite and mean-zero.  The interior scalar potential is
+    recovered from the reversed-order flow, normalized mean-zero.  Its
+    boundary value is the scalar slot of P v, for the potential v with D v
+    = Q U d, d = -R (lam+ z) in the notation of
+    BVPSolution._potential_coordinates: Q^* P v = D_r^-1 U d, whose scalar
+    rows are the tangential rows of U d over i|k|.  It is compared with f
+    by Parseval, from the one transform of f that the solve reads.  A
+    square-function report of the scaled conormal gradient is attached
+    when a ladder is supplied.
     """
     grid = system.grid
-    f = _as_scalar_data(grid, f)
-    _require_mean_zero(grid, f, "dirichlet datum")
-    sol, rows = _gradient_solution(system, f, "dirichlet")
+    sol, rows, power = _gradient_solution(system, f, "dirichlet", "dirichlet datum")
     hardy = system.hardy("DB")
     potential = sol._potential_coordinates()
     U, m = hardy._range_coordinates, grid.system_size
     tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ -potential.image
     u0 = 1j * tangential / _nonzero_frequency_norms(grid)[:, None]
-    value = _scalar_datum(grid, rows)
+    value = _scalar_datum(grid, rows, power)
     sol.diagnostics["boundary_value_error"] = _relative_residual(
         u0.reshape(-1) - value.rhs, value.outside, value.energy.sum())
     if ladder is not None:
         # the T^2 norm of t exp(-t|DB|) h, aperture one: the cone cross-section
         # times the ladder energy with weights w t^2 (tent.tent_norm at p = 2).
         # h = V+ R^-1 c, so its range coordinates are R^-1 c on the positive
-        # eigenvectors, zero elsewhere, and its null part is zero.
+        # eigenvectors, the leading half, zero elsewhere, and its null part is
+        # zero: the energy reads the leading block of the form.
         scales = np.asarray(ladder.t, dtype=float)
         weights = np.asarray(ladder.weights, dtype=float) * scales**2
         form = eigen_data(system.db).ladder_form(fc.UNIT_SEMIGROUP, scales, weights)
-        coords = np.zeros(len(hardy._positive), dtype=complex)
-        coords[hardy._positive] = potential.x
-        energy = grid.cell_volume * max(np.vdot(coords, form.hermitian @ coords).real, 0.0)
+        half, x = hardy.dim_plus, potential.x
+        energy = grid.cell_volume * max(np.vdot(x, form.hermitian[:half, :half] @ x).real, 0.0)
         sol.diagnostics["tent_norm_t_grad"] = float(np.sqrt(unit_ball_volume(grid.dim) * energy))
     return sol
 
@@ -688,7 +754,8 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
 def dirichlet_to_neumann(system: FirstOrderSystem, f) -> np.ndarray:
     """Boundary map from the potential value to its conormal derivative.
 
-    The regularity problem for the gradient of f, from one forward transform.
+    The regularity problem for the gradient of f, from one forward
+    transform; f must be finite.
     """
     return _gradient_solution(system, f, "regularity")[0].conormal_trace()
 

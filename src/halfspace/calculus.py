@@ -32,7 +32,7 @@ therefore serves DB, BD = B (DB) B^-1 and the adjoint system, whose
 multiplier N B^* N takes its factorization from B, with an exact null
 part: every handle L D R has V = L Q W and Vinv = M Q^* R, and DB keeps
 the range coordinates W of its eigenvectors, which the boundary layer
-reads.
+reads; the eigenvalues of positive real part come first.
 The multipliers D, P and D^+ take b in closed form per frequency, since
 S(k)^2 = sigma(k)^2 P(k).  A ladder of scales is one kernel call: b(s T)
 h for every scale s comes from one evaluation of b and one eigenvector

@@ -98,7 +98,13 @@ class CoefficientMatrix(_PointwiseMatrix):
 @dataclasses.dataclass(frozen=True)
 class _RangeEigen:
     """D_r C = W diag(lam) W^-1 and M = W^-1 C^-1, shared by DB and BD on one B;
-    condition is cond(W) sup|B| / lambda_min(Re C), with the primal's W on an adjoint."""
+    condition is cond(W) sup|B| / lambda_min(Re C), with the primal's W on an adjoint.
+
+    The eigenvalues of positive real part come first, then the rest, each
+    half in the order of the eig, so that the positive eigenvectors are the
+    leading r/2 columns of W when the spectrum splits evenly (as accretivity
+    gives it; bvp.SpectralHardyBasis checks it).
+    """
 
     lam: np.ndarray
     W: np.ndarray
@@ -152,18 +158,23 @@ class TransformedB(_PointwiseMatrix):
         An adjoint runs no eig: N Q = Q n, n = +1 on the scalar-slot and -1
         on the tangential range vectors, and D N = -N D give it C' = n C^* n
         and D_r C' (n M^*) = -n M^* diag(conj lam), so lam' = -conj(lam), W' =
-        n M^* and M' = (C' W')^-1 = W^* n.
+        n M^* and M' = (C' W')^-1 = W^* n.  The map lam -> -conj(lam) swaps
+        the two half-planes, so the adjoint swaps the two halves of each
+        (_half_swap) to keep its positive half first.
         """
         if self._primal is not None:
             core, m = self._primal.range_eigen, self.grid.system_size
             n = np.tile(np.repeat([1.0, -1.0], m), len(core.lam) // (2 * m))
-            W, M = core.M.conj().T, core.W.conj().T
+            swap = _half_swap(len(core.lam))
+            W, M = core.M[swap].conj().T, core.W[:, swap].conj().T
             W *= n[:, None]
             M *= n
-            return _RangeEigen(lam=-core.lam.conj(), W=W, M=M, condition=core.condition)
+            return _RangeEigen(lam=-core.lam[swap].conj(), W=W, M=M, condition=core.condition)
         report = accretivity_estimate(self)
         C = self.compression
         lam, W = np.linalg.eig(_range_symbol_product(self.grid, C))
+        order = np.argsort(~(lam.real > 0), kind="stable")
+        lam, W = lam[order], W[:, order]
         M = np.linalg.inv(C @ W)
         return _RangeEigen(lam=lam, W=W, M=M,
                            condition=float(np.linalg.cond(W)) * report.sup_norm / report.kappa)
@@ -175,12 +186,15 @@ class TransformedB(_PointwiseMatrix):
         BD on this B share (calculus._range_eigen_data).  The second is BD's
         Vinv as it stands, kept conjugated in place of Q M^*."""
         if self._primal is not None:
-            # Q W' = Q n M^* = N Q M^* and Q M'^* = Q n W = N Q W
+            # Q W' = Q n M^* = N Q M^* and Q M'^* = Q n W = N Q W, with the
+            # halves swapped as in range_eigen: one copy each, then in place
             QW, MQ = self._primal.range_syntheses
             channel = np.arange(self.grid.dof) % self.grid.channels
             n = np.where(channel < self.grid.system_size, 1.0, -1.0)
-            out = (MQ.T * n[:, None], QW.T * n)
-            for array in out:
+            swap = _half_swap(QW.shape[1])
+            out = (MQ[swap].T, QW.T[swap])
+            for array, sign in zip(out, (n[:, None], n)):
+                np.multiply(array, sign, out=array)
                 np.conj(array, out=array)
         else:
             core = self.range_eigen
@@ -190,6 +204,11 @@ class TransformedB(_PointwiseMatrix):
         for array in out:
             array.setflags(write=False)
         return out
+
+
+def _half_swap(r: int) -> np.ndarray:
+    """The permutation that exchanges the two halves of r = 2h indices."""
+    return np.roll(np.arange(r), r // 2)
 
 
 def hat_transform(A: CoefficientMatrix) -> TransformedB:

@@ -177,7 +177,7 @@ def check_finite(values: np.ndarray) -> None:
     """Raise GridError naming the first non-finite entry of values."""
     if not np.all(np.isfinite(values)):
         bad = np.argwhere(~np.isfinite(values))[0]
-        raise GridError(f"non-finite entry at index {tuple(bad)}")
+        raise GridError(f"non-finite entry at index {tuple(bad.tolist())}")
 
 
 class Field:

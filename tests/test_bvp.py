@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -35,7 +37,15 @@ from halfspace.coefficients import (
     hat_transform,
     perturbation_of_identity,
 )
-from halfspace.grid import Field, GridSpec, TLadder, l2_norm, random_field, sobolev_norm
+from halfspace.grid import (
+    Field,
+    GridError,
+    GridSpec,
+    TLadder,
+    l2_norm,
+    random_field,
+    sobolev_norm,
+)
 from halfspace.operators import (
     OperatorError,
     assemble_dense,
@@ -279,7 +289,7 @@ def test_dirichlet_diagnostics_match_explicit_reference(perturbed_system_2d):
     f = band_limited_scalar(grid, rng)
     sol = solve_dirichlet(system, f, ladder=ladder)
     hardy, ed = system.hardy("DB"), fc.eigen_data(system.db)
-    positive, R = hardy._positive, hardy._R
+    positive, R = ed.lam.real > 0, hardy._R
     c = sol._coordinates[0]
     x = scipy.linalg.solve_triangular(R, c)
     lam = ed.lam[positive]
@@ -598,7 +608,9 @@ def test_adjoint_eigen_data_runs_no_factorization(fresh_system, monkeypatch):
         fc.eigen_data(T)
     core, dual = fresh_system.B.range_eigen, adj.B.range_eigen
     assert adj.B._primal is fresh_system.B and adj.report is fresh_system.report
-    assert np.array_equal(dual.lam, -core.lam.conj())
+    # lam -> -conj(lam) swaps the half-planes, and the adjoint swaps the halves back
+    half = len(core.lam) // 2
+    assert np.array_equal(dual.lam, -np.roll(core.lam, half).conj())
     # against the compression gathered from the adjoint's own values
     C = adj.B.compression
     DCW = _range_symbol_product(fresh_system.grid, C @ dual.W)
@@ -1173,3 +1185,136 @@ def test_off_hardy_potential_fit_matches_lstsq(perturbed_system_2d):
     assert expected > 1e-2
     assert sol.diagnostics["potential_residual"] == pytest.approx(expected, rel=1e-12)
     assert np.linalg.norm(potential - basis @ coords) <= 1e-12 * np.linalg.norm(potential)
+
+
+# ---------------------------------------------------------------------------
+# solutions hold their Hardy coordinates; one datum transform for every check
+# ---------------------------------------------------------------------------
+
+
+def _warm_solves(system, f):
+    """The three solves of f, each run once so that every cached factor is built."""
+    grad = tangential_gradient(system.grid, f)
+    ladder = TLadder.logspaced(2.0**-4, 2.0**2, 8)
+    solves = {
+        "neumann": lambda: solve_neumann(system, f),
+        "regularity": lambda: solve_regularity(system, grad),
+        "dirichlet": lambda: solve_dirichlet(system, f, ladder=ladder),
+    }
+    for solve in solves.values():
+        solve()
+    return solves
+
+
+def test_warm_solves_form_the_trace_on_first_read(perturbed_system_2d, monkeypatch):
+    system = perturbed_system_2d
+    solves = _warm_solves(system, band_limited_scalar(system.grid, np.random.default_rng(70)))
+    fields = []
+    init = Field.__init__
+    monkeypatch.setattr(Field, "__init__",
+                        lambda self, *args: fields.append(args[-1]) or init(self, *args))
+    for kind, solve in solves.items():
+        sol = solve()
+        assert not fields, kind
+        h = sol.h
+        assert len(fields) == 1, kind
+        assert sol.h is h and len(fields) == 1, kind
+        fields.clear()
+
+
+def test_lazy_trace_is_the_hardy_synthesis(perturbed_system_2d):
+    system = perturbed_system_2d
+    grid = system.grid
+    plus = system.hardy("DB").plus
+    solves = _warm_solves(system, band_limited_scalar(grid, np.random.default_rng(71)))
+    for kind, solve in solves.items():
+        sol = solve()
+        c, rest = sol._coordinates
+        assert rest == 0.0, kind
+        assert np.array_equal(sol.h.values, Field.from_flat(grid, plus @ c).values), kind
+    # an explicit trace is kept as given
+    h = random_field(grid, np.random.default_rng(72), mean_zero=True)
+    assert bvp.BVPSolution("dirichlet", system, h, {}).h is h
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 32), GridSpec(2, 8), GridSpec(1, 16, 2),
+                                  GridSpec(2, 8, 2)], ids=["g32", "g8x2", "g16m2", "g8x2m2"])
+def test_trace_l2_is_the_norm_of_the_hardy_coordinates(grid):
+    # plus = Q U+ has orthonormal columns in the flat inner product
+    system = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(73), 0.15))
+    f = band_limited_scalar(grid, np.random.default_rng(74))
+    for sys_ in (system, system.adjoint()):
+        for kind, solve in _warm_solves(sys_, f).items():
+            sol = solve()
+            assert sol.diagnostics["trace_l2"] == pytest.approx(l2_norm(sol.h), rel=1e-12), kind
+
+
+def test_transform_mean_refusal_matches_physical_check(perturbed_system_2d):
+    # a mean of 1e-9 ||f|| is refused and one of 1e-11 ||f|| accepted, by the
+    # solves from the datum's transform and by _require_mean_zero alike
+    system = perturbed_system_2d
+    grid = system.grid
+    f = np.reshape(band_limited_scalar(grid, np.random.default_rng(75)), grid.shape + (1,))
+    grad = np.reshape(tangential_gradient(grid, f), grid.shape + (grid.dim,))
+    solves = {
+        "neumann": (f, lambda d: solve_neumann(system, d)),
+        "regularity": (grad, lambda d: solve_regularity(system, d)),
+        "dirichlet": (f, lambda d: solve_dirichlet(system, d)),
+    }
+    for kind, (datum, solve) in solves.items():
+        for share, refused in ((1e-9, True), (1e-11, False)):
+            shifted = datum.copy()
+            shifted[..., 0] += share * np.linalg.norm(datum)
+            if refused:
+                with pytest.raises(DatumError, match="zero mean"):
+                    bvp._require_mean_zero(grid, shifted, kind)
+                with pytest.raises(DatumError, match=f"^{kind} datum must have zero mean"):
+                    solve(shifted)
+            else:
+                bvp._require_mean_zero(grid, shifted, kind)
+                assert solve(shifted).diagnostics["trace_residual"] <= 1e-8, kind
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_datum_is_refused_by_its_index(perturbed_system_2d, bad):
+    system = perturbed_system_2d
+    grid = system.grid
+    f = np.reshape(band_limited_scalar(grid, np.random.default_rng(76)), grid.shape + (1,))
+    grad = np.reshape(tangential_gradient(grid, f), grid.shape + (grid.dim,))
+    calls = {
+        "neumann": (f, (3, 5, 0), lambda d: solve_neumann(system, d)),
+        "regularity": (grad, (3, 5, 1), lambda d: solve_regularity(system, d)),
+        "dirichlet": (f, (3, 5, 0), lambda d: solve_dirichlet(system, d)),
+        "dirichlet_to_neumann": (f, (3, 5, 0), lambda d: dirichlet_to_neumann(system, d)),
+    }
+    for kind, (datum, index, call) in calls.items():
+        broken = datum.astype(complex)
+        broken[index] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=rf"^non-finite entry at index \({index[0]}, "
+                                                rf"{index[1]}, {index[2]}\)$"):
+                call(broken)
+
+
+def test_range_eigen_orders_the_positive_half_first(fresh_system):
+    adj = fresh_system.adjoint()
+    for name, B in (("primal", fresh_system.B), ("adjoint", adj.B)):
+        lam = B.range_eigen.lam
+        half = len(lam) // 2
+        assert np.all(lam[:half].real > 0) and np.all(lam[half:].real < 0), name
+    for name, T in _four_handles(fresh_system).items():
+        lam = fc.eigen_data(T).lam
+        half = len(lam) // 2
+        assert np.all(lam[:half].real > 0) and np.all(lam[half:].real < 0), name
+    for sys_ in (fresh_system, adj):
+        lam = sys_.B.range_eigen.lam
+        assert np.array_equal(sys_.hardy("DB")._lam_plus, lam[: len(lam) // 2])
+
+
+def test_hardy_basis_refuses_an_unordered_split(g8x2):
+    T = db_operator(hat_transform(perturbation_of_identity(g8x2, np.random.default_rng(77), 0.1)))
+    ed = fc.eigen_data(T)
+    T._eigen = dataclasses.replace(ed, lam=ed.lam[::-1])
+    with pytest.raises(TraceMapError, match="spectrum splits"):
+        bvp.SpectralHardyBasis(T)
