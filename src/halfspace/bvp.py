@@ -2,33 +2,30 @@
 
 The trace space of conormal gradients of decaying solutions is the
 positive spectral subspace of the first-order composition.  Solvers
-invert the scalar or tangential trace map on an explicit orthonormal
-basis of that subspace by least squares, reporting the residual and the
+invert the scalar or tangential trace map on an orthonormal basis of
+that subspace by least squares, reporting the residual and the
 condition number rather than assuming invertibility.
 
 DB maps into the range of D, so its basis and the trace maps are held in
 the coordinates of the orthonormal range basis Q of D, one scalar-slot
 and one tangential vector along k/|k| per nonzero frequency and system
-channel.  There the scalar and tangential trace maps are square, and a
-boundary datum enters as its Fourier coefficients, from one forward
-transform, which also serves the refusals of a non-finite entry and of
-a nonzero mean; its mean and its part transverse to k/|k|, which no
-trace reaches, are added to the residual exactly, by Parseval.
+channel.  There the trace maps are square, and a boundary datum enters
+as its Fourier coefficients, from one forward transform that also
+serves the refusals of a non-finite entry and of a nonzero mean; what
+no trace reaches is added to the residual exactly, by Parseval.
 
-A solve's result is its coordinates c in the positive Hardy basis Q U+
-of DB, which has orthonormal columns, so the trace norm is that of c and
-every diagnostic of the solve reads c.  A BVPSolution forms its physical
-trace h = Q U+ c on the first read of h and keeps it.
-
-The boundary layer comes from the one factorization of DB on the range
-of D and one QR.  The positive basis of DB is Q U+ with U+ R = W+, the
-range coordinates of its positive eigenvectors (calculus.EigenData).  The scalar
-and tangential trace maps are the two square row blocks S and T of the
-isometry U+, so S^* S + T^* T = I and one SVD of S gives both (the CS
-decomposition).  The potential v with D v = -h in the positive subspace
-of BD = B (DB) B^-1 is -B (DB)^-1 h, so the layer potentials need no
-basis of BD: one triangular solve with R gives (DB)^-1 h in the basis
-Q U+, and B multiplies pointwise.
+The positive basis of DB is Q U+ with U+ R = W+, the QR of the range
+coordinates of its positive eigenvectors (calculus.EigenData).  The
+trace maps are the scalar and tangential row blocks of the isometry U+,
+so one SVD gives both (the CS decomposition).  A solve returns the
+coordinates c of its trace h = Q U+ c, which every diagnostic reads; h
+is formed on its first read.  Each boundary slot is read from y = Q^* h
+= U+ c by one inverse transform: the conormal derivative is the scalar
+rows of y and the value of the potential -i (tangential rows) / |k|.
+The potential v with D v = -h in the positive subspace of BD = B (DB)
+B^-1 is -B (DB)^-1 h: one triangular solve with R, and B pointwise.
+The layers at height t flow their density by exp(-z) chi+(z) or exp(z)
+chi-(z) at the scale |t|, and by chi+ or chi- at t = 0.
 
 Scalar boundary data are arrays of shape grid_shape + (m,); the scalar
 slot of every returned interior quantity is the mean-zero
@@ -304,6 +301,18 @@ def _range_part(grid: GridSpec, h: Field):
     return y.reshape(-1), scalar.outside + tangential.outside
 
 
+def _slot_coefficients(grid: GridSpec, y: np.ndarray, slot: str) -> np.ndarray:
+    """A boundary slot of the trace of range coordinates y, as (G^n - 1, m) flat rows.
+
+    "conormal" is the scalar slot, the scalar rows of y; "value" the
+    potential of the tangential slot's gradient part, -i (tangential rows) / |k|.
+    """
+    rows = y.reshape(-1, 2, grid.system_size)
+    if slot == "conormal":
+        return rows[:, 0]
+    return -1j * rows[:, 1] / _nonzero_frequency_norms(grid)[:, None]
+
+
 # ---------------------------------------------------------------------------
 # system context: coefficients, certificate, cached operators and bases
 # ---------------------------------------------------------------------------
@@ -314,21 +323,15 @@ class SpectralHardyBasis:
 
     The eigen data hold only the range part of the operator, so its
     eigenvalues split into the two spectral subspaces and the null space
-    is the rest of the dof.  The dimensions of all three are recorded; the
-    negative subspace needs no basis.  B.range_eigen orders the eigenvalues
-    of positive real part first; the split must be even, r/2 and r/2, or
-    TraceMapError is raised.  _lam_plus is the positive half, a view.
+    is the rest of the dof.  The split must be even, r/2 of positive real
+    part first (B.range_eigen's order), or TraceMapError is raised;
+    dim_plus is r/2 and _lam_plus the positive half, a view.
 
-    With V+ the positive eigenvectors, the leading r/2 columns of V, plus R
-    = V+ with R upper triangular.
-    DB maps into the range of D, where its eigenvectors are V = Q W (Q the
-    orthonormal range basis of coefficients._range_synthesis, W the
-    eigendecomposition's coordinates), so for DB this is the QR
-    factorization U R = W+, r x r/2, and plus = Q U: no transform of V and
-    no QR with dof rows runs, and _range_coordinates holds U = Q^* plus.
-    The range of BD is B times that of D, so BD takes the QR of V+ in the
-    physical layout.  No solve or layer potential reads it: they act on
-    the basis of DB (BVPSolution._potential_vector).
+    With V+ the leading r/2 eigenvectors, plus R = V+, R upper triangular.
+    DB has V = Q W (Q the range basis of coefficients._range_synthesis),
+    so it takes the r x r/2 QR U R = W+ and plus = Q U, with no QR of dof
+    rows, and _range_coordinates holds U = Q^* plus.  BD takes the QR of
+    V+ in the physical layout; no solve or layer potential reads it.
     """
 
     def __init__(self, T: LinearOperatorHandle):
@@ -348,8 +351,7 @@ class SpectralHardyBasis:
         else:
             self.plus, self._R = np.linalg.qr(ed.V[:, :half])
             self._range_coordinates = None
-        self.dim_plus = self.dim_minus = half
-        self.dim_null = grid.dof - len(ed.lam)
+        self.dim_plus = half
 
 
 @dataclasses.dataclass(frozen=True)
@@ -437,8 +439,7 @@ class FirstOrderSystem:
         = I, and with S = U_s Sigma V^* the columns of T V are orthogonal
         with norms sqrt(1 - sigma^2) (the CS decomposition; Paige-Wei, Linear
         Algebra Appl. 1994): T V, normalized and sorted descending, is the
-        SVD of T with the same V, and only S takes an SVD.  The layer
-        potentials need no map of their own (BVPSolution._potential_vector).
+        SVD of T with the same V, and only S takes an SVD.
         """
         if not self._trace_maps:
             U = self.hardy("DB")._range_coordinates
@@ -513,15 +514,13 @@ def _triangular_solve(R: np.ndarray, c: np.ndarray) -> np.ndarray:
 class BVPSolution:
     """Problem statement and solution: kind, datum, boundary trace, evaluators.
 
-    The trace h lies in the span of the positive spectral basis.  A solve
-    keeps the coordinates c of h in the positive Hardy basis plus of DB,
-    and h = plus c is formed, as a physical Field, on its first read and
-    kept; a solution made with an explicit h holds that h.
-    evaluate(t) returns the interior conormal gradient; scalar_value(t)
-    the mean-zero interior scalar potential.  diagnostics carries the
-    trace residual, the trace-map condition number and norm reports, all
-    plain numbers; the potential vector behind scalar_value is cached on
-    the solution itself.
+    A solve keeps the coordinates c of its trace h in the positive Hardy
+    basis plus of DB, and h = plus c is formed, as a physical Field, on
+    its first read and kept; a solution made with an explicit h holds that
+    h.  conormal_trace and scalar_trace read their slot from y = Q^* h,
+    which is U+ c for a solve, so that they form no h.  evaluate(t)
+    returns the interior conormal gradient; scalar_value(t) the mean-zero
+    interior scalar potential.  diagnostics carries plain numbers.
     """
 
     def __init__(self, kind: str, system: FirstOrderSystem, h: Field | None,
@@ -598,16 +597,27 @@ class BVPSolution:
         vt = p_operator(self.system.grid).apply(vt)
         return _squeeze_channels(vt.values[..., : self.system.grid.system_size].copy())
 
+    def _slot_trace(self, slot: str) -> np.ndarray:
+        """A boundary slot read from y = Q^* h, with one inverse transform.
+
+        y is U c when h is the fit U c with no rest, as for a solve, so that
+        no h is formed; otherwise it comes from one analysis of h.
+        """
+        grid, (c, rest) = self.system.grid, self._hardy_coordinates()
+        y = (self.system.hardy("DB")._range_coordinates @ c if rest == 0.0
+             else _range_part(grid, self.h)[0])
+        nonzero, _ = _range_basis_coefficients(grid)
+        hat = np.zeros((grid.points**grid.dim, grid.system_size), dtype=complex)
+        hat[nonzero] = _slot_coefficients(grid, y, slot) * grid.points ** (-grid.dim / 2.0)
+        return _squeeze_channels(ifft_values(hat.reshape(grid.shape + (-1,)), grid))
+
     def scalar_trace(self) -> np.ndarray:
         """Mean-zero boundary value of the scalar potential."""
-        grid = self.system.grid
-        m = grid.system_size
-        return scalar_potential(grid, self.h.to_physical().values[..., m:])
+        return self._slot_trace("value")
 
     def conormal_trace(self) -> np.ndarray:
-        """Scalar slot of the boundary conormal gradient."""
-        m = self.system.grid.system_size
-        return _squeeze_channels(self.h.to_physical().values[..., :m].copy())
+        """Mean-zero scalar slot of the boundary conormal gradient."""
+        return self._slot_trace("conormal")
 
     def equation_residual(self, ladder: TLadder) -> float:
         """First-order evolution residual from ladder-resolution differences.
@@ -719,20 +729,17 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
     f must be finite and mean-zero.  The interior scalar potential is
     recovered from the reversed-order flow, normalized mean-zero.  Its
     boundary value is the scalar slot of P v, for the potential v with D v
-    = Q U d, d = -R (lam+ z) in the notation of
-    BVPSolution._potential_coordinates: Q^* P v = D_r^-1 U d, whose scalar
-    rows are the tangential rows of U d over i|k|.  It is compared with f
-    by Parseval, from the one transform of f that the solve reads.  A
-    square-function report of the scaled conormal gradient is attached
+    = -Q U image in the notation of BVPSolution._potential_coordinates:
+    the "value" slot of the range coordinates U image.  It is compared
+    with f by Parseval, from the one transform of f that the solve reads.
+    A square-function report of the scaled conormal gradient is attached
     when a ladder is supplied.
     """
     grid = system.grid
     sol, rows, power = _gradient_solution(system, f, "dirichlet", "dirichlet datum")
     hardy = system.hardy("DB")
     potential = sol._potential_coordinates()
-    U, m = hardy._range_coordinates, grid.system_size
-    tangential = U.reshape(-1, 2, m, U.shape[1])[:, 1] @ -potential.image
-    u0 = 1j * tangential / _nonzero_frequency_norms(grid)[:, None]
+    u0 = _slot_coefficients(grid, hardy._range_coordinates @ potential.image, "value")
     value = _scalar_datum(grid, rows, power)
     sol.diagnostics["boundary_value_error"] = _relative_residual(
         u0.reshape(-1) - value.rhs, value.outside, value.energy.sum())
@@ -754,16 +761,18 @@ def solve_dirichlet(system: FirstOrderSystem, f, ladder: TLadder | None = None) 
 def dirichlet_to_neumann(system: FirstOrderSystem, f) -> np.ndarray:
     """Boundary map from the potential value to its conormal derivative.
 
-    The regularity problem for the gradient of f, from one forward
-    transform; f must be finite.
+    The regularity problem for the gradient of f, from one forward transform
+    of f, which must be finite, and its conormal slot, by one inverse transform.
     """
     return _gradient_solution(system, f, "regularity")[0].conormal_trace()
 
 
 def neumann_to_dirichlet(system: FirstOrderSystem, g) -> np.ndarray:
-    """Boundary map from the conormal derivative back to the potential value."""
-    sol = solve_neumann(system, g)
-    return sol.scalar_trace()
+    """Boundary map from the conormal derivative back to the potential value.
+
+    The Neumann problem for g and its value slot, by one inverse transform.
+    """
+    return solve_neumann(system, g).scalar_trace()
 
 
 # ---------------------------------------------------------------------------
@@ -772,39 +781,41 @@ def neumann_to_dirichlet(system: FirstOrderSystem, g) -> np.ndarray:
 
 
 def _resolve_side(t: float, side) -> int:
-    if t != 0:
-        return +1 if t > 0 else -1
-    if side in (+1, "+", "plus"):
-        return +1
-    if side in (-1, "-", "minus"):
-        return -1
-    raise DatumError("layer potentials at t = 0 need side='+' or side='-'")
+    """The side of a layer: the sign of t, which a given side must name, or the side at t = 0."""
+    named = +1 if side in (+1, "+", "plus") else -1 if side in (-1, "-", "minus") else None
+    if t == 0 and named is None:
+        raise DatumError("layer potentials at t = 0 need side='+' or side='-'")
+    sgn = named if t == 0 else +1 if t > 0 else -1
+    if side is not None and named != sgn:
+        raise DatumError(f"side={side!r} contradicts the height t = {t:g}")
+    return sgn
 
 
-@functools.lru_cache
-def _decaying_extension_spec(t: float, sgn: int) -> fc.HolomorphicFunctionSpec:
-    """exp(-t z) on the spectral half selected by sgn.
+# The decaying extensions of the two sides: at the scale |t|, exp(-t z) on
+# the positive spectral half for t > 0 and on the negative half for t < 0.
+# One spec object each, so that repeated layers at a height find the scaled
+# tables that the eigendecompositions keep per spec object.
+_EXTENSION_PLUS = fc.custom(0.0, 0.0, lambda z: np.exp(-z) * (z.real > 0), name="exp(-z)chi+")
+_EXTENSION_MINUS = fc.custom(0.0, 0.0, lambda z: np.exp(z) * (z.real < 0), name="exp(z)chi-")
 
-    For t of the matching sign this decays into the corresponding
-    half-space; at t = 0 it is the one-sided boundary limit.  One spec
-    object per (t, sgn), so that repeated layer potentials find the scaled
-    tables that the eigendecompositions keep per spec object.
+
+def _layer_flow(T: LinearOperatorHandle, t: float, f, side, what: str) -> tuple:
+    """The side of a layer at height t and the flow of its density f under T.
+
+    f must be mean-zero scalar data; it flows embedded as [f; 0], by the
+    extension of the side at the scale |t|, or at t = 0 by chi+ or chi-,
+    the exact one-sided boundary limit.
     """
-    if sgn > 0:
-        return fc.custom(
-            0.0,
-            0.0,
-            lambda z, _t=t: np.exp(-_t * z) * (z.real > 0),
-            0.0,
-            name=f"exp(-{t:g}z)chi+",
-        )
-    return fc.custom(
-        0.0,
-        0.0,
-        lambda z, _t=t: np.exp(-_t * z) * (z.real < 0),
-        0.0,
-        name=f"exp(-{t:g}z)chi-",
-    )
+    sgn = _resolve_side(t, side)
+    grid = T.grid
+    f = _as_scalar_data(grid, f)
+    _require_mean_zero(grid, f, what)
+    if t == 0:
+        spec, scale = (fc.chi_plus() if sgn > 0 else fc.chi_minus()), 1.0
+    else:
+        spec, scale = (_EXTENSION_PLUS if sgn > 0 else _EXTENSION_MINUS), abs(t)
+    flow = fc.eigen_apply_scaled(T, spec, [scale], embed_scalar(grid, f))[0]
+    return sgn, Field.physical(grid, flow)
 
 
 def grad_single_layer(system: FirstOrderSystem, t: float, f, side=None) -> Field:
@@ -814,12 +825,7 @@ def grad_single_layer(system: FirstOrderSystem, t: float, f, side=None) -> Field
     half; negative heights the complementary half with a sign flip.  At
     t = 0 pass side='+' or '-' for the exact one-sided boundary limit.
     """
-    sgn = _resolve_side(t, side)
-    grid = system.grid
-    f = _as_scalar_data(grid, f)
-    _require_mean_zero(grid, f, "single layer density")
-    w = embed_scalar(grid, f)
-    out = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.db, w, path="eigen")
+    sgn, out = _layer_flow(system.db, t, f, side, "single layer density")
     return out if sgn > 0 else -out
 
 
@@ -842,12 +848,8 @@ def double_layer(system: FirstOrderSystem, t: float, f, side=None) -> np.ndarray
     the closed range (which removes the zero mode) and reads the scalar
     slot; signs follow the jump convention.
     """
-    sgn = _resolve_side(t, side)
     grid = system.grid
-    f = _as_scalar_data(grid, f)
-    _require_mean_zero(grid, f, "double layer density")
-    w = embed_scalar(grid, f)
-    flow = fc.apply_calculus(_decaying_extension_spec(t, sgn), system.bd, w, path="eigen")
+    sgn, flow = _layer_flow(system.bd, t, f, side, "double layer density")
     projected = p_operator(grid).apply(flow)
     scalar = _squeeze_channels(projected.values[..., : grid.system_size])
     return -scalar if sgn > 0 else scalar.copy()
@@ -876,11 +878,6 @@ def layer_duality_check(system: FirstOrderSystem, t: float, f, g):
         raise DatumError("duality check needs t != 0")
     adj = system.adjoint()
     grid = system.grid
-    f = _as_scalar_data(grid, f)
-    g = _as_scalar_data(grid, g)
-    _require_mean_zero(grid, f, "density")
-    _require_mean_zero(grid, g, "density")
-
     Sf = single_layer(system, t, f)
     Sg_adj = single_layer(adj, -t, g)
     lhs1 = _scalar_inner(grid, g, Sf)
@@ -904,22 +901,23 @@ def boundary_layer_representation_check(
 
     The interior scalar potential should equal the single layer of its
     conormal trace minus the double layer of its boundary value, height
-    by height.  As exp(-t z) chi+(z) is the t = 1 extension at t z for
-    t > 0, each of the three flows is one ladder call over all heights.
+    by height.  The layers at t > 0 flow by exp(-z) chi+(z) at the scale
+    t, so each of the three flows is one ladder call over all heights.
+    The solution must be one of system; DatumError otherwise.
     """
+    if solution.system is not system:
+        raise DatumError("the solution belongs to another system")
     grid = system.grid
     if ladder is None:
         ladder = TLadder.logspaced(2.0**-6, 2.0**2, per_octave=1)
-    conormal0 = _as_scalar_data(grid, solution.conormal_trace())
-    value0 = _as_scalar_data(grid, solution.scalar_trace())
-    _require_mean_zero(grid, conormal0, "single layer density")
-    _require_mean_zero(grid, value0, "double layer density")
-    extension = _decaying_extension_spec(1.0, +1)
+    conormal0, value0 = solution.conormal_trace(), solution.scalar_trace()
     interior = fc.eigen_apply_scaled(
         system.bd, fc.UNIT_SEMIGROUP, ladder.t, solution._potential_vector()
     )
-    single = fc.eigen_apply_scaled(system.db, extension, ladder.t, embed_scalar(grid, conormal0))
-    double = fc.eigen_apply_scaled(system.bd, extension, ladder.t, embed_scalar(grid, value0))
+    single = fc.eigen_apply_scaled(system.db, _EXTENSION_PLUS, ladder.t,
+                                   embed_scalar(grid, conormal0))
+    double = fc.eigen_apply_scaled(system.bd, _EXTENSION_PLUS, ladder.t,
+                                   embed_scalar(grid, value0))
     P, m = p_operator(grid), grid.system_size
     u = P.apply_array(interior, PHYSICAL)[..., :m]
     # single minus double layer, with the signs of single_layer and double_layer

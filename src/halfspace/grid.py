@@ -361,6 +361,8 @@ class TLadder:
     def logspaced(cls, t_min: float, t_max: float, per_octave: int = 2) -> "TLadder":
         if not 0 < t_min < t_max:
             raise GridError(f"ladder needs 0 < t_min < t_max, got {t_min}, {t_max}")
+        if not 0 < per_octave < np.inf:
+            raise GridError(f"ladder needs a finite per_octave > 0, got {per_octave}")
         octaves = np.log2(t_max / t_min)
         count = max(int(round(octaves * per_octave)), 1) + 1
         u = np.linspace(np.log(t_min), np.log(t_max), count)

@@ -329,8 +329,7 @@ def test_representation_checks_evaluate_the_extension_once_per_handle(g8x2, monk
     rng = np.random.default_rng(49)
     sys_ = FirstOrderSystem(perturbation_of_identity(g8x2, rng, 0.1))
     sol = solve_dirichlet(sys_, band_limited_scalar(g8x2, rng))
-    extension = bvp._decaying_extension_spec(1.0, +1)
-    assert bvp._decaying_extension_spec(1.0, +1) is extension
+    extension = bvp._EXTENSION_PLUS
     evaluations = []
     call = fc.HolomorphicFunctionSpec.__call__
 
@@ -455,8 +454,9 @@ def test_spectral_split_sum_and_lower_bound(perturbed_system_32):
 def test_hardy_dimensions(perturbed_system_32):
     basis = perturbed_system_32.hardy("DB")
     grid = perturbed_system_32.grid
-    assert basis.dim_plus + basis.dim_minus == 2 * (grid.points - 1)
-    assert basis.dim_plus == basis.dim_minus
+    dim_minus = len(fc.eigen_data(perturbed_system_32.db).lam) - basis.dim_plus
+    assert basis.dim_plus + dim_minus == 2 * (grid.points - 1)
+    assert basis.dim_plus == dim_minus
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +762,39 @@ def test_layer_requires_side_at_zero(identity_system_32):
         single_layer(identity_system_32, 0.0, np.cos(x))
 
 
+def test_layer_refuses_a_side_against_the_sign_of_t(identity_system_32):
+    system = identity_system_32
+    f = np.cos(system.grid.coordinates()[0])
+    for layer in (grad_single_layer, single_layer, double_layer):
+        for t, side in ((0.5, "-"), (0.5, -1), (-0.5, "plus"), (-0.5, +1), (0.5, "up")):
+            with pytest.raises(DatumError, match="contradicts"):
+                layer(system, t, f, side=side)
+        # a side that names the sign of t is accepted, and gives the layer without it
+        for t, side in ((0.5, "+"), (-0.5, "minus")):
+            given, plain = layer(system, t, f, side=side), layer(system, t, f)
+            assert np.array_equal(getattr(given, "values", given), getattr(plain, "values", plain))
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.1, -0.3, 1.0, -2.0])
+def test_layer_flows_match_the_extension_at_each_height(fresh_system, t):
+    # the two fixed extensions at the scale |t| give the flows of exp(-t z)
+    # on the side's spectral half at scale one, bit for bit
+    grid = fresh_system.grid
+    f = band_limited_scalar(grid, np.random.default_rng(78))
+    w = embed_scalar(grid, f)
+    for sgn in ((+1, -1) if t == 0 else (1 if t > 0 else -1,)):
+        side = "+" if sgn > 0 else "-"
+        half = (lambda z: z.real > 0) if sgn > 0 else (lambda z: z.real < 0)
+        spec = fc.custom(0.0, 0.0, lambda z: np.exp(-t * z) * half(z), 0.0)
+        single = fc.apply_calculus(spec, fresh_system.db, w)
+        double = p_operator(grid).apply(fc.apply_calculus(spec, fresh_system.bd, w))
+        double = np.reshape(double.values[..., : grid.system_size], np.shape(f))
+        assert np.array_equal(grad_single_layer(fresh_system, t, f, side=side).values,
+                              (single if sgn > 0 else -single).values), side
+        assert np.array_equal(double_layer(fresh_system, t, f, side=side),
+                              -double if sgn > 0 else double), side
+
+
 def test_layer_rejects_nonzero_mean(identity_system_32):
     grid = identity_system_32.grid
     with pytest.raises(DatumError, match="zero mean"):
@@ -810,6 +843,16 @@ def test_representation_random_coefficients(perturbed_system_32):
 def test_representation_zero_solution(identity_system_32):
     sol = solve_dirichlet(identity_system_32, np.zeros(identity_system_32.grid.shape))
     assert boundary_layer_representation_check(identity_system_32, sol) == 0.0
+
+
+def test_representation_refuses_a_solution_of_another_system(perturbed_system_32,
+                                                             identity_system_32):
+    f = band_limited_scalar(perturbed_system_32.grid, np.random.default_rng(79))
+    sol = solve_dirichlet(perturbed_system_32, f)
+    with pytest.raises(DatumError, match="another system"):
+        boundary_layer_representation_check(identity_system_32, sol)
+    with pytest.raises(DatumError, match="another system"):
+        boundary_layer_representation_check(perturbed_system_32.adjoint(), sol)
 
 
 def per_height_representation_check(system, solution, ladder):
@@ -1099,7 +1142,8 @@ def test_dirichlet_to_neumann_transforms_its_datum_once(g8x2, monkeypatch):
         monkeypatch.setattr(scipy.fft, name,
                             lambda *a, _n=name, _f=inner, **k: calls.append(_n) or _f(*a, **k))
     got = dirichlet_to_neumann(sys_, f)
-    assert calls == ["fftn"]
+    # one forward transform of f, one inverse transform of the conormal slot
+    assert calls == ["fftn", "ifftn"]
     assert scalar_norm(g8x2, got - expected) <= 1e-12 * scalar_norm(g8x2, expected)
 
 
@@ -1235,6 +1279,33 @@ def test_lazy_trace_is_the_hardy_synthesis(perturbed_system_2d):
     # an explicit trace is kept as given
     h = random_field(grid, np.random.default_rng(72), mean_zero=True)
     assert bvp.BVPSolution("dirichlet", system, h, {}).h is h
+
+
+def test_trace_slots_read_from_range_coordinates_match_the_physical_route(fresh_system):
+    # the conormal slot is the scalar slot of h and the value slot the
+    # potential of its tangential slot; both are read without forming h
+    grid = fresh_system.grid
+    m = grid.system_size
+    rng = np.random.default_rng(75)
+    f, g = band_limited_scalar(grid, rng), band_limited_scalar(grid, rng)
+
+    def close(got, expected):
+        return scalar_norm(grid, got - expected) <= 1e-13 * scalar_norm(grid, expected)
+
+    for sys_ in (fresh_system, fresh_system.adjoint()):
+        for kind, solve in _warm_solves(sys_, f).items():
+            sol = solve()
+            conormal, value = sol.conormal_trace(), sol.scalar_trace()
+            assert sol._h is None, kind
+            h = sol.h.to_physical().values
+            assert close(conormal, np.reshape(h[..., :m], np.shape(conormal))), kind
+            assert close(value, scalar_potential(grid, h[..., m:])), kind
+        regularity = solve_regularity(sys_, tangential_gradient(grid, f)).h.to_physical()
+        dtn = dirichlet_to_neumann(sys_, f)
+        assert close(dtn, np.reshape(regularity.values[..., :m], np.shape(dtn)))
+        neumann = solve_neumann(sys_, g).h.to_physical()
+        ntd = neumann_to_dirichlet(sys_, g)
+        assert close(ntd, scalar_potential(grid, neumann.values[..., m:]))
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 32), GridSpec(2, 8), GridSpec(1, 16, 2),

@@ -149,6 +149,12 @@ def test_ladder_validation():
         TLadder(t=np.array([0.5, 1.0]), weights=np.array([0.1, 0.1]))
 
 
+@pytest.mark.parametrize("per_octave", [0, -3, 0.0, np.nan, np.inf])
+def test_logspaced_refuses_a_per_octave_that_is_not_finite_and_positive(per_octave):
+    with pytest.raises(GridError, match="per_octave"):
+        TLadder.logspaced(0.25, 4.0, per_octave=per_octave)
+
+
 def test_ladder_keeps_read_only_float_arrays():
     # sequences are stored as the ladder's own float arrays, so every
     # consumer can read them as arrays

@@ -230,6 +230,7 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"whitney": {"apertur": 2}},
         {"ladder": {"tmin": 0.5}},
         {"ladder": {"t_min": 0}},
+        {"ladder": {"per_octave": 0}},
         {"coefficients": {"source": "file"}},
         {"coefficients": {"source": "inline", "values_im": 0.0}},
         {"probes": 0},
@@ -245,7 +246,8 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"whitney": {"aperture": float("nan")}},
     ],
     ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
-         "ladder-key", "ladder-t-min", "file-without-path", "inline-without-values",
+         "ladder-key", "ladder-t-min", "ladder-per-octave-zero", "file-without-path",
+         "inline-without-values",
          "probes-zero", "probes-float", "probes-bool", "seed-negative",
          "tolerance-negative", "tolerance-zero", "tolerance-string", "tolerance-nan",
          "whitney-c0-nan", "whitney-c1-infinity", "whitney-aperture-nan"],
