@@ -14,16 +14,16 @@ as its Fourier coefficients, from one forward transform that also
 serves the refusals of a non-finite entry and of a nonzero mean; what
 no trace reaches is added to the residual exactly, by Parseval.
 
-The positive basis of DB is Q U+ with U+ R = W+, the QR of the range
+The positive basis of DB is Q U+, held as U+ R = W+, the QR of the range
 coordinates of its positive eigenvectors (calculus.EigenData).  The
 trace maps are the scalar and tangential row blocks of the isometry U+,
 so one SVD gives both (the CS decomposition).  A solve returns the
-coordinates c of its trace h = Q U+ c, which every diagnostic reads; h
-is formed on its first read.  Each boundary slot is read from y = Q^* h
-= U+ c by one inverse transform: the conormal derivative is the scalar
-rows of y and the value of the potential -i (tangential rows) / |k|.
-The potential v with D v = -h in the positive subspace of BD = B (DB)
-B^-1 is -B (DB)^-1 h: one triangular solve with R, and B pointwise.
+coordinates c of its trace h = Q (U+ c), one column formed on its first
+read.  Each boundary slot is read from y = Q^* h = U+ c by one inverse
+transform: the conormal derivative is the scalar rows of y and the value
+of the potential -i (tangential rows) / |k|.  The potential v with D v =
+-h in the positive subspace of BD = B (DB) B^-1 is -B (DB)^-1 h: one
+triangular solve with R, then Q W+ = Q U+ R and B pointwise.
 The layers at height t flow their density by exp(-z) chi+(z) or exp(z)
 chi-(z) at the scale |t|, and by chi+ or chi- at t = 0.
 
@@ -327,16 +327,15 @@ class SpectralHardyBasis:
     part first (B.range_eigen's order), or TraceMapError is raised;
     dim_plus is r/2 and _lam_plus the positive half, a view.
 
-    With V+ the leading r/2 eigenvectors, plus R = V+, R upper triangular.
-    DB has V = Q W (Q the range basis of coefficients._range_synthesis),
-    so it takes the r x r/2 QR U R = W+ and plus = Q U, with no QR of dof
-    rows, and _range_coordinates holds U = Q^* plus.  BD takes the QR of
-    V+ in the physical layout; no solve or layer potential reads it.
+    With V+ the leading r/2 eigenvectors, the basis is Q+ R = V+, R upper
+    triangular.  DB has V = Q W (Q the range basis of _range_synthesis), so
+    it keeps U = Q^* Q+ (_range_coordinates) from the r x r/2 QR U R = W+,
+    and Q+ = Q U is never formed.  BD keeps plus = Q+ from the QR of V+ in
+    the physical layout; no solve or layer potential reads it.
     """
 
     def __init__(self, T: LinearOperatorHandle):
         ed = eigen_data(T)
-        grid = T.grid
         half = len(ed.lam) // 2
         if not (np.all(ed.lam[:half].real > 0) and np.all(ed.lam[half:].real < 0)):
             raise TraceMapError(
@@ -347,7 +346,6 @@ class SpectralHardyBasis:
         self._lam_plus = ed.lam[:half]
         if ed.coordinates is not None:
             self._range_coordinates, self._R = np.linalg.qr(ed.coordinates[:, :half])
-            self.plus = _range_synthesis(grid, self._range_coordinates)
         else:
             self.plus, self._R = np.linalg.qr(ed.V[:, :half])
             self._range_coordinates = None
@@ -486,7 +484,7 @@ def spectral_split(system: FirstOrderSystem, h: Field):
 
 
 class _Potential(typing.NamedTuple):
-    """(DB)^-1 h on the positive eigenvectors V+ = plus R of DB, from one triangular solve.
+    """(DB)^-1 h on the positive eigenvectors V+ = Q U+ R of DB, from one triangular solve.
 
     x = R^-1 c are the coordinates of h on V+, with c its Hardy
     coordinates, z = x / lam+, and image = R (lam+ z) the Hardy coordinates
@@ -515,7 +513,7 @@ class BVPSolution:
     """Problem statement and solution: kind, datum, boundary trace, evaluators.
 
     A solve keeps the coordinates c of its trace h in the positive Hardy
-    basis plus of DB, and h = plus c is formed, as a physical Field, on
+    basis Q U+ of DB, and h = Q (U+ c) is formed, as a physical Field, on
     its first read and kept; a solution made with an explicit h holds that
     h.  conormal_trace and scalar_trace read their slot from y = Q^* h,
     which is U+ c for a solve, so that they form no h.  evaluate(t)
@@ -537,8 +535,9 @@ class BVPSolution:
     def h(self) -> Field:
         """The boundary trace, synthesized from the Hardy coordinates on the first read."""
         if self._h is None:
-            c, _ = self._coordinates
-            self._h = Field.from_flat(self.system.grid, self.system.hardy("DB").plus @ c)
+            grid, (c, _) = self.system.grid, self._coordinates
+            U = self.system.hardy("DB")._range_coordinates
+            self._h = Field.from_flat(grid, _range_synthesis(grid, U @ c))
         return self._h
 
     def evaluate(self, t: float) -> Field:
@@ -564,7 +563,7 @@ class BVPSolution:
         """z = (R^-1 c) / lam+: (DB)^-1 h on the positive eigenvectors of DB.
 
         With U R = W+ the Hardy QR of DB, its positive eigenvectors are
-        V+ = plus R, with DB V+ = V+ diag(lam+), and h = V+ R^-1 c from the
+        V+ = Q U R, with DB V+ = V+ diag(lam+), and h = V+ R^-1 c from the
         Hardy coordinates c of h.  The potential v = -B V+ z has D v = -h
         and lies in the positive subspace of BD = B (DB) B^-1.  The Hardy
         coordinates -R (lam+ z) of D v are formed explicitly, once, for
@@ -583,11 +582,11 @@ class BVPSolution:
         return self._potential
 
     def _potential_vector(self) -> Field:
-        """v = -B (DB)^-1 h, with D v = -h in the positive subspace of the
-        reversed composition: B times plus R z, pointwise."""
-        grid, hardy = self.system.grid, self.system.hardy("DB")
-        z = self._potential_coordinates().z
-        w = (hardy.plus @ (hardy._R @ z)).reshape(grid.shape + (grid.channels,))
+        """v = -B (DB)^-1 h, with D v = -h in the positive subspace of the reversed
+        composition: B times V+ z pointwise, V+ = Q U R = Q W+ the leading columns of V."""
+        grid, z = self.system.grid, self._potential_coordinates().z
+        V = eigen_data(self.system.db).V
+        w = (V[:, : len(z)] @ z).reshape(grid.shape + (grid.channels,))
         return Field.physical(grid, -_pointwise_product(self.system.B.values, w))
 
     def scalar_value(self, t: float) -> np.ndarray:

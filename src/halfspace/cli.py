@@ -6,11 +6,11 @@ experiment to its variants and each variant to its runner; a
 configuration without a variant runs the first one listed.
 Configuration comes from a JSON file plus flag overrides and is checked
 before any work: the experiment and variant against EXPERIMENTS, the
-grid, the coefficient source and the keys it needs, the probe count, and
-the ladder and Whitney parameters, whose unknown keys are refused.  The
-exit status is 0 when every check passes, 1 when a check fails, and 2
-for a configuration error, with no report written.  Identical
-configuration and seed reproduce identical numeric records.
+integer grid, the coefficient source with its keys and real parameters,
+the probe count, and the ladder and Whitney objects, whose unknown keys
+are refused.  The exit status is 0 when every check passes, 1 when a
+check fails, and 2 for a configuration error, with no report written.
+Identical configuration and seed reproduce identical numeric records.
 
 The HALFSPACE_THREADS environment variable sets the worker threads used
 for independent probe loops; by default they fill the cores that BLAS
@@ -49,7 +49,8 @@ from .coefficients import (
     identity_coefficients,
     perturbation_of_identity,
 )
-from .grid import Field, GridSpec, TLadder, l2_norm, lp_norm_grid, random_field
+from .grid import (Field, GridSpec, TLadder, fft_values, ifft_values, l2_norm, lp_norm_grid,
+                   random_field)
 from .io import load_coefficients
 from .operators import (
     OperatorError,
@@ -83,6 +84,8 @@ COEFFICIENT_SOURCES = {
 
 # keys a coefficient source reads without a default
 REQUIRED_SOURCE_KEYS = {"file": ("path",), "inline": ("values_re",)}
+# real parameters a coefficient source reads with a default
+REAL_SOURCE_KEYS = {"perturbation": ("size",), "block": ("contrast",)}
 
 
 def max_workers() -> int:
@@ -132,12 +135,19 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} has no variant {self.variant!r}")
         if (self.experiment, self.variant) == ("oracle", "one-d") and self.grid_dim != 1:
             raise ValueError("the one-d oracle needs dim=1")
+        for name in ("coefficients", "ladder", "whitney"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be an object, got {getattr(self, name)!r}")
         source = self.coefficients.get("source", "identity")
         if source not in COEFFICIENT_SOURCES:
             raise ValueError(f"unknown coefficient source {source!r}")
         missing = [k for k in REQUIRED_SOURCE_KEYS.get(source, ()) if k not in self.coefficients]
         if missing:
             raise ValueError(f"coefficient source {source!r} needs {', '.join(missing)}")
+        for key in REAL_SOURCE_KEYS.get(source, ()):
+            value = self.coefficients.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"coefficient {key} must be a finite real, got {value!r}")
         # a bool is an Integral: JSON true would pass as 1
         for name, low in (("seed", 0), ("probes", 1)):
             value = getattr(self, name)
@@ -203,9 +213,7 @@ def random_scalar_datum(grid: GridSpec, rng, decay: float = 6.0) -> np.ndarray:
     kn = grid.frequency_norms()
     weight = np.exp(-kn / decay)
     weight[(0,) * grid.dim] = 0.0
-    spec = np.fft.fftn(noise, axes=tuple(range(grid.dim)), norm="forward")
-    spec *= weight[..., None]
-    out = np.fft.ifftn(spec, axes=tuple(range(grid.dim)), norm="forward")
+    out = ifft_values(fft_values(noise, grid) * weight[..., None], grid)
     return out[..., 0] if grid.system_size == 1 else out
 
 

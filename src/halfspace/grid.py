@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 import scipy.fft
@@ -76,6 +77,10 @@ class GridSpec:
     system_size: int = 1
 
     def __post_init__(self):
+        for name in ("dim", "points", "system_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise GridError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 2):
             raise GridError(f"boundary dimension must be 1 or 2, got {self.dim}")
         G = self.points

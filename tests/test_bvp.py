@@ -33,6 +33,7 @@ from halfspace.bvp import (
 )
 from halfspace.coefficients import (
     _range_symbol_product,
+    _range_synthesis,
     block_diagonal_coefficients,
     hat_transform,
     perturbation_of_identity,
@@ -406,7 +407,7 @@ def test_trace_inversion_identity_on_hardy_basis(perturbed_system_32):
     # the inversion composed with the trace is the identity on the subspace
     rng = np.random.default_rng(14)
     sys_ = perturbed_system_32
-    Q = sys_.hardy("DB").plus
+    Q = _range_synthesis(sys_.grid, sys_.hardy("DB")._range_coordinates)
     coeff = rng.standard_normal(Q.shape[1]) + 1j * rng.standard_normal(Q.shape[1])
     h = Field.from_flat(sys_.grid, Q @ coeff)
     f = h.to_physical().values[..., 1:]
@@ -1269,16 +1270,52 @@ def test_warm_solves_form_the_trace_on_first_read(perturbed_system_2d, monkeypat
 def test_lazy_trace_is_the_hardy_synthesis(perturbed_system_2d):
     system = perturbed_system_2d
     grid = system.grid
-    plus = system.hardy("DB").plus
+    U = system.hardy("DB")._range_coordinates
     solves = _warm_solves(system, band_limited_scalar(grid, np.random.default_rng(71)))
     for kind, solve in solves.items():
         sol = solve()
         c, rest = sol._coordinates
         assert rest == 0.0, kind
-        assert np.array_equal(sol.h.values, Field.from_flat(grid, plus @ c).values), kind
+        synthesis = Field.from_flat(grid, _range_synthesis(grid, U @ c))
+        assert np.array_equal(sol.h.values, synthesis.values), kind
     # an explicit trace is kept as given
     h = random_field(grid, np.random.default_rng(72), mean_zero=True)
     assert bvp.BVPSolution("dirichlet", system, h, {}).h is h
+
+
+def test_hardy_basis_of_db_synthesizes_nothing(monkeypatch):
+    # the basis is held as its range coordinates U; Q U is never formed
+    grid = GridSpec(dim=2, points=8)
+    system = FirstOrderSystem(perturbation_of_identity(grid, np.random.default_rng(73), 0.15))
+    fc.eigen_data(system.db)
+    calls = []
+    synthesis = bvp._range_synthesis
+    monkeypatch.setattr(bvp, "_range_synthesis",
+                        lambda *args: calls.append(args) or synthesis(*args))
+    system.hardy("DB")
+    assert calls == []
+
+
+def test_trace_and_potential_match_the_synthesized_hardy_basis(fresh_system):
+    # h = Q (U c) and V+ z = Q W+ z against the dof x r/2 basis plus = Q U
+    # and plus R z, for the system and for its adjoint
+    grid = fresh_system.grid
+    f = band_limited_scalar(grid, np.random.default_rng(74))
+
+    def close(got, expected):
+        return np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    for sys_ in (fresh_system, fresh_system.adjoint()):
+        hardy = sys_.hardy("DB")
+        plus = _range_synthesis(grid, hardy._range_coordinates)
+        for kind, solve in _warm_solves(sys_, f).items():
+            sol = solve()
+            c, _ = sol._coordinates
+            assert close(sol.h.to_physical().values.reshape(-1), plus @ c), kind
+            w = (plus @ (hardy._R @ sol._potential_coordinates().z)).reshape(
+                grid.shape + (grid.channels,))
+            expected = -np.einsum("...ij,...j->...i", sys_.B.values, w)
+            assert close(sol._potential_vector().to_physical().values, expected), kind
 
 
 def test_trace_slots_read_from_range_coordinates_match_the_physical_route(fresh_system):

@@ -32,6 +32,18 @@ def test_grid_validation():
     assert g.dof == 6 * 64
 
 
+@pytest.mark.parametrize("fields", [
+    {"dim": 1.0, "points": 16}, {"dim": True, "points": 16}, {"dim": 1, "points": 16.0},
+    {"dim": 1, "points": 16, "system_size": 1.5},
+    {"dim": 1, "points": 16, "system_size": True},
+], ids=["dim-float", "dim-bool", "points-float", "system-size-float", "system-size-bool"])
+def test_grid_refuses_non_integer_fields(fields):
+    # a float or a bool compares equal to a valid integer, so it is refused by type
+    with pytest.raises(GridError, match="must be an integer"):
+        GridSpec(**fields)
+    assert GridSpec(dim=np.int64(1), points=np.int64(16)).dof == 32  # a numpy integer is one
+
+
 TRANSFORM_GRIDS = [
     GridSpec(dim=1, points=32),
     GridSpec(dim=2, points=8),

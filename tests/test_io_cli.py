@@ -244,13 +244,22 @@ def test_main_refuses_one_d_oracle_in_two_dimensions(tmp_path, capsys):
         {"whitney": {"c0": float("nan")}},
         {"whitney": {"c1": float("inf")}},
         {"whitney": {"aperture": float("nan")}},
+        {"system_size": 1.5},
+        {"grid_dim": True},
+        {"system_size": True},
+        {"grid_points": 32.0},
+        {"coefficients": "identity"},
+        {"coefficients": {"source": "perturbation", "size": "big"}},
+        {"coefficients": {"source": "block", "contrast": float("inf")}},
     ],
     ids=["grid-points", "grid-dim", "coefficient-source", "variant", "whitney-key",
          "ladder-key", "ladder-t-min", "ladder-per-octave-zero", "file-without-path",
          "inline-without-values",
          "probes-zero", "probes-float", "probes-bool", "seed-negative",
          "tolerance-negative", "tolerance-zero", "tolerance-string", "tolerance-nan",
-         "whitney-c0-nan", "whitney-c1-infinity", "whitney-aperture-nan"],
+         "whitney-c0-nan", "whitney-c1-infinity", "whitney-aperture-nan",
+         "system-size-float", "grid-dim-bool", "system-size-bool", "grid-points-float",
+         "coefficients-not-object", "perturbation-size-string", "block-contrast-infinity"],
 )
 def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, doc):
     def runner(*args):
@@ -264,6 +273,14 @@ def test_main_refuses_bad_config_before_any_work(tmp_path, capsys, monkeypatch, 
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+
+def test_main_names_an_integer_for_float_grid_points(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid_points": 32.0}))
+    assert main(["nt-max", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "points must be an integer, got 32.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [{"ladder": {"per_octave": 4}}, {"whitney": {"aperture": 2.0}}],
